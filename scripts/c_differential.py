@@ -13,7 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from stagedsl import highexpr as hi, lowexpr as lo
+from stagedsl import lowexpr as lo
 from stagedsl.cgen import c_compiler, compile_c, emit_c, have_c_compiler
 from stagedsl.core import DslError
 from stagedsl.examples import power_input, sum_input

@@ -47,15 +47,24 @@ STRICT_FLAGS = [
 ]
 
 
+# Control characters and DEL as 3-digit octal, which a following digit
+# cannot extend; then the characters with a shorter escape.  "?" is escaped
+# so no trigraph can form.  NUL stays as it is: it would end the format
+# string, so strings holding it are not supported.
+_C_ESCAPES = {c: f"\\{c:03o}" for c in [*range(1, 32), 127]} | {
+    ord("\\"): "\\\\",
+    ord('"'): '\\"',
+    ord("\n"): "\\n",
+    ord("\t"): "\\t",
+    ord("\r"): "\\r",
+    ord("?"): "\\?",
+    ord("%"): "%%",
+}
+
+
 def c_escape(s: str) -> str:
     """Escape for a printf format string, so also doubles percent signs."""
-    return (
-        s.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\t", "\\t")
-        .replace("%", "%%")
-    )
+    return s.translate(_C_ESCAPES)
 
 
 class _CEmitter:

@@ -8,8 +8,10 @@ language, does so by folding over the tree, and must behave identically no
 matter how the Bind nodes happen to be nested.
 
 Loop and continuation bodies are ordinary host functions.  They are
-instantiated once per interpretation, with concrete values when running and
-with symbolic names when generating code.
+instantiated with symbolic names when generating code, and also when the
+runtime stages a loop body to run it many times; only straight-line code and
+closed expressions are instantiated with concrete values.  Every body must
+therefore build the same program whatever value it is passed.
 """
 
 from __future__ import annotations
@@ -231,7 +233,31 @@ def interpret(handler: Callable[[Instruction], Any], prog: Program) -> Any:
 # --------------------------------------------------------------------------
 # Expression-language capabilities, and the front end that is generic in
 # them.  A Language says how to build literals and variables, and optionally
-# how to evaluate closed expressions and how to print them.
+# how to evaluate closed expressions, how to compile open ones and how to
+# print them.
+
+class Scope:
+    """The names generated while staging one loop body, nested loops and
+    binders included.
+
+    Staging instantiates a body once with generated names and compiles it to
+    functions of an environment, a dict from those names to their current
+    values.  Membership goes by identity, so a program's own variable whose
+    text happens to equal a generated name stays unbound, as it is under
+    closed evaluation.
+    """
+
+    def __init__(self) -> None:
+        self._names: dict[int, str] = {}
+
+    def fresh(self, prefix: str) -> str:
+        name = f"{prefix}{len(self._names)}"
+        self._names[id(name)] = name
+        return name
+
+    def __contains__(self, name: object) -> bool:
+        return self._names.get(id(name)) is name
+
 
 @dataclass(frozen=True)
 class Language:
@@ -240,6 +266,10 @@ class Language:
     var: Callable[[TypeTag, str], Any]
     eval_closed: Callable[[Any], Any] | None = None
     render: Callable[[Any], str] | None = None
+    # compile(e, scope) gives fn(env), which evaluates e reading the names
+    # the scope generated from env, and raises as eval_closed would on
+    # anything else
+    compile: Callable[[Any, Scope], Callable[[dict[str, Any]], Any]] | None = None
 
 
 def val_to_exp(lang: Language, val: Val) -> Any:

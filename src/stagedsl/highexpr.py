@@ -2,8 +2,10 @@
 let-sharing and iterated application.
 
 There is no renderer for this language.  Evaluation of closed expressions
-exists mainly as a reference semantics: binder bodies are host functions, and
-the evaluator instantiates them with literal nodes.
+is the reference semantics: binder bodies are host functions, and the
+evaluator instantiates them with literal nodes on every use.  Compilation of
+open expressions, for staged loop bodies, instantiates each binder body once
+with a generated variable instead.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import DslError, Language, TagError, TypeTag, UnboundVariableError, wrap_i32
+from .core import DslError, Language, Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
 
 
 class HighExpr:
@@ -182,6 +184,54 @@ def eval_closed(e: HighExpr) -> Any:
     raise DslError(f"not a high expression: {e!r}")
 
 
+def compile_open(e: HighExpr, scope: Scope) -> Callable[[dict[str, Any]], Any]:
+    """Compile an expression whose free variables may be names the scope
+    generated into a function of their values.  Let and Iter bodies are
+    built once, over a fresh name.  Whatever eval_closed would reject, the
+    function rejects the same way when it runs."""
+    match e:
+        case Lit(value, _):
+            return lambda env: value
+        case Var(name, _) if name in scope:
+            return lambda env: env[name]
+        case Add(a, b):
+            fa, fb = compile_open(a, scope), compile_open(b, scope)
+            return lambda env: wrap_i32(fa(env) + fb(env))
+        case Mul(a, b):
+            fa, fb = compile_open(a, scope), compile_open(b, scope)
+            return lambda env: wrap_i32(fa(env) * fb(env))
+        case Not(a):
+            fa = compile_open(a, scope)
+            return lambda env: not fa(env)
+        case Eq(a, b):
+            fa, fb = compile_open(a, scope), compile_open(b, scope)
+            return lambda env: fa(env) == fb(env)
+        case Let(shared, body):
+            name = scope.fresh("x")
+            fshared = compile_open(shared, scope)
+            fbody = compile_open(body(Var(name, shared.tag)), scope)
+
+            def let(env):
+                env[name] = fshared(env)
+                return fbody(env)
+
+            return let
+        case Iter(count, init, step):
+            name = scope.fresh("s")
+            fcount, finit = compile_open(count, scope), compile_open(init, scope)
+            fstep = compile_open(step(Var(name, init.tag)), scope)
+
+            def iterate(env):
+                n = fcount(env)
+                env[name] = finit(env)
+                for _ in range(n):
+                    env[name] = fstep(env)
+                return env[name]
+
+            return iterate
+    return lambda env: eval_closed(e)
+
+
 def _const(tag: TypeTag, value: Any) -> Lit:
     return Lit(value, tag)
 
@@ -190,4 +240,11 @@ def _var(tag: TypeTag, name: str) -> Var:
     return Var(name, tag)
 
 
-LANG = Language(name="high", const=_const, var=_var, eval_closed=eval_closed, render=None)
+LANG = Language(
+    name="high",
+    const=_const,
+    var=_var,
+    eval_closed=eval_closed,
+    render=None,
+    compile=compile_open,
+)

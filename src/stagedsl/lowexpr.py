@@ -1,15 +1,16 @@
 """The minimal expression language: variables, literals, +, *, not, ==.
 
 This is the language code generators understand.  It evaluates closed
-expressions and renders to text; both are total on well-tagged trees.
+expressions, compiles open ones for staged loop bodies, and renders to text;
+all three are total on well-tagged trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
-from .core import DslError, Language, TagError, TypeTag, UnboundVariableError, wrap_i32
+from .core import DslError, Language, Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
 
 
 class LowExpr:
@@ -143,6 +144,30 @@ def eval_closed(e: LowExpr) -> Any:
     raise DslError(f"not a low expression: {e!r}")
 
 
+def compile_open(e: LowExpr, scope: Scope) -> Callable[[dict[str, Any]], Any]:
+    """Compile an expression whose free variables may be names the scope
+    generated into a function of their values.  Whatever eval_closed would
+    reject, the function rejects the same way when it runs."""
+    match e:
+        case Lit(value, _):
+            return lambda env: value
+        case Var(name, _) if name in scope:
+            return lambda env: env[name]
+        case Add(a, b):
+            fa, fb = compile_open(a, scope), compile_open(b, scope)
+            return lambda env: wrap_i32(fa(env) + fb(env))
+        case Mul(a, b):
+            fa, fb = compile_open(a, scope), compile_open(b, scope)
+            return lambda env: wrap_i32(fa(env) * fb(env))
+        case Not(a):
+            fa = compile_open(a, scope)
+            return lambda env: not fa(env)
+        case Eq(a, b):
+            fa, fb = compile_open(a, scope), compile_open(b, scope)
+            return lambda env: fa(env) == fb(env)
+    return lambda env: eval_closed(e)
+
+
 def render(e: LowExpr) -> str:
     """Print an expression.  Every operator application gets parentheses,
     so distinct trees read distinctly."""
@@ -172,4 +197,11 @@ def _var(tag: TypeTag, name: str) -> Var:
     return Var(name, tag)
 
 
-LANG = Language(name="low", const=_const, var=_var, eval_closed=eval_closed, render=render)
+LANG = Language(
+    name="low",
+    const=_const,
+    var=_var,
+    eval_closed=eval_closed,
+    render=render,
+    compile=compile_open,
+)

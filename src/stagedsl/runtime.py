@@ -3,13 +3,26 @@
 Works for any expression language that can evaluate closed expressions.
 Input and output are injectable, so tests can script a session; the CLI
 plugs in the process's stdio.
+
+Straight-line code is interpreted instruction by instruction with concrete
+values.  A loop body is staged instead: when a loop first runs, its body is
+instantiated once with a generated name for the counter, every instruction
+becomes a closure over an environment of generated names, and the closures
+run once per trip.  Nested loops are staged the same way on their first
+trip.  This relies on loop and binder bodies building the same program
+whatever value they are passed, which the C back end relies on too.  An
+error from building a body, such as a TagError, can therefore surface before
+the first trip's output instead of during it; every error from running an
+instruction surfaces where it would without staging.  A language with no
+`compile` gets the reference behaviour: the body is rebuilt and interpreted
+on every trip.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 from . import core
 from .core import (
@@ -25,8 +38,11 @@ from .core import (
     Program,
     ReadInput,
     Ref,
+    Scope,
     SetRef,
     StageError,
+    SymbolicRef,
+    SymbolicVal,
     TypeTag,
     WriteOutput,
     wrap_i32,
@@ -39,51 +55,170 @@ class InputError(DslError):
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
+Env = dict[str, Any]
+Step = Callable[[Env], None]
+
 
 class _Runner:
     def __init__(self, lang: Language, stdin: TextIO, stdout: TextIO):
         self._eval = lang.eval_closed
+        self._compile = lang.compile
         self._stdin = stdin
-        self._stdout = stdout
+        self.write = stdout.write
         self.reads = 0
 
-    def _cell(self, ref: Ref) -> ConcreteRef:
+    def cell(self, ref: Ref) -> ConcreteRef:
         if isinstance(ref, ConcreteRef):
             return ref
         raise StageError("symbolic reference reached the runtime interpreter")
+
+    def read(self) -> int:
+        line = self._stdin.readline()
+        if line == "":
+            raise InputError("input exhausted")
+        text = line.strip()
+        if not _DECIMAL.fullmatch(text):
+            raise InputError(f"not a decimal integer: {text!r}")
+        self.reads += 1
+        return wrap_i32(int(text))
 
     def handle(self, cmd: Instruction):
         match cmd:
             case InitRef(init):
                 return ConcreteRef(init.tag, self._eval(init))
             case GetRef(ref):
-                cell = self._cell(ref)
+                cell = self.cell(ref)
                 return ConcreteVal(cell.tag, cell.value)
             case SetRef(ref, value):
-                self._cell(ref).value = self._eval(value)
+                self.cell(ref).value = self._eval(value)
                 return None
             case ReadInput():
-                line = self._stdin.readline()
-                if line == "":
-                    raise InputError("input exhausted")
-                text = line.strip()
-                if not _DECIMAL.fullmatch(text):
-                    raise InputError(f"not a decimal integer: {text!r}")
-                self.reads += 1
-                return ConcreteVal(TypeTag.I32, wrap_i32(int(text)))
+                return ConcreteVal(TypeTag.I32, self.read())
             case WriteOutput(value):
-                self._stdout.write(str(self._eval(value)))
+                self.write(str(self._eval(value)))
                 return None
             case PrintStr(text):
-                self._stdout.write(text)
+                self.write(text)
                 return None
             case ForLoop(count, body):
                 # evaluate the bound once, before any iteration runs
                 n = self._eval(count)
-                for k in range(max(n, 0)):
-                    core.interpret(self.handle, body(ConcreteVal(TypeTag.I32, k)))
+                if self._compile is None:
+                    for k in range(n):
+                        core.interpret(self.handle, body(ConcreteVal(TypeTag.I32, k)))
+                elif n > 0:
+                    _repeat(n, *_Stager(self, self._compile).stage(body), {})
                 return None
         raise DslError(f"not an instruction: {cmd!r}")
+
+
+def _repeat(n: int, counter: str, steps: list[Step], env: Env) -> None:
+    for k in range(n):
+        env[counter] = k
+        for step in steps:
+            step(env)
+
+
+class _Stager:
+    """Turns loop bodies into closures over one environment.
+
+    As an interpret() handler it performs nothing: each instruction becomes
+    a step that performs it through the runner (same input parsing, errors,
+    read count and output), and its result becomes a generated name the
+    step binds in the environment.
+    """
+
+    def __init__(self, runner: _Runner, compile_expr):
+        self._runner = runner
+        self._compile = compile_expr
+        self._scope = Scope()
+        self._steps: list[Step] = []
+
+    def stage(self, body) -> tuple[str, list[Step]]:
+        """Instantiate a loop body once; returns its counter's name and its
+        steps."""
+        counter = self._scope.fresh("v")
+        outer, self._steps = self._steps, []
+        try:
+            core.interpret(self.handle, body(SymbolicVal(TypeTag.I32, counter)))
+            return counter, self._steps
+        finally:
+            self._steps = outer
+
+    def _expr(self, e) -> Callable[[Env], Any]:
+        return self._compile(e, self._scope)
+
+    def _cell(self, ref: Ref) -> Callable[[Env], ConcreteRef]:
+        if isinstance(ref, ConcreteRef):
+            return lambda env: ref
+        if isinstance(ref, SymbolicRef) and ref.name in self._scope:
+            name = ref.name
+            return lambda env: env[name]
+        # not a cell this run can reach: fail when the instruction runs
+        return lambda env: self._runner.cell(ref)
+
+    def handle(self, cmd: Instruction):
+        runner, scope = self._runner, self._scope
+        match cmd:
+            case InitRef(init):
+                tag, value = init.tag, self._expr(init)
+                name = scope.fresh("r")
+
+                def step(env):
+                    env[name] = ConcreteRef(tag, value(env))
+
+                self._steps.append(step)
+                return SymbolicRef(tag, name)
+            case GetRef(ref):
+                cell = self._cell(ref)
+                name = scope.fresh("v")
+
+                def step(env):
+                    env[name] = cell(env).value
+
+                self._steps.append(step)
+                return SymbolicVal(ref.tag, name)
+            case SetRef(ref, value):
+                cell, new = self._cell(ref), self._expr(value)
+
+                def step(env):
+                    cell(env).value = new(env)
+
+                self._steps.append(step)
+                return None
+            case ReadInput():
+                read, name = runner.read, scope.fresh("v")
+
+                def step(env):
+                    env[name] = read()
+
+                self._steps.append(step)
+                return SymbolicVal(TypeTag.I32, name)
+            case WriteOutput(value):
+                write, out = runner.write, self._expr(value)
+                self._steps.append(lambda env: write(str(out(env))))
+                return None
+            case PrintStr(text):
+                write = runner.write
+                self._steps.append(lambda env: write(text))
+                return None
+            case ForLoop(count, body):
+                bound = self._expr(count)
+                staged: tuple[str, list[Step]] | None = None
+
+                def step(env):
+                    nonlocal staged
+                    n = bound(env)
+                    if n > 0:
+                        # the body is built on the first trip, as without staging
+                        if staged is None:
+                            staged = self.stage(body)
+                        _repeat(n, *staged, env)
+
+                self._steps.append(step)
+                return None
+        self._steps.append(lambda env: runner.handle(cmd))
+        return None
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

@@ -41,7 +41,8 @@ class LetStrategy(Enum):
 
 class UnrollPolicy(Enum):
     NONE = "none"
-    EVEN_BY_2 = "even2"     # loops whose count is written <n> * 2 run n passes of two steps
+    # a count written <k> * 2, k a literal in [0, 2**30), runs k passes of two steps
+    EVEN_BY_2 = "even2"
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,16 @@ def lower_expr(e: hi.HighExpr, config: TranslationConfig = DEFAULT_CONFIG) -> Pr
                 )
             )
         case hi.Iter(count, init, step):
+            # Only a literal half below 2**30 makes count * 2 a non-wrapping,
+            # non-negative doubling: the low language has no comparison, so
+            # it cannot compute how many passes any other count gives.
             if (
                 config.unroll is UnrollPolicy.EVEN_BY_2
                 and isinstance(count, hi.Mul)
                 and isinstance(count.right, hi.Lit)
                 and count.right.value == 2
+                and isinstance(count.left, hi.Lit)
+                and 0 <= count.left.value < 2**30
             ):
                 return _lower_iter(count.left, init, step, config, steps_per_pass=2)
             return _lower_iter(count, init, step, config, steps_per_pass=1)

@@ -95,6 +95,13 @@ def test_escaping_covers_printf_metacharacters():
     assert 'printf("100%% sure\\n");' in src
 
 
+def test_escaping_defuses_trigraphs_and_control_characters():
+    assert c_escape("a??!b") == "a\\?\\?!b"
+    assert c_escape("x\ry") == "x\\ry"
+    # octal escapes are always three digits, so a digit after one stays a digit
+    assert c_escape("a\x01" + "7\x7f") == "a\\0017\\177"
+
+
 def test_empty_print_emits_no_statement():
     assert 'printf("")' not in emit_c(print_str(""))
 
@@ -150,3 +157,13 @@ def test_compiled_wraparound_matches_the_interpreter(tmp_path):
 def test_compiled_code_survives_negative_loop_bounds(tmp_path):
     prog = for_loop(lo.LANG, lo.lit(-5), lambda _i: write_output(lo.lit(1)))
     assert _c_output(emit_c(prog), "", tmp_path, "neg") == ""
+
+
+@needs_cc
+@pytest.mark.parametrize("text", ["a??!b", "x\ry", "a\x01b", "q?\x1b[0m?\x7f"])
+def test_compiled_print_strings_match_the_interpreter_byte_for_byte(tmp_path, text):
+    prog = seq(print_str(text), write_output(lo.lit(1)))
+    exe = compile_c(emit_c(prog), tmp_path, "strings")
+    proc = subprocess.run([str(exe)], capture_output=True, timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout == run_text(prog, lo.LANG)[1].encode()

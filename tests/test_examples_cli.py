@@ -1,6 +1,7 @@
 """The example registry and the command-line driver."""
 
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from stagedsl.cli import cli
 from stagedsl.examples import EXAMPLES
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def test_registry_names_and_languages():
@@ -95,3 +97,22 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "powerInput\nsumInput\n"
+
+
+def _module_cli(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "stagedsl", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    listed = _module_cli("list")
+    assert (listed.returncode, listed.stdout) == (0, "powerInput\nsumInput\n")
+    compiled = _module_cli("compile", "powerInput")
+    assert compiled.returncode == 0
+    assert compiled.stdout == (GOLDEN / "power_pseudo.txt").read_text()

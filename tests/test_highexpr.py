@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import support
 from stagedsl import highexpr as hi
-from stagedsl.core import TagError, TypeTag, wrap_i32
+from stagedsl.core import Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
 
 templates = st.recursive(
     st.one_of(st.just(("hole",)), st.integers(-50, 50).map(lambda v: ("lit", v))),
@@ -72,3 +72,42 @@ def test_let_is_referentially_transparent_for_closed_sharing(shared, template):
     body = lambda x: support.template_to_high(template, x)
     direct = hi.eval_closed(body(hi.lit(shared)))
     assert hi.eval_closed(hi.Let(hi.lit(shared), body)) == direct
+
+
+def _compiled(e):
+    return hi.compile_open(e, Scope())({})
+
+
+@given(st.integers(-3, 20), st.integers(-(2**31), 2**31 - 1), templates)
+def test_compiled_iter_matches_the_fold_oracle(n, init, template):
+    e = hi.Iter(hi.lit(n), hi.lit(init), lambda x: support.template_to_high(template, x))
+    assert _compiled(e) == support.iter_oracle(n, init, template)
+
+
+@given(st.integers(-10, 10), templates)
+def test_compiled_let_matches_the_reference_evaluator(shared, template):
+    e = hi.Let(hi.lit(shared), lambda x: support.template_to_high(template, x))
+    assert _compiled(e) == hi.eval_closed(e)
+
+
+def test_compiled_binders_build_their_bodies_once():
+    built = []
+
+    def step(s):
+        built.append(s)
+        return s * 3
+
+    e = hi.Let(hi.lit(2), lambda a: hi.Iter(hi.lit(3), a, lambda s: step(s) + a))
+    compiled = hi.compile_open(e, Scope())
+    assert compiled({}) == compiled({}) == 80  # 2 -> 8 -> 26 -> 80
+    # the Let body once, hence one Iter, whose tag check and compilation
+    # each build the step once
+    assert len(built) == 2
+
+
+def test_compiled_binders_leave_a_programs_own_variables_unbound():
+    # x0 is the name compilation generates for the Let
+    e = hi.Let(hi.lit(1), lambda x: x + hi.Var("x0", TypeTag.I32))
+    compiled = hi.compile_open(e, Scope())
+    with pytest.raises(UnboundVariableError, match="x0"):
+        compiled({})

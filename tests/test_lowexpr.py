@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stagedsl import lowexpr as lo
-from stagedsl.core import TagError, TypeTag, UnboundVariableError, wrap_i32
+from stagedsl.core import Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
 
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
 
@@ -128,6 +128,23 @@ def substitute(e, env):
     raise AssertionError(e)
 
 
+def rename(e, names):
+    match e:
+        case lo.Var(name, tag):
+            return lo.Var(names[name], tag)
+        case lo.Lit(_, _):
+            return e
+        case lo.Add(x, y):
+            return lo.Add(rename(x, names), rename(y, names))
+        case lo.Mul(x, y):
+            return lo.Mul(rename(x, names), rename(y, names))
+        case lo.Not(x):
+            return lo.Not(rename(x, names))
+        case lo.Eq(x, y):
+            return lo.Eq(rename(x, names), rename(y, names))
+    raise AssertionError(e)
+
+
 def exprs_of(tag: TypeTag, depth: int):
     if tag is TypeTag.I32:
         leaves = st.one_of(
@@ -178,3 +195,22 @@ def test_render_is_total_and_parenthesized(e):
 def test_distinct_trees_render_distinctly(e1, e2):
     if e1 != e2:
         assert lo.render(e1) != lo.render(e2)
+
+
+@given(any_expr, environments)
+def test_compiled_open_expressions_agree_with_environment_oracle(e, env):
+    scope = Scope()
+    names = {n: scope.fresh(n) for n in env}
+    compiled = lo.compile_open(rename(e, names), scope)
+    assert compiled({names[n]: v for n, v in env.items()}) == eval_env(e, env)
+
+
+def test_compiled_free_variables_fail_when_evaluated_not_when_compiled():
+    scope = Scope()
+    bound = scope.fresh("a")
+    # same text as the generated name, but not generated by the scope
+    e = lo.Add(lo.Var(bound, TypeTag.I32), lo.Var("a0", TypeTag.I32))
+    assert bound == "a0"
+    compiled = lo.compile_open(e, scope)
+    with pytest.raises(UnboundVariableError, match="a0"):
+        compiled({bound: 1})

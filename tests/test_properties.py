@@ -5,6 +5,7 @@ corpus keeps the feedback loop quick while covering the same ground from a
 different seed.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -25,6 +26,17 @@ from stagedsl.translate import (
 )
 
 CORPUS = corpus(seed=424242, size=60)
+ALL_CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
+
+
+@pytest.mark.parametrize("idx", range(len(CORPUS)))
+def test_staged_loops_match_the_per_trip_reference(idx):
+    gp = CORPUS[idx]
+    runs = [(gp.program, hi.LANG)]
+    runs += [(lower_program(gp.program, config), lo.LANG) for config in ALL_CONFIGS]
+    for prog, lang in runs:
+        reference = dataclasses.replace(lang, compile=None)
+        assert run_text(prog, lang, gp.input_text) == run_text(prog, reference, gp.input_text)
 
 
 @pytest.mark.parametrize("idx", range(len(CORPUS)))

@@ -5,8 +5,9 @@ import io
 
 import pytest
 
-from stagedsl import highexpr as hi, lowexpr as lo
+from stagedsl import highexpr as hi, lowexpr as lo, runtime
 from stagedsl.core import (
+    ConcreteRef,
     DslError,
     Language,
     StageError,
@@ -14,11 +15,16 @@ from stagedsl.core import (
     TypeTag,
     GetRef,
     Instr,
+    UnboundVariableError,
     for_loop,
+    get_ref,
+    init_ref,
+    modify_ref,
     print_str,
     read_input,
     ret,
     seq,
+    set_ref,
     write_output,
 )
 from stagedsl.examples import power_input, sum_input
@@ -107,3 +113,121 @@ def test_languages_without_evaluation_cannot_run():
 def test_run_reports_result_and_consumed_lines():
     result, reads = run(ret(5), lo.LANG, io.StringIO(""), io.StringIO())
     assert (result, reads) == (5, 0)
+
+
+# --------------------------------------------------------------------------
+# Staged loop bodies.  Every test runs the program twice: staged, and on the
+# reference path that rebuilds and interprets the body on every trip.
+
+I32 = TypeTag.I32
+
+
+def _reference(lang):
+    return dataclasses.replace(lang, compile=None)
+
+
+def _outcome(prog, lang, text=""):
+    """(result, output, reads), or the error type and the output before it."""
+    out = io.StringIO()
+    try:
+        result, reads = run(prog, lang, io.StringIO(text), out)
+    except DslError as err:
+        return type(err), out.getvalue()
+    return result, out.getvalue(), reads
+
+
+def _both(prog, lang, text=""):
+    staged = _outcome(prog, lang, text)
+    assert staged == _outcome(prog, _reference(lang), text)
+    return staged
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_a_loop_that_never_runs_never_builds_its_body(bound):
+    def body(_i):
+        raise AssertionError("body built")
+
+    for lang in (lo.LANG, hi.LANG):
+        prog = for_loop(lang, lang.const(I32, bound), body)
+        assert _both(prog, lang) == (None, "", 0)
+        inner = for_loop(lang, lang.const(I32, bound), body)
+        nested = for_loop(lang, lang.const(I32, 2), lambda _i: inner)
+        assert _both(nested, lang) == (None, "", 0)
+
+
+def test_reads_inside_staged_loops_are_counted_per_trip():
+    prog = for_loop(
+        lo.LANG,
+        lo.lit(2),
+        lambda _i: for_loop(lo.LANG, lo.lit(2), lambda _j: read_input(lo.LANG).bind(write_output)),
+    )
+    assert _both(prog, lo.LANG, "1\n2\n3\n4\n5\n") == (None, "1234", 4)
+    assert _both(prog, lo.LANG, "1\n2\nx\n") == (InputError, "12")
+    assert _both(prog, lo.LANG, "1\n") == (InputError, "1")
+
+
+def test_init_ref_in_a_staged_loop_makes_a_fresh_cell_every_trip(monkeypatch):
+    made = []
+
+    class RecordedRef(ConcreteRef):
+        def __init__(self, tag, value):
+            super().__init__(tag, value)
+            made.append(self)
+
+    monkeypatch.setattr(runtime, "ConcreteRef", RecordedRef)
+    prog = for_loop(
+        lo.LANG,
+        lo.lit(3),
+        lambda i: init_ref(i).bind(
+            lambda r: modify_ref(lo.LANG, r, lambda x: x + 10).then(
+                get_ref(lo.LANG, r).bind(write_output)
+            )
+        ),
+    )
+    assert run_text(prog, lo.LANG) == (None, "101112", 0)
+    assert [cell.value for cell in made] == [10, 11, 12]
+    assert len({id(cell) for cell in made}) == 3
+
+
+def test_nested_loop_bounded_by_the_outer_counter():
+    for lang in (lo.LANG, hi.LANG):
+        prog = for_loop(lang, lang.const(I32, 4), lambda i: for_loop(lang, i, write_output))
+        assert _both(prog, lang) == (None, "001012", 0)
+
+
+@pytest.mark.parametrize("name", ["v0", "r1", "v2"])
+def test_generated_names_never_resolve_a_programs_own_variable(name):
+    # the body binds generated names v0 (counter), r1 and v2
+    def body(_i):
+        return init_ref(lo.lit(7)).bind(
+            lambda r: get_ref(lo.LANG, r).then(
+                print_str("a").then(write_output(lo.Var(name, I32)))
+            )
+        )
+
+    prog = for_loop(lo.LANG, lo.lit(2), body)
+    assert _both(prog, lo.LANG) == (UnboundVariableError, "a")
+
+
+def test_high_binders_in_staged_loops_keep_free_variables_unbound():
+    def body(_i):
+        return print_str("a").then(
+            write_output(hi.Let(hi.lit(1), lambda x: x + hi.Var("x1", I32)))
+        )
+
+    prog = for_loop(hi.LANG, hi.lit(2), body)
+    assert _both(prog, hi.LANG) == (UnboundVariableError, "a")
+
+
+def test_program_supplied_symbolic_refs_in_staged_loops_are_stage_errors():
+    # r1 is also the name staging gives the cell the body allocates
+    def body(_i):
+        return init_ref(lo.lit(0)).then(
+            print_str("a").then(set_ref(SymbolicRef(I32, "r1"), lo.lit(1)))
+        )
+
+    prog = for_loop(lo.LANG, lo.lit(2), body)
+    assert _both(prog, lo.LANG) == (StageError, "a")
+    stray = Instr(GetRef(SymbolicRef(I32, "r0")))
+    get = for_loop(lo.LANG, lo.lit(2), lambda _i: print_str("b").then(stray))
+    assert _both(get, lo.LANG) == (StageError, "b")

@@ -1,10 +1,12 @@
 """The lowering pass: per-constructor mapping, let strategies, unrolling."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import support
 from stagedsl import highexpr as hi, lowexpr as lo
-from stagedsl.core import interpret, write_output
+from stagedsl.core import interpret, read_input, wrap_i32, write_output
 from stagedsl.pseudo import render_program
 from stagedsl.runtime import run_text
 from stagedsl.translate import (
@@ -147,6 +149,43 @@ def test_unrolled_and_plain_translations_agree(k):
     plain = run_text(lower_program(prog), lo.LANG)
     unrolled = run_text(lower_program(prog, UNROLL), lo.LANG)
     assert plain == unrolled
+
+
+ALL_CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
+
+
+def _doubled_count_transcripts(k: int) -> list:
+    prog = write_output(hi.Iter(hi.Mul(hi.lit(k), hi.lit(2)), hi.lit(0), lambda x: x + 1))
+    direct = run_text(prog, hi.LANG)
+    return [direct] + [run_text(lower_program(prog, c), lo.LANG) for c in ALL_CONFIGS]
+
+
+def test_unrolling_leaves_a_wrapping_doubled_count_alone():
+    k = -(2**31) + 1  # k * 2 wraps to 2
+    assert _doubled_count_transcripts(k) == [(None, "2", 0)] * 5
+    text = render_program(lower_program(write_output(hi.Iter(
+        hi.Mul(hi.lit(k), hi.lit(2)), hi.lit(0), lambda x: x + 1
+    )), UNROLL))
+    assert text.count("getRef") == 2  # the plain loop
+
+    # a half only known at run time cannot be unrolled either
+    prog = read_input(hi.LANG).bind(
+        lambda n: write_output(hi.Iter(hi.Mul(n, hi.lit(2)), hi.lit(0), lambda x: x + 1))
+    )
+    for config in ALL_CONFIGS:
+        assert run_text(lower_program(prog, config), lo.LANG, f"{k}\n") == (None, "2", 1)
+
+
+@given(
+    base=st.sampled_from([0, 2**31, 2**30, -(2**30)]),
+    offset=st.integers(-20, 20),
+)
+def test_unrolling_agrees_with_direct_runs_at_extreme_halves(base, offset):
+    k = wrap_i32(base + offset)
+    assume(wrap_i32(2 * k) <= 64)  # keep the loop short
+    transcripts = _doubled_count_transcripts(k)
+    assert transcripts == [transcripts[0]] * 5
+    assert transcripts[0][1] == str(max(wrap_i32(2 * k), 0))
 
 
 def test_compile_pseudo_reproduces_the_stored_power_listing():
