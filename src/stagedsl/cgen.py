@@ -1,9 +1,11 @@
 """Emit C99 from programs over the minimal expression language.
 
-Everything lives in one main().  Variables keep the names the pseudo-code
-backend would give them (same shared counter), and are all declared at the
-top of main.  Arithmetic goes through unsigned casts so 32-bit wraparound is
-defined behaviour rather than a compiler mood.
+Everything lives in one main().  The walk over the program is
+core.SymbolicWalk, shared with the pseudo-code back end, so variables get
+the same names there and here.  This module supplies the C text of each
+statement and records the declarations, all hoisted to the top of main, and
+the names the statements read.  Arithmetic goes through unsigned casts so
+32-bit wraparound is defined behaviour rather than a compiler mood.
 """
 
 from __future__ import annotations
@@ -14,23 +16,7 @@ import subprocess
 from pathlib import Path
 
 from . import core, lowexpr
-from .core import (
-    DslError,
-    ForLoop,
-    GetRef,
-    InitRef,
-    Instruction,
-    PrintStr,
-    Program,
-    ReadInput,
-    Ref,
-    SetRef,
-    StageError,
-    SymbolicRef,
-    SymbolicVal,
-    TypeTag,
-    WriteOutput,
-)
+from .core import DslError, Program, SymbolicWalk, TypeTag
 
 _C_TYPE = {TypeTag.I32: "int32_t", TypeTag.BOOL: "int"}
 
@@ -49,47 +35,40 @@ STRICT_FLAGS = [
 
 # Control characters and DEL as 3-digit octal, which a following digit
 # cannot extend; then the characters with a shorter escape.  "?" is escaped
-# so no trigraph can form.  NUL stays as it is: it would end the format
-# string, so strings holding it are not supported.
-_C_ESCAPES = {c: f"\\{c:03o}" for c in [*range(1, 32), 127]} | {
+# so no trigraph can form.
+_C_STRING = {c: f"\\{c:03o}" for c in [*range(32), 127]} | {
     ord("\\"): "\\\\",
     ord('"'): '\\"',
     ord("\n"): "\\n",
     ord("\t"): "\\t",
     ord("\r"): "\\r",
     ord("?"): "\\?",
-    ord("%"): "%%",
 }
+_C_FORMAT = _C_STRING | {ord("%"): "%%"}
 
 
 def c_escape(s: str) -> str:
     """Escape for a printf format string, so also doubles percent signs."""
-    return s.translate(_C_ESCAPES)
+    return s.translate(_C_FORMAT)
 
 
-class _CEmitter:
+class _C(SymbolicWalk):
+    """Statement text for the shared symbolic walk, plus the declarations
+    and the names the statements read."""
+
+    loop_end = "}"
+
     def __init__(self) -> None:
+        super().__init__()
         self.decls: list[tuple[str, TypeTag]] = []
-        self.body: list[str] = []
-        self.counter = 0
         self.read_names: set[str] = set()
-        self.depth = 1
 
     def fresh(self, prefix: str, tag: TypeTag) -> str:
-        name = f"{prefix}{self.counter}"
-        self.counter += 1
+        name = super().fresh(prefix, tag)
         self.decls.append((name, tag))
         return name
 
-    def _stmt(self, text: str) -> None:
-        self.body.append("    " * self.depth + text)
-
-    def _ref_name(self, ref: Ref) -> str:
-        if isinstance(ref, SymbolicRef):
-            return ref.name
-        raise StageError("live runtime reference reached the code generator")
-
-    def expr(self, e: lowexpr.LowExpr) -> str:
+    def expr(self, e: lowexpr.Expr) -> str:
         match e:
             case lowexpr.Var(name, _):
                 self.read_names.add(name)
@@ -111,50 +90,38 @@ class _CEmitter:
                 return f"({self.expr(a)} == {self.expr(b)})"
         raise DslError(f"cannot emit C for {e!r}")
 
-    def handle(self, cmd: Instruction):
-        match cmd:
-            case InitRef(init):
-                src = self.expr(init)
-                name = self.fresh("r", init.tag)
-                self._stmt(f"{name} = {src};")
-                return SymbolicRef(init.tag, name)
-            case GetRef(ref):
-                src = self._ref_name(ref)
-                self.read_names.add(src)
-                name = self.fresh("v", ref.tag)
-                self._stmt(f"{name} = {src};")
-                return SymbolicVal(ref.tag, name)
-            case SetRef(ref, value):
-                self._stmt(f"{self._ref_name(ref)} = {self.expr(value)};")
-                return None
-            case ReadInput():
-                name = self.fresh("v", TypeTag.I32)
-                self._stmt(f'if (scanf("%d", &{name}) != 1) {{ return 1; }}')
-                return SymbolicVal(TypeTag.I32, name)
-            case WriteOutput(value):
-                self._stmt(f'printf("%d", {self.expr(value)});')
-                return None
-            case PrintStr(text):
-                if text:
-                    self._stmt(f'printf("{c_escape(text)}");')
-                return None
-            case ForLoop(count, body):
-                name = self.fresh("v", TypeTag.I32)
-                self.read_names.add(name)
-                bound = self.expr(count)
-                self._stmt(f"for ({name} = 0; {name} < {bound}; {name}++) {{")
-                self.depth += 1
-                core.interpret(self.handle, body(SymbolicVal(TypeTag.I32, name)))
-                self.depth -= 1
-                self._stmt("}")
-                return None
-        raise DslError(f"not an instruction: {cmd!r}")
+    def init_ref(self, name: str, init) -> str:
+        return f"{name} = {self.expr(init)};"
+
+    def get_ref(self, name: str, ref: str) -> str:
+        self.read_names.add(ref)
+        return f"{name} = {ref};"
+
+    def set_ref(self, ref: str, value) -> str:
+        return f"{ref} = {self.expr(value)};"
+
+    def read_input(self, name: str) -> str:
+        return f'if (scanf("%d", &{name}) != 1) {{ return 1; }}'
+
+    def write_output(self, value) -> str:
+        return f'printf("%d", {self.expr(value)});'
+
+    def print_str(self, text: str) -> str | None:
+        if "\0" in text:
+            # printf would stop at the NUL, so write the bytes with a length
+            literal = text.translate(_C_STRING)
+            return f'fwrite("{literal}", 1, {len(text.encode())}, stdout);'
+        return f'printf("{c_escape(text)}");' if text else None
+
+    def for_loop(self, name: str, count) -> str:
+        self.read_names.add(name)
+        return f"for ({name} = 0; {name} < {self.expr(count)}; {name}++) {{"
 
 
 def emit_c(prog: Program) -> str:
     """Emit a complete C translation unit for a program over the minimal
     expression language."""
-    em = _CEmitter()
+    em = _C()
     core.interpret(em.handle, prog)
     lines = [
         "#include <stdint.h>",
@@ -165,9 +132,9 @@ def emit_c(prog: Program) -> str:
     ]
     for name, tag in em.decls:
         lines.append(f"    {_C_TYPE[tag]} {name} = 0;")
-    if em.decls and em.body:
+    if em.decls and em.statements:
         lines.append("")
-    lines.extend(em.body)
+    lines.extend(em.statements)
     # write-only cells and unread inputs are legitimate programs; keep the
     # strict compile quiet about them
     for name, _ in em.decls:

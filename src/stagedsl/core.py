@@ -259,6 +259,77 @@ class Scope:
         return self._names.get(id(name)) is name
 
 
+class SymbolicWalk:
+    """The symbolic interpretation that every code generator shares.
+
+    As an interpret() handler it names each instruction's result through
+    one Scope, so value ("v") and reference ("r") names share a counter and
+    their suffixes count 0, 1, 2, ... in order of appearance.  It indents
+    each statement by loop depth, refuses live runtime references, and walks
+    each loop body once, instantiated with its counter's name.
+
+    A back end subclasses it and supplies only its statements, one method
+    per instruction kind (init_ref, get_ref, set_ref, read_input,
+    write_output, print_str, for_loop), each given the names the walk chose
+    and returning the statement's text, or None for no statement, plus
+    loop_end, the text that closes a loop.  The runtime's loop stager is a
+    back end too: its statements are steps, and it overrides emit, reference
+    and loop.
+    """
+
+    def __init__(self) -> None:
+        self.scope = Scope()
+        self.statements: list[Any] = []
+        self.depth = 1
+
+    def fresh(self, prefix: str, tag: TypeTag) -> str:
+        return self.scope.fresh(prefix)
+
+    def emit(self, text: str | None) -> None:
+        if text is not None:
+            self.statements.append("    " * self.depth + text)
+
+    def reference(self, ref: Ref) -> Any:
+        """What a statement refers to a reference by: its name."""
+        if isinstance(ref, SymbolicRef):
+            return ref.name
+        raise StageError("live runtime reference reached the code generator")
+
+    def handle(self, cmd: Instruction):
+        match cmd:
+            case InitRef(init):
+                name = self.fresh("r", init.tag)
+                self.emit(self.init_ref(name, init))
+                return SymbolicRef(init.tag, name)
+            case GetRef(ref):
+                source = self.reference(ref)
+                name = self.fresh("v", ref.tag)
+                self.emit(self.get_ref(name, source))
+                return SymbolicVal(ref.tag, name)
+            case SetRef(ref, value):
+                self.emit(self.set_ref(self.reference(ref), value))
+            case ReadInput():
+                name = self.fresh("v", TypeTag.I32)
+                self.emit(self.read_input(name))
+                return SymbolicVal(TypeTag.I32, name)
+            case WriteOutput(value):
+                self.emit(self.write_output(value))
+            case PrintStr(text):
+                self.emit(self.print_str(text))
+            case ForLoop(count, body):
+                self.loop(self.fresh("v", TypeTag.I32), count, body)
+            case _:
+                raise DslError(f"not an instruction: {cmd!r}")
+        return None
+
+    def loop(self, counter: str, count: Any, body: Callable[[Val], Program]) -> None:
+        self.emit(self.for_loop(counter, count))
+        self.depth += 1
+        interpret(self.handle, body(SymbolicVal(TypeTag.I32, counter)))
+        self.depth -= 1
+        self.emit(self.loop_end)
+
+
 @dataclass(frozen=True)
 class Language:
     name: str
@@ -319,15 +390,19 @@ def reexpress(translate_expr: Callable[[Any], Program], prog: Program) -> Progra
     preserved: instructions stay in order, loop bodies are translated
     recursively when instantiated.
     """
-    if isinstance(prog, Ret):
-        return prog
-    if isinstance(prog, Bind):
-        first = reexpress(translate_expr, prog.first)
-        rest = prog.rest
-        return Bind(first, lambda v: reexpress(translate_expr, rest(v)))
+    # Iterative down the left spine of Binds, which seq builds as deep as
+    # the statement list is long; continuations are translated lazily.
+    rests: list[Callable[[Any], Program]] = []
+    while isinstance(prog, Bind):
+        rests.append(prog.rest)
+        prog = prog.first
     if isinstance(prog, Instr):
-        return reexpress_cmd(translate_expr, prog.cmd)
-    raise DslError(f"not a program node: {prog!r}")
+        prog = reexpress_cmd(translate_expr, prog.cmd)
+    elif not isinstance(prog, Ret):
+        raise DslError(f"not a program node: {prog!r}")
+    for rest in reversed(rests):
+        prog = Bind(prog, lambda v, rest=rest: reexpress(translate_expr, rest(v)))
+    return prog
 
 
 def reexpress_cmd(translate_expr: Callable[[Any], Program], cmd: Instruction) -> Program:

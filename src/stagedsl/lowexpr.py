@@ -1,8 +1,12 @@
-"""The minimal expression language: variables, literals, +, *, not, ==.
+"""The expression core: variables, literals, +, *, not, ==.
 
-This is the language code generators understand.  It evaluates closed
-expressions, compiles open ones for staged loop bodies, and renders to text;
-all three are total on well-tagged trees.
+These six node classes are the minimal language, the one code generators
+understand, and also the core that the rich language (highexpr) extends
+with two more classes.  Each class carries its own rules for evaluating a
+closed expression and for compiling an open one for staged loop bodies, so
+an extension adds cases by adding classes.  Rendering is a match over the
+six classes alone: it is total on well-tagged trees of this language and
+rejects anything else.
 """
 
 from __future__ import annotations
@@ -12,10 +16,15 @@ from typing import Any, Callable
 
 from .core import DslError, Language, Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
 
+Compiled = Callable[[dict[str, Any]], Any]
 
-class LowExpr:
+
+class Expr:
     """Base class.  Nodes carry a .tag; + and * build wrapped 32-bit
-    arithmetic nodes, coercing plain ints to literals."""
+    arithmetic nodes, coercing plain ints to literals.
+
+    Every node class defines evaluate(), its case of eval_closed, and
+    compile(scope), its case of compile_open."""
 
     def __add__(self, other: Any) -> "Add":
         return Add(self, _coerce(other))
@@ -31,13 +40,22 @@ class LowExpr:
 
 
 @dataclass(frozen=True)
-class Var(LowExpr):
+class Var(Expr):
     name: str
     tag: TypeTag
 
+    def evaluate(self) -> Any:
+        raise UnboundVariableError(f"unbound variable {self.name}")
+
+    def compile(self, scope: Scope) -> Compiled:
+        name = self.name
+        if name in scope:
+            return lambda env: env[name]
+        return lambda env: self.evaluate()
+
 
 @dataclass(frozen=True)
-class Lit(LowExpr):
+class Lit(Expr):
     value: Any
     tag: TypeTag
 
@@ -51,56 +69,76 @@ class Lit(LowExpr):
         else:
             object.__setattr__(self, "value", wrap_i32(self.value))
 
+    def evaluate(self) -> Any:
+        return self.value
 
-def _require_i32(node: str, *operands: LowExpr) -> None:
+    def compile(self, scope: Scope) -> Compiled:
+        value = self.value
+        return lambda env: value
+
+
+def _require_i32(node: str, *operands: Expr) -> None:
     for e in operands:
         if e.tag is not TypeTag.I32:
             raise TagError(f"{node}: needs i32 operands, got {e.tag.value}")
 
 
 @dataclass(frozen=True)
-class Add(LowExpr):
-    left: LowExpr
-    right: LowExpr
+class Add(Expr):
+    left: Expr
+    right: Expr
+    tag = TypeTag.I32
 
     def __post_init__(self) -> None:
         _require_i32("add", self.left, self.right)
 
-    @property
-    def tag(self) -> TypeTag:
-        return TypeTag.I32
+    def evaluate(self) -> int:
+        return wrap_i32(self.left.evaluate() + self.right.evaluate())
+
+    def compile(self, scope: Scope) -> Compiled:
+        fa, fb = self.left.compile(scope), self.right.compile(scope)
+        return lambda env: wrap_i32(fa(env) + fb(env))
 
 
 @dataclass(frozen=True)
-class Mul(LowExpr):
-    left: LowExpr
-    right: LowExpr
+class Mul(Expr):
+    left: Expr
+    right: Expr
+    tag = TypeTag.I32
 
     def __post_init__(self) -> None:
         _require_i32("mul", self.left, self.right)
 
-    @property
-    def tag(self) -> TypeTag:
-        return TypeTag.I32
+    def evaluate(self) -> int:
+        return wrap_i32(self.left.evaluate() * self.right.evaluate())
+
+    def compile(self, scope: Scope) -> Compiled:
+        fa, fb = self.left.compile(scope), self.right.compile(scope)
+        return lambda env: wrap_i32(fa(env) * fb(env))
 
 
 @dataclass(frozen=True)
-class Not(LowExpr):
-    operand: LowExpr
+class Not(Expr):
+    operand: Expr
+    tag = TypeTag.BOOL
 
     def __post_init__(self) -> None:
         if self.operand.tag is not TypeTag.BOOL:
             raise TagError(f"not: needs a boolean, got {self.operand.tag.value}")
 
-    @property
-    def tag(self) -> TypeTag:
-        return TypeTag.BOOL
+    def evaluate(self) -> bool:
+        return not self.operand.evaluate()
+
+    def compile(self, scope: Scope) -> Compiled:
+        fa = self.operand.compile(scope)
+        return lambda env: not fa(env)
 
 
 @dataclass(frozen=True)
-class Eq(LowExpr):
-    left: LowExpr
-    right: LowExpr
+class Eq(Expr):
+    left: Expr
+    right: Expr
+    tag = TypeTag.BOOL
 
     def __post_init__(self) -> None:
         if self.left.tag is not self.right.tag:
@@ -108,9 +146,12 @@ class Eq(LowExpr):
                 f"eq: operand tags differ, {self.left.tag.value} vs {self.right.tag.value}"
             )
 
-    @property
-    def tag(self) -> TypeTag:
-        return TypeTag.BOOL
+    def evaluate(self) -> bool:
+        return self.left.evaluate() == self.right.evaluate()
+
+    def compile(self, scope: Scope) -> Compiled:
+        fa, fb = self.left.compile(scope), self.right.compile(scope)
+        return lambda env: fa(env) == fb(env)
 
 
 def lit(value: Any) -> Lit:
@@ -122,53 +163,23 @@ def lit(value: Any) -> Lit:
     raise TagError(f"no literal for {type(value).__name__}")
 
 
-def _coerce(x: Any) -> LowExpr:
-    return x if isinstance(x, LowExpr) else lit(x)
+def _coerce(x: Any) -> Expr:
+    return x if isinstance(x, Expr) else lit(x)
 
 
-def eval_closed(e: LowExpr) -> Any:
-    """Evaluate an expression with no free variables."""
-    match e:
-        case Lit(value, _):
-            return value
-        case Var(name, _):
-            raise UnboundVariableError(f"unbound variable {name}")
-        case Add(a, b):
-            return wrap_i32(eval_closed(a) + eval_closed(b))
-        case Mul(a, b):
-            return wrap_i32(eval_closed(a) * eval_closed(b))
-        case Not(a):
-            return not eval_closed(a)
-        case Eq(a, b):
-            return eval_closed(a) == eval_closed(b)
-    raise DslError(f"not a low expression: {e!r}")
+def eval_closed(e: Expr) -> Any:
+    """Evaluate an expression with no free variables, by each node's rule."""
+    return e.evaluate()
 
 
-def compile_open(e: LowExpr, scope: Scope) -> Callable[[dict[str, Any]], Any]:
+def compile_open(e: Expr, scope: Scope) -> Compiled:
     """Compile an expression whose free variables may be names the scope
     generated into a function of their values.  Whatever eval_closed would
     reject, the function rejects the same way when it runs."""
-    match e:
-        case Lit(value, _):
-            return lambda env: value
-        case Var(name, _) if name in scope:
-            return lambda env: env[name]
-        case Add(a, b):
-            fa, fb = compile_open(a, scope), compile_open(b, scope)
-            return lambda env: wrap_i32(fa(env) + fb(env))
-        case Mul(a, b):
-            fa, fb = compile_open(a, scope), compile_open(b, scope)
-            return lambda env: wrap_i32(fa(env) * fb(env))
-        case Not(a):
-            fa = compile_open(a, scope)
-            return lambda env: not fa(env)
-        case Eq(a, b):
-            fa, fb = compile_open(a, scope), compile_open(b, scope)
-            return lambda env: fa(env) == fb(env)
-    return lambda env: eval_closed(e)
+    return e.compile(scope)
 
 
-def render(e: LowExpr) -> str:
+def render(e: Expr) -> str:
     """Print an expression.  Every operator application gets parentheses,
     so distinct trees read distinctly."""
     match e:

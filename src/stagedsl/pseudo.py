@@ -1,35 +1,15 @@
 """Render programs as indented pseudo-code.
 
 One statement per instruction, loops as for/end-for blocks, the whole
-program indented one level.  Fresh names come from a single counter shared
-by value ("v") and reference ("r") names, so suffixes count 0, 1, 2, ... in
-order of appearance no matter which kind is allocated.
+program indented one level.  The walk itself, with its fresh names,
+indentation and loop recursion, is core.SymbolicWalk, shared with the C
+back end; this module supplies only the text of each statement.
 """
 
 from __future__ import annotations
 
 from . import lowexpr
-from .core import (
-    DslError,
-    ForLoop,
-    GetRef,
-    InitRef,
-    Instruction,
-    Language,
-    PrintStr,
-    Program,
-    ReadInput,
-    Ref,
-    SetRef,
-    StageError,
-    SymbolicRef,
-    SymbolicVal,
-    TypeTag,
-    WriteOutput,
-    interpret,
-)
-
-INDENT = "    "
+from .core import DslError, Language, Program, SymbolicWalk, interpret
 
 
 def quote_string(s: str) -> str:
@@ -43,67 +23,41 @@ def quote_string(s: str) -> str:
     return f'"{out}"'
 
 
-class Emitter:
-    """Accumulates statement lines and owns the fresh-name counter."""
+class _Pseudo(SymbolicWalk):
+    """Statement text for the shared symbolic walk."""
 
-    def __init__(self, lang: Language):
-        if lang.render is None:
-            raise DslError(f"language {lang.name!r} has no renderer")
-        self._render = lang.render
-        self.lines: list[str] = []
-        self.counter = 0
-        self.depth = 1
+    loop_end = "end for"
 
-    def fresh_name(self, prefix: str) -> str:
-        assert prefix in ("v", "r")
-        name = f"{prefix}{self.counter}"
-        self.counter += 1
-        return name
+    def __init__(self, render) -> None:
+        super().__init__()
+        self.expr = render
 
-    def _stmt(self, text: str) -> None:
-        self.lines.append(INDENT * self.depth + text)
+    def init_ref(self, name: str, init) -> str:
+        return f"{name} <- initRef {self.expr(init)}"
 
-    def _ref_name(self, ref: Ref) -> str:
-        if isinstance(ref, SymbolicRef):
-            return ref.name
-        raise StageError("live runtime reference reached the code generator")
+    def get_ref(self, name: str, ref: str) -> str:
+        return f"{name} <- getRef {ref}"
 
-    def handle(self, cmd: Instruction):
-        match cmd:
-            case InitRef(init):
-                name = self.fresh_name("r")
-                self._stmt(f"{name} <- initRef {self._render(init)}")
-                return SymbolicRef(init.tag, name)
-            case GetRef(ref):
-                name = self.fresh_name("v")
-                self._stmt(f"{name} <- getRef {self._ref_name(ref)}")
-                return SymbolicVal(ref.tag, name)
-            case SetRef(ref, value):
-                self._stmt(f"setRef {self._ref_name(ref)} {self._render(value)}")
-                return None
-            case ReadInput():
-                name = self.fresh_name("v")
-                self._stmt(f"{name} <- readInput")
-                return SymbolicVal(TypeTag.I32, name)
-            case WriteOutput(value):
-                self._stmt(f"writeOutput {self._render(value)}")
-                return None
-            case PrintStr(text):
-                self._stmt(f"printStr {quote_string(text)}")
-                return None
-            case ForLoop(count, body):
-                name = self.fresh_name("v")
-                self._stmt(f"for {name} < {self._render(count)}")
-                self.depth += 1
-                interpret(self.handle, body(SymbolicVal(TypeTag.I32, name)))
-                self.depth -= 1
-                self._stmt("end for")
-                return None
-        raise DslError(f"not an instruction: {cmd!r}")
+    def set_ref(self, ref: str, value) -> str:
+        return f"setRef {ref} {self.expr(value)}"
+
+    def read_input(self, name: str) -> str:
+        return f"{name} <- readInput"
+
+    def write_output(self, value) -> str:
+        return f"writeOutput {self.expr(value)}"
+
+    def print_str(self, text: str) -> str:
+        return f"printStr {quote_string(text)}"
+
+    def for_loop(self, name: str, count) -> str:
+        return f"for {name} < {self.expr(count)}"
 
 
 def render_program(prog: Program, lang: Language = lowexpr.LANG) -> str:
     """Emit a whole program.  The empty program renders as empty text."""
-    emitter = Emitter(lang)
-    interpret(emitter.handle, prog)
-    return "".join(line + "\n" for line in emitter.lines)
+    if lang.render is None:
+        raise DslError(f"language {lang.name!r} has no renderer")
+    walk = _Pseudo(lang.render)
+    interpret(walk.handle, prog)
+    return "".join(line + "\n" for line in walk.statements)

@@ -69,7 +69,7 @@ class GeneratedProgram:
     max_reads: int
 
 
-ExprBuilder = Callable[[list[hi.HighExpr]], hi.HighExpr]
+ExprBuilder = Callable[[list[hi.Expr]], hi.Expr]
 
 
 def _literal(rng: random.Random, cfg: GenConfig, tag: TypeTag):

@@ -38,11 +38,11 @@ from .core import (
     Program,
     ReadInput,
     Ref,
-    Scope,
     SetRef,
     StageError,
     SymbolicRef,
     SymbolicVal,
+    SymbolicWalk,
     TypeTag,
     WriteOutput,
     wrap_i32,
@@ -107,7 +107,9 @@ class _Runner:
                     for k in range(n):
                         core.interpret(self.handle, body(ConcreteVal(TypeTag.I32, k)))
                 elif n > 0:
-                    _repeat(n, *_Stager(self, self._compile).stage(body), {})
+                    stager = _Stager(self, self._compile)
+                    counter = stager.fresh("v", TypeTag.I32)
+                    _repeat(n, counter, stager.stage(counter, body), {})
                 return None
         raise DslError(f"not an instruction: {cmd!r}")
 
@@ -119,106 +121,97 @@ def _repeat(n: int, counter: str, steps: list[Step], env: Env) -> None:
             step(env)
 
 
-class _Stager:
+class _Stager(SymbolicWalk):
     """Turns loop bodies into closures over one environment.
 
-    As an interpret() handler it performs nothing: each instruction becomes
-    a step that performs it through the runner (same input parsing, errors,
-    read count and output), and its result becomes a generated name the
-    step binds in the environment.
+    It is the code generators' walk with steps for statements: each
+    instruction becomes a step that performs it through the runner (same
+    input parsing, errors, read count and output), and the step binds the
+    instruction's generated result name in the environment.  A step reaches
+    a reference through the environment, or directly for a live cell.
     """
 
-    def __init__(self, runner: _Runner, compile_expr):
+    def __init__(self, runner: _Runner, compile_expr) -> None:
+        super().__init__()
         self._runner = runner
         self._compile = compile_expr
-        self._scope = Scope()
-        self._steps: list[Step] = []
 
-    def stage(self, body) -> tuple[str, list[Step]]:
-        """Instantiate a loop body once; returns its counter's name and its
-        steps."""
-        counter = self._scope.fresh("v")
-        outer, self._steps = self._steps, []
+    def stage(self, counter: str, body) -> list[Step]:
+        """Instantiate a loop body once, over its counter's name."""
+        outer, self.statements = self.statements, []
         try:
             core.interpret(self.handle, body(SymbolicVal(TypeTag.I32, counter)))
-            return counter, self._steps
+            return self.statements
         finally:
-            self._steps = outer
+            self.statements = outer
+
+    def emit(self, step: Step) -> None:
+        self.statements.append(step)
 
     def _expr(self, e) -> Callable[[Env], Any]:
-        return self._compile(e, self._scope)
+        return self._compile(e, self.scope)
 
-    def _cell(self, ref: Ref) -> Callable[[Env], ConcreteRef]:
+    def reference(self, ref: Ref) -> Callable[[Env], ConcreteRef]:
         if isinstance(ref, ConcreteRef):
             return lambda env: ref
-        if isinstance(ref, SymbolicRef) and ref.name in self._scope:
+        if isinstance(ref, SymbolicRef) and ref.name in self.scope:
             name = ref.name
             return lambda env: env[name]
         # not a cell this run can reach: fail when the instruction runs
         return lambda env: self._runner.cell(ref)
 
-    def handle(self, cmd: Instruction):
-        runner, scope = self._runner, self._scope
-        match cmd:
-            case InitRef(init):
-                tag, value = init.tag, self._expr(init)
-                name = scope.fresh("r")
+    def init_ref(self, name: str, init) -> Step:
+        tag, value = init.tag, self._expr(init)
 
-                def step(env):
-                    env[name] = ConcreteRef(tag, value(env))
+        def step(env):
+            env[name] = ConcreteRef(tag, value(env))
 
-                self._steps.append(step)
-                return SymbolicRef(tag, name)
-            case GetRef(ref):
-                cell = self._cell(ref)
-                name = scope.fresh("v")
+        return step
 
-                def step(env):
-                    env[name] = cell(env).value
+    def get_ref(self, name: str, cell) -> Step:
+        def step(env):
+            env[name] = cell(env).value
 
-                self._steps.append(step)
-                return SymbolicVal(ref.tag, name)
-            case SetRef(ref, value):
-                cell, new = self._cell(ref), self._expr(value)
+        return step
 
-                def step(env):
-                    cell(env).value = new(env)
+    def set_ref(self, cell, value) -> Step:
+        new = self._expr(value)
 
-                self._steps.append(step)
-                return None
-            case ReadInput():
-                read, name = runner.read, scope.fresh("v")
+        def step(env):
+            cell(env).value = new(env)
 
-                def step(env):
-                    env[name] = read()
+        return step
 
-                self._steps.append(step)
-                return SymbolicVal(TypeTag.I32, name)
-            case WriteOutput(value):
-                write, out = runner.write, self._expr(value)
-                self._steps.append(lambda env: write(str(out(env))))
-                return None
-            case PrintStr(text):
-                write = runner.write
-                self._steps.append(lambda env: write(text))
-                return None
-            case ForLoop(count, body):
-                bound = self._expr(count)
-                staged: tuple[str, list[Step]] | None = None
+    def read_input(self, name: str) -> Step:
+        read = self._runner.read
 
-                def step(env):
-                    nonlocal staged
-                    n = bound(env)
-                    if n > 0:
-                        # the body is built on the first trip, as without staging
-                        if staged is None:
-                            staged = self.stage(body)
-                        _repeat(n, *staged, env)
+        def step(env):
+            env[name] = read()
 
-                self._steps.append(step)
-                return None
-        self._steps.append(lambda env: runner.handle(cmd))
-        return None
+        return step
+
+    def write_output(self, value) -> Step:
+        write, out = self._runner.write, self._expr(value)
+        return lambda env: write(str(out(env)))
+
+    def print_str(self, text: str) -> Step:
+        write = self._runner.write
+        return lambda env: write(text)
+
+    def loop(self, counter: str, count, body) -> None:
+        bound = self._expr(count)
+        steps: list[Step] | None = None
+
+        def step(env):
+            nonlocal steps
+            n = bound(env)
+            if n > 0:
+                # the body is built on the first trip, as without staging
+                if steps is None:
+                    steps = self.stage(counter, body)
+                _repeat(n, counter, steps, env)
+
+        self.emit(step)
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

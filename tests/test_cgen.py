@@ -2,8 +2,12 @@
 
 import re
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from stagedsl import highexpr as hi, lowexpr as lo
@@ -165,5 +169,43 @@ def test_compiled_print_strings_match_the_interpreter_byte_for_byte(tmp_path, te
     prog = seq(print_str(text), write_output(lo.lit(1)))
     exe = compile_c(emit_c(prog), tmp_path, "strings")
     proc = subprocess.run([str(exe)], capture_output=True, timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout == run_text(prog, lo.LANG)[1].encode()
+
+
+@needs_cc
+@pytest.mark.parametrize("text", ["a\0b", "\0", "%\0%d\0"])
+def test_print_strings_holding_nul_match_the_interpreter_byte_for_byte(tmp_path, text):
+    prog = seq(print_str(text), print_str("50%\n"), write_output(lo.lit(1)))
+    exe = compile_c(emit_c(prog), tmp_path, "nul")
+    proc = subprocess.run([str(exe)], capture_output=True, timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout == run_text(prog, lo.LANG)[1].encode()
+
+
+def test_only_strings_holding_nul_leave_printf():
+    src = emit_c(seq(print_str("a\0b%"), print_str("c%")))
+    assert '    fwrite("a\\000b%", 1, 4, stdout);' in src
+    assert '    printf("c%%");' in src
+
+
+# Pieces a C string literal or printf format string can get wrong: NUL, CR,
+# other C0 characters, DEL, trigraphs, conversion specifiers, quotes and
+# backslash, next to plain characters and digits that could extend an escape.
+C_STRING_PIECES = [
+    "\0", "\r", "\x01", "\x1b", "\x1f", "\x7f", "??!", "??=", "??/", "??(", "?",
+    "%", "%d", "%%", '"', "'", "\\", "\n", "\t", "a", "7", " ",
+]
+c_texts = st.lists(st.sampled_from(C_STRING_PIECES), max_size=8).map("".join)
+
+
+@needs_cc
+@settings(max_examples=12, deadline=None)
+@given(st.lists(c_texts, min_size=1, max_size=4))
+def test_compiled_generated_print_strings_match_the_interpreter_byte_for_byte(texts):
+    prog = seq(*(print_str(t) for t in texts), write_output(lo.lit(7)))
+    with tempfile.TemporaryDirectory() as tmp:
+        exe = compile_c(emit_c(prog), Path(tmp), "texts")
+        proc = subprocess.run([str(exe)], capture_output=True, timeout=30)
     assert proc.returncode == 0
     assert proc.stdout == run_text(prog, lo.LANG)[1].encode()

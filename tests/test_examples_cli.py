@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from stagedsl import highexpr as hi, lowexpr as lo
+from stagedsl.cgen import have_c_compiler
 from stagedsl.cli import cli
 from stagedsl.examples import EXAMPLES
 
@@ -116,3 +117,32 @@ def test_python_dash_m_runs_the_cli():
     compiled = _module_cli("compile", "powerInput")
     assert compiled.returncode == 0
     assert compiled.stdout == (GOLDEN / "power_pseudo.txt").read_text()
+
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+def _script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+def test_compile_examples_script_prints_both_back_ends():
+    proc = _script("compile_examples.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "=== powerInput [pseudo] ===" in proc.stdout
+    assert "=== sumInput [c] ===" in proc.stdout
+    assert (GOLDEN / "power_pseudo.txt").read_text() in proc.stdout
+
+
+@pytest.mark.skipif(not have_c_compiler(), reason="no C compiler on PATH")
+def test_c_differential_script_agrees_on_a_small_corpus():
+    proc = _script("c_differential.py", "--count", "5")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("7/7 programs agree")

@@ -111,3 +111,43 @@ def test_compiled_binders_leave_a_programs_own_variables_unbound():
     compiled = hi.compile_open(e, Scope())
     with pytest.raises(UnboundVariableError, match="x0"):
         compiled({})
+
+
+# --------------------------------------------------------------------------
+# The rich language is the core plus Let and Iter, not a copy of the core.
+
+def test_core_nodes_and_lit_are_the_low_languages_own():
+    from stagedsl import lowexpr as lo
+
+    for name in ("Var", "Lit", "Add", "Mul", "Not", "Eq", "lit"):
+        assert getattr(hi, name) is getattr(lo, name)
+    assert hi.lit(3) == lo.lit(3)
+
+
+def test_low_programs_give_the_same_transcript_under_either_language():
+    import dataclasses
+
+    from stagedsl import lowexpr as lo
+    from stagedsl.examples import power_input, sum_input
+    from stagedsl.randprog import corpus
+    from stagedsl.runtime import run_text
+    from stagedsl.translate import lower_program
+
+    cases = [(sum_input(), "1\n2\n3\n4\n"), (lower_program(power_input()), "3\n4\n")]
+    cases += [(lower_program(gp.program), gp.input_text) for gp in corpus(seed=5, size=20)]
+    for prog, text in cases:
+        want = run_text(prog, lo.LANG, text)
+        assert run_text(prog, hi.LANG, text) == want
+        assert run_text(prog, dataclasses.replace(hi.LANG, compile=None), text) == want
+
+
+def test_low_language_printers_still_reject_let_and_iter():
+    from stagedsl import lowexpr as lo
+    from stagedsl.cgen import emit_c
+    from stagedsl.core import DslError, write_output
+
+    for e in (hi.Let(hi.lit(1), lambda x: x + 1), hi.Iter(hi.lit(2), hi.lit(1), lambda x: x * 3)):
+        with pytest.raises(DslError):
+            lo.render(e)
+        with pytest.raises(DslError):
+            emit_c(write_output(e))

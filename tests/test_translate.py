@@ -194,3 +194,33 @@ def test_compile_pseudo_reproduces_the_stored_power_listing():
 
     golden = (Path(__file__).parent / "golden" / "power_pseudo.txt").read_text()
     assert compile_pseudo(power_input()) == golden
+
+
+def test_ten_thousand_statement_sequences_lower_run_and_print():
+    from pathlib import Path
+    import subprocess
+    import tempfile
+
+    from stagedsl.cgen import compile_c, emit_c, have_c_compiler
+    from stagedsl.core import print_str, seq
+
+    n = 10**4
+    prog = seq(
+        *(
+            write_output(hi.Let(hi.lit(i), lambda x: x * x)) if i % 2 else print_str(" ")
+            for i in range(n)
+        )
+    )
+    low = lower_program(prog)
+    _, out, _ = run_text(low, lo.LANG)
+    assert out == "".join(str(i * i) if i % 2 else " " for i in range(n))
+    assert run_text(prog, hi.LANG)[1] == out
+    listing = render_program(low)
+    assert listing.count("\n") == 2 * n  # each of the n // 2 lets adds two lines
+    source = emit_c(low)
+    assert source.count("printf(") == n
+    if have_c_compiler():
+        with tempfile.TemporaryDirectory() as tmp:
+            exe = compile_c(source, Path(tmp), "deep")
+            proc = subprocess.run([str(exe)], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, out)
