@@ -3,8 +3,8 @@
 
 Generates random programs, lowers them, compiles the emitted C under strict
 flags, feeds both sides the same scripted stdin, and compares stdout bytes.
-The two bundled examples are always included.  Exits nonzero on the first
-summary with a mismatch or a failed compile.
+The two bundled examples are always included.  Runs every case, prints one
+summary line, and exits 1 if any case mismatched or failed to compile.
 """
 
 import argparse

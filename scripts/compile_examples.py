@@ -9,7 +9,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from stagedsl import highexpr as hi
 from stagedsl.cgen import emit_c
 from stagedsl.examples import EXAMPLES
 from stagedsl.pseudo import render_program
@@ -25,10 +24,7 @@ def main() -> int:
         args.outdir.mkdir(parents=True, exist_ok=True)
 
     for name in sorted(EXAMPLES):
-        example = EXAMPLES[name]
-        low = example.program
-        if example.lang is hi.LANG:
-            low = lower_program(low)
+        low = lower_program(EXAMPLES[name].program)
         for backend, text in (("pseudo", render_program(low)), ("c", emit_c(low))):
             if args.outdir:
                 suffix = "txt" if backend == "pseudo" else "c"

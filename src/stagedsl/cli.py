@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import highexpr as hi
 from . import runtime
 from .cgen import emit_c
 from .core import DslError
@@ -70,9 +69,8 @@ def cli(argv: list[str]) -> int:
         let_strategy=LetStrategy(args.let_strategy),
         unroll=UnrollPolicy(args.unroll),
     )
-    prog = example.program
-    if example.lang is hi.LANG:
-        prog = lower_program(prog, config)
+    # lowering leaves a program that is already low as it is
+    prog = lower_program(example.program, config)
     text = render_program(prog) if args.backend == "pseudo" else emit_c(prog)
     sys.stdout.write(text)
     return 0

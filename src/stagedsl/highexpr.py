@@ -1,25 +1,29 @@
 """The rich expression language: the expression core plus let-sharing and
 iterated application.
 
-Var, Lit, Add, Mul, Not, Eq and lit are lowexpr's own objects, re-exported,
-so a low-language expression is already a rich one.  This module adds Let
-and Iter, each with its rules for closed evaluation and open compilation.
+Var, Lit, Add, Mul, Not, Eq, lit, eval_closed and compile_open are
+lowexpr's own objects, re-exported, so a low-language expression is already
+a rich one and both languages evaluate and compile by each node's rule.
+This module adds only Let and Iter, each with its rules for closed
+evaluation and open compilation, and LANG, which is lowexpr's with its own
+name and no renderer.
 
-There is no renderer for this language.  Evaluation of closed expressions
-is the reference semantics: binder bodies are host functions, and the
-evaluator instantiates them with literal nodes on every use.  Compilation of
-open expressions, for staged loop bodies, instantiates each binder body once
-with a generated variable instead.
+Evaluation of closed expressions is the reference semantics: binder bodies
+are host functions, and the evaluator instantiates them with literal nodes
+on every use.  Compilation of open expressions, for staged loop bodies,
+instantiates each binder body once with a generated variable instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from . import lowexpr as lo
-from .core import Language, Scope, TagError, TypeTag
-from .lowexpr import Add, Compiled, Eq, Expr, Lit, Mul, Not, Var, lit  # noqa: F401  (re-exported)
+from .core import Scope, TagError, TypeTag
+from .lowexpr import (  # noqa: F401  (re-exported)
+    Add, Compiled, Eq, Expr, Lit, Mul, Not, Var, compile_open, eval_closed, lit,
+)
 
 
 @dataclass(frozen=True)
@@ -91,24 +95,4 @@ class Iter(Expr):
         return iterate
 
 
-def eval_closed(e: Expr) -> Any:
-    """Reference evaluator for closed expressions."""
-    return e.evaluate()
-
-
-def compile_open(e: Expr, scope: Scope) -> Compiled:
-    """Compile an expression whose free variables may be names the scope
-    generated into a function of their values.  Let and Iter bodies are
-    built once, over a fresh name.  Whatever eval_closed would reject, the
-    function rejects the same way when it runs."""
-    return e.compile(scope)
-
-
-LANG = Language(
-    name="high",
-    const=lo.LANG.const,
-    var=lo.LANG.var,
-    eval_closed=eval_closed,
-    render=None,
-    compile=compile_open,
-)
+LANG = replace(lo.LANG, name="high", render=None)

@@ -8,14 +8,15 @@ Straight-line code is interpreted instruction by instruction with concrete
 values.  A loop body is staged instead: when a loop first runs, its body is
 instantiated once with a generated name for the counter, every instruction
 becomes a closure over an environment of generated names, and the closures
-run once per trip.  Nested loops are staged the same way on their first
-trip.  This relies on loop and binder bodies building the same program
-whatever value they are passed, which the C back end relies on too.  An
-error from building a body, such as a TagError, can therefore surface before
-the first trip's output instead of during it; every error from running an
-instruction surfaces where it would without staging.  A language with no
-`compile` gets the reference behaviour: the body is rebuilt and interpreted
-on every trip.
+run once per trip.  Every staged loop, outermost or nested, runs as one
+step that evaluates the bound, stages the body on the first trip that runs
+and repeats it; an outermost loop's bound is the value eval_closed gave.
+This relies on loop and binder bodies building the same program whatever
+value they are passed, which the C back end relies on too.  An error from
+building a body, such as a TagError, can therefore surface before the first
+trip's output instead of during it; every error from running an instruction
+surfaces where it would without staging.  A language with no `compile` gets
+the reference behaviour: the body is rebuilt and interpreted on every trip.
 """
 
 from __future__ import annotations
@@ -106,19 +107,11 @@ class _Runner:
                 if self._compile is None:
                     for k in range(n):
                         core.interpret(self.handle, body(ConcreteVal(TypeTag.I32, k)))
-                elif n > 0:
+                else:
                     stager = _Stager(self, self._compile)
-                    counter = stager.fresh("v", TypeTag.I32)
-                    _repeat(n, counter, stager.stage(counter, body), {})
+                    stager.loop_step(stager.fresh("v", TypeTag.I32), lambda env: n, body)({})
                 return None
         raise DslError(f"not an instruction: {cmd!r}")
-
-
-def _repeat(n: int, counter: str, steps: list[Step], env: Env) -> None:
-    for k in range(n):
-        env[counter] = k
-        for step in steps:
-            step(env)
 
 
 class _Stager(SymbolicWalk):
@@ -135,15 +128,6 @@ class _Stager(SymbolicWalk):
         super().__init__()
         self._runner = runner
         self._compile = compile_expr
-
-    def stage(self, counter: str, body) -> list[Step]:
-        """Instantiate a loop body once, over its counter's name."""
-        outer, self.statements = self.statements, []
-        try:
-            core.interpret(self.handle, body(SymbolicVal(TypeTag.I32, counter)))
-            return self.statements
-        finally:
-            self.statements = outer
 
     def emit(self, step: Step) -> None:
         self.statements.append(step)
@@ -198,20 +182,29 @@ class _Stager(SymbolicWalk):
         write = self._runner.write
         return lambda env: write(text)
 
-    def loop(self, counter: str, count, body) -> None:
-        bound = self._expr(count)
+    def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
+        """The step that runs a staged loop: it evaluates the bound, stages
+        the body over its counter's name on the first trip that runs, as
+        without staging, then runs the body's steps once per trip."""
         steps: list[Step] | None = None
 
         def step(env):
             nonlocal steps
             n = bound(env)
-            if n > 0:
-                # the body is built on the first trip, as without staging
-                if steps is None:
-                    steps = self.stage(counter, body)
-                _repeat(n, counter, steps, env)
+            if n > 0 and steps is None:
+                # staging never nests: a nested loop's step only runs later
+                self.statements = []
+                core.interpret(self.handle, body(SymbolicVal(TypeTag.I32, counter)))
+                steps = self.statements
+            for k in range(n):
+                env[counter] = k
+                for s in steps:
+                    s(env)
 
-        self.emit(step)
+        return step
+
+    def loop(self, counter: str, count, body) -> None:
+        self.emit(self.loop_step(counter, self._expr(count), body))
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

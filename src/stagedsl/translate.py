@@ -69,7 +69,7 @@ def lower_expr(e: hi.Expr, config: TranslationConfig = DEFAULT_CONFIG) -> Progra
                 return lower(body(shared))
             return lower(shared).bind(
                 lambda init: init_ref(init).bind(
-                    lambda r: get_ref(hi.LANG, r).bind(lambda x: lower(body(x)))
+                    lambda r: get_ref(lo.LANG, r).bind(lambda x: lower(body(x)))
                 )
             )
         case hi.Iter(count, init, step):
@@ -88,7 +88,7 @@ def lower_expr(e: hi.Expr, config: TranslationConfig = DEFAULT_CONFIG) -> Progra
                 count, steps_per_pass = count.left, 2
 
             def one_step(r) -> Program:
-                return get_ref(hi.LANG, r).bind(
+                return get_ref(lo.LANG, r).bind(
                     lambda prev: lower(step(prev)).bind(lambda nxt: set_ref(r, nxt))
                 )
 

@@ -121,7 +121,7 @@ def gen_template(rng: random.Random, depth: int = 3):
     return (op, gen_template(rng, depth - 1), gen_template(rng, depth - 1))
 
 
-def template_to_high(t, x: hi.HighExpr) -> hi.HighExpr:
+def template_to_high(t, x: hi.Expr) -> hi.Expr:
     match t:
         case ("hole",):
             return x

@@ -64,6 +64,16 @@ def test_compile_accepts_strategy_flags(capsys):
     assert capsys.readouterr().out == (GOLDEN / "power_pseudo.txt").read_text()
 
 
+def test_compile_lowers_already_low_examples_unchanged_under_every_flag(capsys):
+    assert cli(["compile", "sumInput", "--let", "by-name", "--unroll", "even2"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "sum_pseudo.txt").read_text()
+    assert cli(["compile", "sumInput", "--backend", "c"]) == 0
+    default_c = capsys.readouterr().out
+    flags = ["--let", "by-name", "--unroll", "even2"]
+    assert cli(["compile", "sumInput", "--backend", "c", *flags]) == 0
+    assert capsys.readouterr().out == default_c
+
+
 def test_compile_is_deterministic_across_invocations(capsys):
     cli(["compile", "powerInput"])
     first = capsys.readouterr().out
