@@ -3,7 +3,8 @@
 
 Generates random programs, lowers them, compiles the emitted C under strict
 flags, feeds both sides the same scripted stdin, and compares stdout bytes.
-The two bundled examples are always included.  Runs every case, prints one
+Every bundled example is always included, lowered like the rest and fed
+one input script long enough for each of them.  Runs every case, prints one
 summary line, and exits 1 if any case mismatched or failed to compile.
 """
 
@@ -16,10 +17,13 @@ from pathlib import Path
 from stagedsl import lowexpr as lo
 from stagedsl.cgen import c_compiler, compile_c, emit_c, have_c_compiler
 from stagedsl.core import DslError
-from stagedsl.examples import power_input, sum_input
+from stagedsl.examples import EXAMPLES
 from stagedsl.randprog import corpus
 from stagedsl.runtime import run_text
 from stagedsl.translate import lower_program
+
+# enough lines for every bundled example: sumInput reads four, powerInput two
+EXAMPLE_INPUT = "3\n4\n5\n6\n"
 
 
 def main() -> int:
@@ -33,10 +37,7 @@ def main() -> int:
         print(f"no C compiler ({c_compiler()}) on PATH", file=sys.stderr)
         return 2
 
-    cases = [
-        ("sumInput", sum_input(), "1\n2\n3\n4\n"),
-        ("powerInput", lower_program(power_input()), "3\n4\n"),
-    ]
+    cases = [(ex.name, lower_program(ex.program), EXAMPLE_INPUT) for ex in EXAMPLES.values()]
     for i, gp in enumerate(corpus(seed=args.seed, size=args.count)):
         cases.append((f"gen{i:03d}", lower_program(gp.program), gp.input_text))
 

@@ -3,9 +3,9 @@
 Everything lives in one main().  The walk over the program is
 core.SymbolicWalk, shared with the pseudo-code back end, so variables get
 the same names there and here.  This module supplies the C text of each
-statement and records the declarations, all hoisted to the top of main, and
-the names the statements read.  Arithmetic goes through unsigned casts so
-32-bit wraparound is defined behaviour rather than a compiler mood.
+statement and records the declarations, all hoisted to the top of main.
+Arithmetic goes through unsigned casts so 32-bit wraparound is defined
+behaviour rather than a compiler mood.
 """
 
 from __future__ import annotations
@@ -53,15 +53,13 @@ def c_escape(s: str) -> str:
 
 
 class _C(SymbolicWalk):
-    """Statement text for the shared symbolic walk, plus the declarations
-    and the names the statements read."""
+    """Statement text for the shared symbolic walk, plus the declarations."""
 
     loop_end = "}"
 
     def __init__(self) -> None:
         super().__init__()
         self.decls: list[tuple[str, TypeTag]] = []
-        self.read_names: set[str] = set()
 
     def fresh(self, prefix: str, tag: TypeTag) -> str:
         name = super().fresh(prefix, tag)
@@ -71,7 +69,6 @@ class _C(SymbolicWalk):
     def expr(self, e: lowexpr.Expr) -> str:
         match e:
             case lowexpr.Var(name, _):
-                self.read_names.add(name)
                 return name
             case lowexpr.Lit(value, tag):
                 if tag is TypeTag.BOOL:
@@ -94,7 +91,6 @@ class _C(SymbolicWalk):
         return f"{name} = {self.expr(init)};"
 
     def get_ref(self, name: str, ref: str) -> str:
-        self.read_names.add(ref)
         return f"{name} = {ref};"
 
     def set_ref(self, ref: str, value) -> str:
@@ -114,7 +110,6 @@ class _C(SymbolicWalk):
         return f'printf("{c_escape(text)}");' if text else None
 
     def for_loop(self, name: str, count) -> str:
-        self.read_names.add(name)
         return f"for ({name} = 0; {name} < {self.expr(count)}; {name}++) {{"
 
 
@@ -135,11 +130,10 @@ def emit_c(prog: Program) -> str:
     if em.decls and em.statements:
         lines.append("")
     lines.extend(em.statements)
-    # write-only cells and unread inputs are legitimate programs; keep the
-    # strict compile quiet about them
+    # a declared name may never be read (a write-only cell, an unused input
+    # or counter); keep the strict compile quiet about every one of them
     for name, _ in em.decls:
-        if name not in em.read_names:
-            lines.append(f"    (void){name};")
+        lines.append(f"    (void){name};")
     lines.append("    return 0;")
     lines.append("}")
     return "\n".join(lines) + "\n"

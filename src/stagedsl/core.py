@@ -272,7 +272,7 @@ class SymbolicWalk:
     per instruction kind (init_ref, get_ref, set_ref, read_input,
     write_output, print_str, for_loop), each given the names the walk chose
     and returning the statement's text, or None for no statement, plus
-    loop_end, the text that closes a loop.  The runtime's loop stager is a
+    loop_end, the text that closes a loop.  The runtime's interpreter is a
     back end too: its statements are steps, and it overrides emit, reference
     and loop.
     """

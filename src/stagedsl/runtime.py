@@ -4,9 +4,10 @@ Works for any expression language that can evaluate closed expressions.
 Input and output are injectable, so tests can script a session; the CLI
 plugs in the process's stdio.
 
-Straight-line code is interpreted instruction by instruction with concrete
+The interpreter is one object, a back end of core.SymbolicWalk.
+Straight-line code is performed instruction by instruction with concrete
 values.  A loop body is staged instead: when a loop first runs, its body is
-instantiated once with a generated name for the counter, every instruction
+walked once with a generated name for the counter, every instruction
 becomes a closure over an environment of generated names, and the closures
 run once per trip.  Every staged loop, outermost or nested, runs as one
 step that evaluates the bound, stages the body on the first trip that runs
@@ -17,6 +18,8 @@ building a body, such as a TagError, can therefore surface before the first
 trip's output instead of during it; every error from running an instruction
 surfaces where it would without staging.  A language with no `compile` gets
 the reference behaviour: the body is rebuilt and interpreted on every trip.
+An input line is an optionally signed decimal of any length, wrapped into
+32 bits.
 """
 
 from __future__ import annotations
@@ -60,8 +63,15 @@ Env = dict[str, Any]
 Step = Callable[[Env], None]
 
 
-class _Runner:
+class _Runner(SymbolicWalk):
+    """The concrete interpret() handler, perform, and the walk that stages
+    loop bodies: each instruction becomes a step that performs it through
+    the same read, write and cell and binds its generated result name in
+    the environment.  A step reaches a reference through the environment,
+    or directly for a live cell."""
+
     def __init__(self, lang: Language, stdin: TextIO, stdout: TextIO):
+        super().__init__()
         self._eval = lang.eval_closed
         self._compile = lang.compile
         self._stdin = stdin
@@ -81,9 +91,13 @@ class _Runner:
         if not _DECIMAL.fullmatch(text):
             raise InputError(f"not a decimal integer: {text!r}")
         self.reads += 1
+        if len(text) > 32:
+            # 2**32 divides 10**32, so only the last 32 digits count, and
+            # dropping the rest keeps int() within its digit limit
+            text = ("-" if text[0] == "-" else "") + text[-32:]
         return wrap_i32(int(text))
 
-    def handle(self, cmd: Instruction):
+    def perform(self, cmd: Instruction):
         match cmd:
             case InitRef(init):
                 return ConcreteRef(init.tag, self._eval(init))
@@ -106,28 +120,11 @@ class _Runner:
                 n = self._eval(count)
                 if self._compile is None:
                     for k in range(n):
-                        core.interpret(self.handle, body(ConcreteVal(TypeTag.I32, k)))
+                        core.interpret(self.perform, body(ConcreteVal(TypeTag.I32, k)))
                 else:
-                    stager = _Stager(self, self._compile)
-                    stager.loop_step(stager.fresh("v", TypeTag.I32), lambda env: n, body)({})
+                    self.loop_step(self.fresh("v", TypeTag.I32), lambda env: n, body)({})
                 return None
         raise DslError(f"not an instruction: {cmd!r}")
-
-
-class _Stager(SymbolicWalk):
-    """Turns loop bodies into closures over one environment.
-
-    It is the code generators' walk with steps for statements: each
-    instruction becomes a step that performs it through the runner (same
-    input parsing, errors, read count and output), and the step binds the
-    instruction's generated result name in the environment.  A step reaches
-    a reference through the environment, or directly for a live cell.
-    """
-
-    def __init__(self, runner: _Runner, compile_expr) -> None:
-        super().__init__()
-        self._runner = runner
-        self._compile = compile_expr
 
     def emit(self, step: Step) -> None:
         self.statements.append(step)
@@ -142,7 +139,7 @@ class _Stager(SymbolicWalk):
             name = ref.name
             return lambda env: env[name]
         # not a cell this run can reach: fail when the instruction runs
-        return lambda env: self._runner.cell(ref)
+        return lambda env: self.cell(ref)
 
     def init_ref(self, name: str, init) -> Step:
         tag, value = init.tag, self._expr(init)
@@ -167,7 +164,7 @@ class _Stager(SymbolicWalk):
         return step
 
     def read_input(self, name: str) -> Step:
-        read = self._runner.read
+        read = self.read
 
         def step(env):
             env[name] = read()
@@ -175,11 +172,11 @@ class _Stager(SymbolicWalk):
         return step
 
     def write_output(self, value) -> Step:
-        write, out = self._runner.write, self._expr(value)
+        write, out = self.write, self._expr(value)
         return lambda env: write(str(out(env)))
 
     def print_str(self, text: str) -> Step:
-        write = self._runner.write
+        write = self.write
         return lambda env: write(text)
 
     def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
@@ -213,7 +210,7 @@ def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[A
     if lang.eval_closed is None:
         raise DslError(f"language {lang.name!r} cannot evaluate expressions")
     runner = _Runner(lang, stdin, stdout)
-    result = core.interpret(runner.handle, prog)
+    result = core.interpret(runner.perform, prog)
     return result, runner.reads
 
 

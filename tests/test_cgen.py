@@ -14,6 +14,7 @@ from stagedsl import highexpr as hi, lowexpr as lo
 from stagedsl.cgen import c_escape, compile_c, emit_c, have_c_compiler
 from stagedsl.core import (
     for_loop,
+    get_ref,
     init_ref,
     print_str,
     read_input,
@@ -130,6 +131,46 @@ def _c_output(src: str, stdin_text: str, tmp_path, name: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _names_left_unread():
+    # a write-only cell, a discarded read and getRef, an ignored counter
+    return init_ref(lo.lit(1)).bind(
+        lambda r: seq(
+            set_ref(r, lo.lit(2)),
+            read_input(lo.LANG).then(get_ref(lo.LANG, r)).then(print_str("a")),
+            for_loop(lo.LANG, lo.lit(2), lambda _i: print_str(".")),
+        )
+    )
+
+
+def _names_all_read():
+    return init_ref(lo.lit(1)).bind(
+        lambda r: seq(
+            set_ref(r, lo.lit(2)),
+            read_input(lo.LANG).bind(
+                lambda n: get_ref(lo.LANG, r).bind(lambda v: write_output(n + v))
+            ),
+            for_loop(lo.LANG, lo.lit(2), write_output),
+        )
+    )
+
+
+@pytest.mark.parametrize("make", [_names_left_unread, _names_all_read])
+def test_every_declared_name_is_voided_exactly_once(make):
+    src = emit_c(make())
+    declared = re.findall(r"^    (?:int|int32_t) (\w+) = 0;$", src, re.M)
+    assert declared == ["r0", "v1", "v2", "v3"]
+    voided = re.findall(r"^    \(void\)(\w+);$", src, re.M)
+    assert voided == declared
+
+
+@needs_cc
+@pytest.mark.parametrize("make", [_names_left_unread, _names_all_read])
+def test_read_and_unread_names_compile_strictly_and_match_the_interpreter(tmp_path, make):
+    prog = make()
+    want = run_text(prog, lo.LANG, "5\n")[1]
+    assert _c_output(emit_c(prog), "5\n", tmp_path, "void") == want
 
 
 @needs_cc

@@ -2,6 +2,7 @@
 
 import io
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 from stagedsl import highexpr as hi, lowexpr as lo
 from stagedsl.cgen import have_c_compiler
 from stagedsl.cli import cli
-from stagedsl.examples import EXAMPLES
+from stagedsl.core import for_loop, read_input, wrap_i32, write_output
+from stagedsl.examples import EXAMPLES, Example
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -156,3 +158,46 @@ def test_c_differential_script_agrees_on_a_small_corpus():
     proc = _script("c_differential.py", "--count", "5")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("7/7 programs agree")
+
+
+@pytest.mark.skipif(not have_c_compiler(), reason="no C compiler on PATH")
+def test_c_differential_takes_its_examples_from_the_registry(capsys, monkeypatch):
+    lang = hi.LANG
+    echo = for_loop(
+        lang, hi.lit(3), lambda _i: read_input(lang).bind(lambda n: write_output(n * n))
+    )
+    monkeypatch.setitem(EXAMPLES, "echoSquares", Example("echoSquares", lang, echo))
+    monkeypatch.setattr(sys, "argv", ["c_differential.py", "--count", "0"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "c_differential.py"), run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("3/3 programs agree")
+
+
+def test_c_differential_without_a_compiler_exits_2():
+    env = {**os.environ, "PYTHONPATH": str(SRC), "CC": "/nonexistent/cc"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "c_differential.py"), "--count", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "no C compiler (/nonexistent/cc) on PATH" in proc.stderr
+
+
+def test_run_wraps_an_overlong_input_line_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stagedsl", "run", "powerInput"],
+        input="-" + "7" * 5000 + "\n3\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    m = wrap_i32(-sum(7 * pow(10, k, 2**32) for k in range(5000)))
+    assert proc.stdout.endswith(f"{m}^3 = {wrap_i32(m**3)}.\n")

@@ -25,6 +25,7 @@ from stagedsl.core import (
     ret,
     seq,
     set_ref,
+    wrap_i32,
     write_output,
 )
 from stagedsl.examples import power_input, sum_input
@@ -66,6 +67,18 @@ def test_read_rejects_garbage_naming_the_text():
         run_text(prog, lo.LANG, "\n")
     with pytest.raises(InputError, match="exhausted"):
         run_text(prog, lo.LANG, "")
+
+
+# longer than the 4,300 digits int() accepts by default
+LONG_ZEROS = "0" * 5000 + "7"
+LONG_SEVENS = "-" + "7" * 5000
+LONG_SEVENS_I32 = wrap_i32(-sum(7 * pow(10, k, 2**32) for k in range(5000)))
+
+
+def test_read_wraps_decimals_too_long_for_int_into_32_bits():
+    prog = read_input(lo.LANG).bind(write_output)
+    assert run_text(prog, lo.LANG, LONG_ZEROS + "\n")[1] == "7"
+    assert run_text(prog, lo.LANG, LONG_SEVENS + "\n")[1] == str(LONG_SEVENS_I32)
 
 
 def test_reads_are_counted_per_execution_not_per_instruction():
@@ -231,3 +244,26 @@ def test_program_supplied_symbolic_refs_in_staged_loops_are_stage_errors():
     stray = Instr(GetRef(SymbolicRef(I32, "r0")))
     get = for_loop(lo.LANG, lo.lit(2), lambda _i: print_str("b").then(stray))
     assert _both(get, lo.LANG) == (StageError, "b")
+
+
+def test_long_decimals_read_inside_a_staged_loop_match_the_reference():
+    prog = for_loop(lo.LANG, lo.lit(2), lambda _i: read_input(lo.LANG).bind(write_output))
+    assert _both(prog, lo.LANG, f"{LONG_SEVENS}\n{LONG_ZEROS}\n") == (
+        None,
+        f"{LONG_SEVENS_I32}7",
+        2,
+    )
+
+
+@pytest.mark.parametrize("name", ["v0", "r1", "v2"])
+def test_a_later_top_level_loop_never_resolves_a_name_an_earlier_one_generated(name):
+    # staging the first loop generates v0 (its counter), r1 and v2
+    first = for_loop(
+        lo.LANG,
+        lo.lit(2),
+        lambda i: init_ref(i).bind(lambda r: get_ref(lo.LANG, r).bind(write_output)),
+    )
+    second = for_loop(
+        lo.LANG, lo.lit(2), lambda _j: print_str("b").then(write_output(lo.Var(name, I32)))
+    )
+    assert _both(seq(first, second), lo.LANG) == (UnboundVariableError, "01b")
