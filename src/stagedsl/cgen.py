@@ -4,8 +4,9 @@ Everything lives in one main().  The walk over the program is
 core.SymbolicWalk, shared with the pseudo-code back end, so variables get
 the same names there and here.  This module supplies the C text of each
 statement and records the declarations, all hoisted to the top of main.
-Arithmetic goes through unsigned casts so 32-bit wraparound is defined
-behaviour rather than a compiler mood.
+An expression's text is a table of rules for lowexpr.fold, which has no
+rule for Let or Iter.  Arithmetic goes through unsigned casts so 32-bit
+wraparound is defined behaviour rather than a compiler mood.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import shutil
 import subprocess
 from pathlib import Path
 
-from . import core, lowexpr
+from . import core
 from .core import DslError, Program, SymbolicWalk, TypeTag
+from .lowexpr import Add, Eq, Expr, Lit, Mul, Not, Rules, Var, fold
 
 _C_TYPE = {TypeTag.I32: "int32_t", TypeTag.BOOL: "int"}
 
@@ -52,6 +54,21 @@ def c_escape(s: str) -> str:
     return s.translate(_C_FORMAT)
 
 
+def _c_lit(e: Lit, _context) -> str:
+    # the positive half of -2**31 would not fit an int constant
+    return "(-2147483647 - 1)" if e.value == -(2**31) else str(int(e.value))
+
+
+_TEXT = Rules("cannot emit C for", {
+    Var: lambda e, _: e.name,
+    Lit: _c_lit,
+    Add: "(int32_t)((uint32_t){} + (uint32_t){})".format,
+    Mul: "(int32_t)((uint32_t){} * (uint32_t){})".format,
+    Not: "(!{})".format,
+    Eq: "({} == {})".format,
+})
+
+
 class _C(SymbolicWalk):
     """Statement text for the shared symbolic walk, plus the declarations."""
 
@@ -66,26 +83,8 @@ class _C(SymbolicWalk):
         self.decls.append((name, tag))
         return name
 
-    def expr(self, e: lowexpr.Expr) -> str:
-        match e:
-            case lowexpr.Var(name, _):
-                return name
-            case lowexpr.Lit(value, tag):
-                if tag is TypeTag.BOOL:
-                    return "1" if value else "0"
-                if value == -(2**31):
-                    # the positive half would not fit an int constant
-                    return "(-2147483647 - 1)"
-                return str(value)
-            case lowexpr.Add(a, b):
-                return f"(int32_t)((uint32_t){self.expr(a)} + (uint32_t){self.expr(b)})"
-            case lowexpr.Mul(a, b):
-                return f"(int32_t)((uint32_t){self.expr(a)} * (uint32_t){self.expr(b)})"
-            case lowexpr.Not(a):
-                return f"(!{self.expr(a)})"
-            case lowexpr.Eq(a, b):
-                return f"({self.expr(a)} == {self.expr(b)})"
-        raise DslError(f"cannot emit C for {e!r}")
+    def expr(self, e: Expr) -> str:
+        return fold(_TEXT, e)
 
     def init_ref(self, name: str, init) -> str:
         return f"{name} = {self.expr(init)};"

@@ -3,21 +3,23 @@ iterated application.
 
 Var, Lit, Add, Mul, Not, Eq, lit, eval_closed and compile_open are
 lowexpr's own objects, re-exported, so a low-language expression is already
-a rich one and both languages evaluate and compile by each node's rule.
-This module adds only Let and Iter, each with its rules for closed
-evaluation and open compilation, and LANG, which is lowexpr's with its own
-name and no renderer.
+a rich one and both languages evaluate and compile through lowexpr's fold.
+This module adds only Let and Iter, their entries in the evaluation and
+compilation rule tables, and LANG, which is lowexpr's with its own name and
+no renderer.
 
-Evaluation of closed expressions is the reference semantics: binder bodies
-are host functions, and the evaluator instantiates them with literal nodes
-on every use.  Compilation of open expressions, for staged loop bodies,
-instantiates each binder body once with a generated variable instead.
+Both classes are binders: their rules instantiate the body when the fold
+reaches it.  Evaluation of closed expressions is the reference semantics:
+it instantiates binder bodies with literal nodes on every use.  Compilation
+of open expressions, for staged loop bodies, instantiates each binder body
+once with a generated variable instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from functools import cached_property
+from typing import Any, Callable, Iterator
 
 from . import lowexpr as lo
 from .core import Scope, TagError, TypeTag
@@ -33,25 +35,19 @@ class Let(Expr):
 
     shared: Expr
     body: Callable[[Expr], Expr]
+    operands = None
 
-    @property
+    def __post_init__(self) -> None:
+        # Read the shared expression's tag while it is new: a Let keeps its
+        # tag once found, so no tag then waits on Lets nested in shared position.
+        self.shared.tag  # noqa: B018
+
+    @cached_property
     def tag(self) -> TypeTag:
-        return self.body(self.shared).tag
-
-    def evaluate(self) -> Any:
-        return self.body(lit(self.shared.evaluate())).evaluate()
-
-    def compile(self, scope: Scope) -> Compiled:
-        # the body is built once, over a fresh name
-        name = scope.fresh("x")
-        fshared = self.shared.compile(scope)
-        fbody = self.body(Var(name, self.shared.tag)).compile(scope)
-
-        def let(env):
-            env[name] = fshared(env)
-            return fbody(env)
-
-        return let
+        e: Expr = self
+        while isinstance(e, Let):  # a chain of Lets nested in body position
+            e = e.body(e.shared)
+        return e.tag
 
 
 @dataclass(frozen=True)
@@ -61,38 +57,64 @@ class Iter(Expr):
     count: Expr
     init: Expr
     step: Callable[[Expr], Expr]
+    operands = None
 
     def __post_init__(self) -> None:
         if self.count.tag is not TypeTag.I32:
             raise TagError(f"iter: count must be i32, got {self.count.tag.value}")
-        if self.step(self.init).tag is not self.init.tag:
+        if self.step(self.init).tag is not self.tag:
             raise TagError("iter: step must preserve the state's tag")
 
-    @property
+    @cached_property
     def tag(self) -> TypeTag:
         return self.init.tag
 
-    def evaluate(self) -> Any:
-        n = self.count.evaluate()
-        state = self.init.evaluate()
+
+def _eval_let(e: Let, _context: Any) -> Iterator[Expr]:
+    shared = yield e.shared
+    return (yield e.body(lit(shared)))
+
+
+def _eval_iter(e: Iter, _context: Any) -> Iterator[Expr]:
+    n = yield e.count
+    state = yield e.init
+    step, tag = e.step, e.init.tag
+    for _ in range(n):
+        state = yield step(Lit(state, tag))
+    return state
+
+
+def _compile_let(e: Let, scope: Scope) -> Iterator[Expr]:
+    # the body is built once, over a fresh name
+    name = scope.fresh("x")
+    fshared = yield e.shared
+    fbody = yield e.body(Var(name, e.shared.tag))
+
+    def let(env):
+        env[name] = fshared(env)
+        return fbody(env)
+
+    return let
+
+
+def _compile_iter(e: Iter, scope: Scope) -> Iterator[Expr]:
+    # the step is built once, over a fresh name
+    name = scope.fresh("s")
+    fcount = yield e.count
+    finit = yield e.init
+    fstep = yield e.step(Var(name, e.init.tag))
+
+    def iterate(env):
+        n = fcount(env)
+        env[name] = finit(env)
         for _ in range(n):
-            state = self.step(lit(state)).evaluate()
-        return state
+            env[name] = fstep(env)
+        return env[name]
 
-    def compile(self, scope: Scope) -> Compiled:
-        # the step is built once, over a fresh name
-        name = scope.fresh("s")
-        fcount, finit = self.count.compile(scope), self.init.compile(scope)
-        fstep = self.step(Var(name, self.init.tag)).compile(scope)
+    return iterate
 
-        def iterate(env):
-            n = fcount(env)
-            env[name] = finit(env)
-            for _ in range(n):
-                env[name] = fstep(env)
-            return env[name]
 
-        return iterate
-
+lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})
+lo.COMPILE.update({Let: _compile_let, Iter: _compile_iter})
 
 LANG = replace(lo.LANG, name="high", render=None)

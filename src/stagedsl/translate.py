@@ -1,22 +1,25 @@
 """Lowering: rewrite programs over the rich expression language into
 programs over the minimal one.
 
-The six core constructors are the minimal language's own, so they map
-across unchanged with only their operands lowered.  The two rich constructs
-turn into instructions: a let becomes a reference initialisation plus a
-read-back (or plain substitution, by configuration), and an iteration
-becomes a counted loop threading its state through a reference.
+Lowering an expression is a table of rules for lowexpr.fold, whose
+results are programs.  The six core constructors are the minimal
+language's own, so they map across unchanged once their operands' programs
+have run.  The two rich constructs turn into instructions: a let becomes a
+reference initialisation plus a read-back (or plain substitution, by
+configuration), and an iteration becomes a counted loop threading its state
+through a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterator
+
 from . import highexpr as hi
 from . import lowexpr as lo
 from . import pseudo
 from .core import (
-    DslError,
     Program,
     Ret,
     get_ref,
@@ -26,6 +29,7 @@ from .core import (
     seq,
     set_ref,
 )
+from .lowexpr import Rules, fold
 
 
 class LetStrategy(Enum):
@@ -50,60 +54,81 @@ class TranslationConfig:
 DEFAULT_CONFIG = TranslationConfig()
 
 
+def _rebuild(cls: type) -> Callable[..., Program]:
+    """An operator's rule: run its operands' programs in order, then yield
+    the node over their results.  An operand that is a Ret binds nothing."""
+
+    def rule(*programs: Program, done: tuple = ()) -> Program:
+        if len(done) == len(programs):
+            return Ret(cls(*done))
+        first = programs[len(done)]
+        if isinstance(first, Ret):
+            return rule(*programs, done=(*done, first.value))
+        return first.bind(lambda x: rule(*programs, done=(*done, x)))
+
+    return rule
+
+
+def _lower_let(e: hi.Let, config: TranslationConfig) -> Iterator[hi.Expr]:
+    if config.let_strategy is LetStrategy.BY_NAME:
+        return (yield e.body(e.shared))
+    shared = yield e.shared
+    return shared.bind(
+        lambda init: init_ref(init).bind(
+            lambda r: get_ref(lo.LANG, r).bind(lambda x: lower_expr(e.body(x), config))
+        )
+    )
+
+
+def _lower_iter(e: hi.Iter, config: TranslationConfig) -> Iterator[hi.Expr]:
+    # Only a literal half below 2**30 makes count * 2 a non-wrapping,
+    # non-negative doubling: the low language has no comparison, so it
+    # cannot compute how many passes any other count gives.
+    count, steps_per_pass = e.count, 1
+    if (
+        config.unroll is UnrollPolicy.EVEN_BY_2
+        and isinstance(count, hi.Mul)
+        and isinstance(count.right, hi.Lit)
+        and count.right.value == 2
+        and isinstance(count.left, hi.Lit)
+        and 0 <= count.left.value < 2**30
+    ):
+        count, steps_per_pass = count.left, 2
+    lowered_count = yield count
+    lowered_init = yield e.init
+
+    def one_step(r) -> Program:
+        return get_ref(lo.LANG, r).bind(
+            lambda prev: lower_expr(e.step(prev), config).bind(lambda nxt: set_ref(r, nxt))
+        )
+
+    return lowered_count.bind(
+        lambda n: lowered_init.bind(
+            lambda s0: init_ref(s0).bind(
+                lambda r: for_loop(
+                    lo.LANG,
+                    n,
+                    lambda _counter: seq(*(one_step(r) for _ in range(steps_per_pass))),
+                ).then(get_ref(lo.LANG, r))
+            )
+        )
+    )
+
+
+_LOWER = Rules("not a high expression", {
+    hi.Var: lambda e, _: Ret(e),
+    hi.Lit: lambda e, _: Ret(e),
+    **{cls: _rebuild(cls) for cls in (hi.Add, hi.Mul, hi.Not, hi.Eq)},
+    hi.Let: _lower_let,
+    hi.Iter: _lower_iter,
+})
+
+
 def lower_expr(e: hi.Expr, config: TranslationConfig = DEFAULT_CONFIG) -> Program:
     """Translate one rich expression into a program over the minimal
-    language that yields the translated expression."""
-
-    def lower(sub: hi.Expr) -> Program:
-        return lower_expr(sub, config)
-
-    match e:
-        case hi.Var() | hi.Lit():
-            return Ret(e)
-        case hi.Not(a):
-            return lower(a).bind(lambda a2: Ret(hi.Not(a2)))
-        case hi.Add(a, b) | hi.Mul(a, b) | hi.Eq(a, b):
-            return lower(a).bind(lambda a2: lower(b).bind(lambda b2: Ret(type(e)(a2, b2))))
-        case hi.Let(shared, body):
-            if config.let_strategy is LetStrategy.BY_NAME:
-                return lower(body(shared))
-            return lower(shared).bind(
-                lambda init: init_ref(init).bind(
-                    lambda r: get_ref(lo.LANG, r).bind(lambda x: lower(body(x)))
-                )
-            )
-        case hi.Iter(count, init, step):
-            # Only a literal half below 2**30 makes count * 2 a non-wrapping,
-            # non-negative doubling: the low language has no comparison, so
-            # it cannot compute how many passes any other count gives.
-            steps_per_pass = 1
-            if (
-                config.unroll is UnrollPolicy.EVEN_BY_2
-                and isinstance(count, hi.Mul)
-                and isinstance(count.right, hi.Lit)
-                and count.right.value == 2
-                and isinstance(count.left, hi.Lit)
-                and 0 <= count.left.value < 2**30
-            ):
-                count, steps_per_pass = count.left, 2
-
-            def one_step(r) -> Program:
-                return get_ref(lo.LANG, r).bind(
-                    lambda prev: lower(step(prev)).bind(lambda nxt: set_ref(r, nxt))
-                )
-
-            return lower(count).bind(
-                lambda n: lower(init).bind(
-                    lambda s0: init_ref(s0).bind(
-                        lambda r: for_loop(
-                            lo.LANG,
-                            n,
-                            lambda _counter: seq(*(one_step(r) for _ in range(steps_per_pass))),
-                        ).then(get_ref(lo.LANG, r))
-                    )
-                )
-            )
-    raise DslError(f"not a high expression: {e!r}")
+    language that yields the translated expression.  A tree with no Let or
+    Iter translates to itself, with no instructions."""
+    return fold(_LOWER, e, config)
 
 
 def lower_program(prog: Program, config: TranslationConfig = DEFAULT_CONFIG) -> Program:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 
 from stagedsl import core, highexpr as hi
 from stagedsl.core import (
@@ -153,3 +154,90 @@ def iter_oracle(n: int, init: int, template) -> int:
     for _ in range(max(n, 0)):
         state = template_eval(template, state)
     return state
+
+
+# --------------------------------------------------------------------------
+# Deep trees: operator chains and Let nests at a depth where any recursive
+# walk overflows the Python stack.  The builder, the oracle and the printer
+# are all loops.  Shapes:
+#   left, right, alternating   chains over + * not ==, the tree so far the
+#                              left operand, the right one, or each in turn
+#   let-body, let-shared       Lets nested in the body or the shared position
+
+DEEP = 10_000
+DEEP_SHAPES = ("left", "right", "alternating", "let-body", "let-shared")
+# odd multipliers keep a long product from collapsing to zero mod 2**32
+_FACTORS = (-3, -1, 3, 5, 7, 2**31 - 1)
+
+
+@dataclass(frozen=True)
+class DeepTree:
+    tree: hi.Expr
+    value: int | bool   # what eval_closed gives
+    text: str | None    # what lo.render gives; None when the tree holds a Let
+
+
+def _arith(rng: random.Random) -> tuple[str, int]:
+    if rng.random() < 0.5:
+        return "+", rng.randint(-(2**31), 2**31 - 1)
+    return "*", rng.choice(_FACTORS)
+
+
+def _apply(op: str, a, b):
+    if op == "+":
+        return wrap_i32(a + b)
+    if op == "*":
+        return wrap_i32(a * b)
+    return a == b
+
+
+_NODES = {"+": hi.Add, "*": hi.Mul, "==": hi.Eq}
+
+
+def deep_tree(seed: int, shape: str, depth: int = DEEP) -> DeepTree:
+    rng = random.Random(seed)
+    start = rng.randint(-50, 50)
+    if shape.startswith("let-"):
+        steps = [_arith(rng) for _ in range(depth)]
+        value = start
+        for op, k in steps:
+            value = _apply(op, value, k)
+        if shape == "let-shared":
+            tree = hi.lit(start)
+            for op, k in steps:
+                tree = hi.Let(tree, lambda x, op=op, k=k: _NODES[op](x, hi.lit(k)))
+            return DeepTree(tree, value, None)
+        last_op, last_k = steps[-1]
+        body = lambda x: _NODES[last_op](x, hi.lit(last_k))
+        for op, k in reversed(steps[:-1]):
+            body = lambda x, op=op, k=k, inner=body: hi.Let(_NODES[op](x, hi.lit(k)), inner)
+        return DeepTree(hi.Let(hi.lit(start), body), value, None)
+
+    # a chain: i32 until an == turns it boolean, which some chains never do
+    turn = rng.choice([depth, rng.randrange(depth)])
+    tree, value = hi.lit(start), start
+    prefixes, suffixes = [], []
+    for i in range(depth):
+        on_left = shape == "left" or (shape == "alternating" and i % 2 == 0)
+        if isinstance(value, bool) and rng.random() < 0.5:
+            tree, value = hi.Not(tree), not value
+            prefixes.append("(not ")
+            suffixes.append(")")
+            continue
+        if isinstance(value, bool):
+            op, k = "==", rng.random() < 0.5
+        elif i == turn:
+            op, k = "==", rng.choice([value, rng.randint(-9, 9)])
+        else:
+            op, k = _arith(rng)
+        node = _NODES[op]
+        tree = node(tree, hi.lit(k)) if on_left else node(hi.lit(k), tree)
+        value = _apply(op, value, k)
+        if on_left:
+            prefixes.append("(")
+            suffixes.append(f" {op} {k})")
+        else:
+            prefixes.append(f"({k} {op} ")
+            suffixes.append(")")
+    text = "".join(reversed(prefixes)) + str(start) + "".join(suffixes)
+    return DeepTree(tree, value, text)

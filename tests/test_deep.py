@@ -1,0 +1,151 @@
+"""Expressions 10^4 deep: every consumer folds them without recursion.
+
+The trees come from support.deep_tree, whose oracle and printer are loops,
+and are checked against evaluation, rendering, all four lowerings, direct
+runs with and without staging, pseudo-code and strict C.
+"""
+
+import dataclasses
+import subprocess
+
+import pytest
+
+import support
+from stagedsl import highexpr as hi
+from stagedsl import lowexpr as lo
+from stagedsl.cgen import compile_c, emit_c, have_c_compiler
+from stagedsl.core import DslError, Ret, Scope, TypeTag, get_ref, init_ref, ret, write_output
+from stagedsl.pseudo import render_program
+from stagedsl.runtime import run_text
+from stagedsl.translate import (
+    LetStrategy, TranslationConfig, UnrollPolicy, lower_expr, lower_program,
+)
+
+CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
+
+
+def _program(tree):
+    """Keep the tree in a cell, write it when it is an i32, and yield the
+    literal read back, so boolean trees are observable too."""
+
+    def show(v):
+        return (write_output(v) if v.tag is TypeTag.I32 else ret()).then(ret(v))
+
+    return init_ref(tree).bind(lambda r: get_ref(hi.LANG, r).bind(show))
+
+
+def _expected(deep):
+    return "" if isinstance(deep.value, bool) else str(deep.value)
+
+
+def _listing(deep):
+    """The pseudo-code of _program over a tree with no Let or Iter."""
+    lines = [f"r0 <- initRef {deep.text}", "v1 <- getRef r0"]
+    if not isinstance(deep.value, bool):
+        lines.append("writeOutput v1")
+    return "".join(f"    {line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("shape", support.DEEP_SHAPES)
+def test_deep_trees_evaluate_render_lower_and_run(shape):
+    deep = support.deep_tree(1, shape)
+    assert hi.eval_closed(deep.tree) == deep.value
+    if deep.text is None:
+        with pytest.raises(DslError):
+            lo.render(deep.tree)
+    else:
+        assert lo.render(deep.tree) == deep.text
+        # a tree with no Let or Iter lowers to itself, with no instructions
+        lowered = lower_expr(deep.tree)
+        assert isinstance(lowered, Ret)
+        assert lo.render(lowered.value) == deep.text
+
+    prog = _program(deep.tree)
+    for config, lang in [
+        (None, hi.LANG),
+        (None, dataclasses.replace(hi.LANG, compile=None)),
+        *((config, lo.LANG) for config in CONFIGS),
+    ]:
+        low = prog if config is None else lower_program(prog, config)
+        result, out, reads = run_text(low, lang)
+        assert (result.value, out, reads) == (deep.value, _expected(deep), 0)
+        if config is not None:
+            listing = render_program(low)
+            assert deep.text is None or listing == _listing(deep)
+
+
+@pytest.mark.parametrize("shape", support.DEEP_SHAPES)
+def test_deep_trees_compile_as_strict_c_that_matches_the_interpreter(shape, tmp_path):
+    if not have_c_compiler():
+        pytest.skip("no C compiler on PATH")
+    deep = support.deep_tree(2, shape)
+    prog = _program(deep.tree)
+    compiled = set()
+    for cfg in CONFIGS:
+        low = lower_program(prog, cfg)
+        source = emit_c(low)
+        if source in compiled:
+            continue  # configs that lower a tree alike give the same C
+        compiled.add(source)
+        _, want, _ = run_text(low, lo.LANG)
+        assert want == _expected(deep)
+        exe = compile_c(source, tmp_path)
+        proc = subprocess.run([str(exe)], capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout.decode()) == (0, want)
+
+
+def test_compiled_deep_trees_agree_with_the_reference():
+    deep = support.deep_tree(4, "let-shared", depth=300)
+    assert hi.compile_open(deep.tree, Scope())({}) == deep.value
+    # compiling a 10^4-deep tree folds without recursion, though running
+    # the nested closures it gives still recurses
+    hi.compile_open(support.deep_tree(4, "let-body").tree, Scope())
+
+
+def test_the_tag_of_a_deep_let_nest_is_read_without_recursion():
+    assert support.deep_tree(5, "let-body").tree.tag is TypeTag.I32
+    assert support.deep_tree(5, "let-shared").tree.tag is TypeTag.I32
+    boolean = hi.Let(hi.lit(1), lambda x: hi.Eq(x, x))
+    for _ in range(support.DEEP):
+        boolean = hi.Let(boolean, lambda b: hi.Not(b))
+    assert boolean.tag is TypeTag.BOOL
+
+
+def test_printers_reject_a_let_under_a_deep_chain_by_class_name():
+    e = hi.Let(hi.lit(1), lambda x: x + 1)
+    for _ in range(support.DEEP):
+        e = e + 1
+    with pytest.raises(DslError, match="Let"):
+        lo.render(e)
+    with pytest.raises(DslError, match="Let"):
+        emit_c(write_output(e))
+
+
+def test_every_consumer_rejects_a_class_it_has_no_rule_for():
+    @dataclasses.dataclass(frozen=True)
+    class Neg(lo.Expr):
+        operand: lo.Expr
+        tag = TypeTag.I32
+        operands = ("operand",)
+
+    e = Neg(lo.lit(1))
+    for consume in (
+        lo.eval_closed,
+        lambda e: lo.compile_open(e, Scope()),
+        lo.render,
+        lower_expr,
+        lambda e: emit_c(write_output(e)),
+    ):
+        with pytest.raises(DslError, match="Neg"):
+            consume(e)
+
+
+def test_a_deep_iter_nest_in_init_position_builds_evaluates_and_lowers():
+    e = hi.lit(1)
+    for _ in range(support.DEEP):
+        e = hi.Iter(hi.lit(1), e, lambda s: s + 1)
+    assert e.tag is TypeTag.I32
+    assert hi.eval_closed(e) == support.DEEP + 1
+    prog = write_output(e)
+    assert run_text(prog, hi.LANG)[1] == str(support.DEEP + 1)
+    assert run_text(lower_program(prog), lo.LANG)[1] == str(support.DEEP + 1)

@@ -201,3 +201,16 @@ def test_run_wraps_an_overlong_input_line_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (0, "")
     m = wrap_i32(-sum(7 * pow(10, k, 2**32) for k in range(5000)))
     assert proc.stdout.endswith(f"{m}^3 = {wrap_i32(m**3)}.\n")
+
+
+def test_output_hashes_script_prints_the_pinned_hashes():
+    # pseudo-code, C, C without its (void) lines, and run transcripts, as
+    # they stood before expressions were folded on an explicit stack
+    proc = _script("output_hashes.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "pseudo 2116dc82f1366430aee8990c17104806bc565bd61810c158185bf4d0c093f8d4",
+        "c c64166901958c3b5035282fb7563ca4b05586f94bd2eb2f95fb14e35ef906892",
+        "c-no-void 55d4d76415c1b99b5c4531e9cf46db3b0245d30366c9abbe77a748fdd9e46b66",
+        "transcripts 9fbc56279792e4c7c43d8e9337ad56240498085747002e21cd622ba69f5e8d37",
+    ]
