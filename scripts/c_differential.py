@@ -37,7 +37,7 @@ def main() -> int:
         print(f"no C compiler ({c_compiler()}) on PATH", file=sys.stderr)
         return 2
 
-    cases = [(ex.name, lower_program(ex.program), EXAMPLE_INPUT) for ex in EXAMPLES.values()]
+    cases = [(name, lower_program(prog), EXAMPLE_INPUT) for name, prog in EXAMPLES.items()]
     for i, gp in enumerate(corpus(seed=args.seed, size=args.count)):
         cases.append((f"gen{i:03d}", lower_program(gp.program), gp.input_text))
 

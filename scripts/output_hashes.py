@@ -44,7 +44,7 @@ def main() -> int:
     lowered = [
         lower_program(gp.program, cfg) for gp in corpus(seed=3, size=200) for cfg in CONFIGS
     ]
-    lowered += [lower_program(EXAMPLES[name].program, DEFAULT_CONFIG) for name in sorted(EXAMPLES)]
+    lowered += [lower_program(EXAMPLES[name], DEFAULT_CONFIG) for name in sorted(EXAMPLES)]
     c = [emit_c(prog) for prog in lowered]
     transcripts = []
     for gp in corpus(seed=1, size=3000):

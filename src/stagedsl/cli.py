@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import highexpr as hi
 from . import runtime
 from .cgen import emit_c
 from .core import DslError
@@ -52,14 +53,14 @@ def cli(argv: list[str]) -> int:
             print(name)
         return 0
 
-    example = EXAMPLES.get(args.example)
-    if example is None:
+    program = EXAMPLES.get(args.example)
+    if program is None:
         print(f"unknown example: {args.example}", file=sys.stderr)
         return 1
 
     if args.command == "run":
         try:
-            runtime.run(example.program, example.lang, sys.stdin, sys.stdout)
+            runtime.run(program, hi.LANG, sys.stdin, sys.stdout)
         except DslError as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
@@ -70,7 +71,7 @@ def cli(argv: list[str]) -> int:
         unroll=UnrollPolicy(args.unroll),
     )
     # lowering leaves a program that is already low as it is
-    prog = lower_program(example.program, config)
+    prog = lower_program(program, config)
     text = render_program(prog) if args.backend == "pseudo" else emit_c(prog)
     sys.stdout.write(text)
     return 0

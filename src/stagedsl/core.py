@@ -7,6 +7,10 @@ it, print it, or rewrite it into a program over a different expression
 language, does so by folding over the tree, and must behave identically no
 matter how the Bind nodes happen to be nested.
 
+Binding a returned value applies the continuation at once, by return's
+left identity (ret(a).bind(f) is f(a)); binding a Bind or an Instr builds a
+Bind, whose continuation runs only when an interpretation reaches it.
+
 Loop and continuation bodies are ordinary host functions.  They are
 instantiated with symbolic names when generating code, and also when the
 runtime stages a loop body to run it many times; only straight-line code and
@@ -174,12 +178,15 @@ class Program:
         return Bind(self, rest)
 
     def then(self, nxt: "Program") -> "Program":
-        return Bind(self, lambda _result: nxt)
+        return self.bind(lambda _result: nxt)
 
 
 @dataclass(frozen=True)
 class Ret(Program):
     value: Any
+
+    def bind(self, rest: Callable[[Any], Program]) -> Program:
+        return rest(self.value)
 
 
 @dataclass(frozen=True)
@@ -199,9 +206,7 @@ def ret(value: Any = None) -> Program:
 
 def seq(*steps: Program) -> Program:
     """Run steps in order; the result is the last step's result."""
-    if not steps:
-        return Ret(None)
-    return functools.reduce(lambda acc, p: acc.then(p), steps)
+    return functools.reduce(Program.then, steps, Ret(None))
 
 
 def interpret(handler: Callable[[Instruction], Any], prog: Program) -> Any:

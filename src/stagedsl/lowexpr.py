@@ -112,12 +112,8 @@ class Eq(Expr):
 
 
 def lit(value: Any) -> Lit:
-    """Literal from a host value, inferring the tag."""
-    if isinstance(value, bool):
-        return Lit(value, TypeTag.BOOL)
-    if isinstance(value, int):
-        return Lit(value, TypeTag.I32)
-    raise TagError(f"no literal for {type(value).__name__}")
+    """Literal from a host value, inferring the tag; Lit checks the value."""
+    return Lit(value, TypeTag.BOOL if isinstance(value, bool) else TypeTag.I32)
 
 
 def _coerce(x: Any) -> Expr:

@@ -56,15 +56,12 @@ DEFAULT_CONFIG = TranslationConfig()
 
 def _rebuild(cls: type) -> Callable[..., Program]:
     """An operator's rule: run its operands' programs in order, then yield
-    the node over their results.  An operand that is a Ret binds nothing."""
+    the node over their results."""
 
     def rule(*programs: Program, done: tuple = ()) -> Program:
         if len(done) == len(programs):
             return Ret(cls(*done))
-        first = programs[len(done)]
-        if isinstance(first, Ret):
-            return rule(*programs, done=(*done, first.value))
-        return first.bind(lambda x: rule(*programs, done=(*done, x)))
+        return programs[len(done)].bind(lambda x: rule(*programs, done=(*done, x)))
 
     return rule
 

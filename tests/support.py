@@ -41,27 +41,33 @@ def _placeholder(cmd):
     return None
 
 
-def fold_count(prog) -> int:
-    """Count instructions by direct structural recursion, loop bodies
-    counted once.  This is the oracle the counting handler is checked
-    against, so it must not go through interpret()."""
+def reached_nodes(prog) -> list:
+    """Every program node a run reaches, found by direct structural
+    recursion with loop bodies walked once and placeholder instruction
+    results.  It must not go through interpret(), which it checks."""
+    nodes = []
 
     def walk(p):
+        nodes.append(p)
         if isinstance(p, Ret):
-            return 0, p.value
+            return p.value
         if isinstance(p, Bind):
-            c1, v1 = walk(p.first)
-            c2, v2 = walk(p.rest(v1))
-            return c1 + c2, v2
+            return walk(p.rest(walk(p.first)))
         assert isinstance(p, Instr)
         cmd = p.cmd
         if isinstance(cmd, ForLoop):
-            body_count, _ = walk(cmd.body(SymbolicVal(I32, "v0")))
-            return 1 + body_count, None
-        return 1, _placeholder(cmd)
+            walk(cmd.body(SymbolicVal(I32, "v0")))
+            return None
+        return _placeholder(cmd)
 
-    count, _ = walk(prog)
-    return count
+    walk(prog)
+    return nodes
+
+
+def fold_count(prog) -> int:
+    """Count instructions, loop bodies counted once.  This is the oracle
+    the counting handler is checked against."""
+    return sum(isinstance(p, Instr) for p in reached_nodes(prog))
 
 
 class CountingHandler:

@@ -13,6 +13,7 @@ import support
 from stagedsl import highexpr as hi, lowexpr as lo
 from stagedsl.cgen import c_escape, compile_c, emit_c, have_c_compiler
 from stagedsl.core import (
+    DslError,
     for_loop,
     get_ref,
     init_ref,
@@ -131,6 +132,12 @@ def _c_output(src: str, stdin_text: str, tmp_path, name: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@needs_cc
+def test_compile_c_reports_the_compilers_rejection(tmp_path):
+    with pytest.raises(DslError, match="C compile failed"):
+        compile_c("int main(void) { return undeclared; }\n", tmp_path, "bad")
 
 
 def _names_left_unread():

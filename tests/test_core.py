@@ -8,6 +8,7 @@ from stagedsl.core import (
     Bind,
     ConcreteRef,
     ConcreteVal,
+    DslError,
     ForLoop,
     GetRef,
     Instr,
@@ -63,6 +64,16 @@ def test_bind_rebracketing_is_invisible():
     right = Bind(first, lambda v: Bind(f(v), g))
     assert run_text(left, lo.LANG, "5\n") == run_text(right, lo.LANG, "5\n")
     assert run_text(left, lo.LANG, "5\n")[1] == "56"
+
+
+def test_binding_a_returned_value_applies_the_continuation_at_once():
+    rest = print_str("x")
+    seen = []
+    assert ret(3).bind(lambda x: seen.append(x) or rest) is rest
+    assert seen == [3]
+    assert ret(3).then(rest) is rest
+    assert isinstance(Instr(core.ReadInput()).bind(lambda _x: rest), Bind)
+    assert isinstance(rest.then(rest).bind(lambda _x: rest), Bind)
 
 
 def test_seq_runs_in_order_and_returns_the_last_result():
@@ -173,6 +184,26 @@ def test_cross_stage_values_are_internal_errors():
         run_text(Instr(GetRef(SymbolicRef(TypeTag.I32, "r0"))), lo.LANG)
     with pytest.raises(StageError):
         render_program(Instr(GetRef(ConcreteRef(TypeTag.I32, 5))))
+
+
+def test_interpret_refuses_a_non_program_node():
+    with pytest.raises(DslError, match="not a program node"):
+        interpret(lambda _cmd: None, print_str("a").then("nope"))
+
+
+def test_val_to_exp_refuses_a_non_value():
+    with pytest.raises(StageError, match="not a value"):
+        val_to_exp(lo.LANG, 3)
+
+
+def test_reexpress_refuses_a_non_program_node():
+    with pytest.raises(DslError, match="not a program node"):
+        reexpress(ret, "nope")
+
+
+def test_reexpress_refuses_a_non_instruction():
+    with pytest.raises(DslError, match="not an instruction"):
+        reexpress(ret, Instr("nope"))
 
 
 def test_reexpress_with_identity_translation_preserves_behaviour():

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from stagedsl import highexpr as hi, lowexpr as lo
+from stagedsl import highexpr as hi
 from stagedsl.cgen import have_c_compiler
 from stagedsl.cli import cli
 from stagedsl.core import for_loop, read_input, wrap_i32, write_output
-from stagedsl.examples import EXAMPLES, Example
+from stagedsl.examples import EXAMPLES
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -22,8 +22,6 @@ SRC = Path(__file__).parent.parent / "src"
 
 def test_registry_names_and_languages():
     assert set(EXAMPLES) == {"sumInput", "powerInput"}
-    assert EXAMPLES["sumInput"].lang is lo.LANG
-    assert EXAMPLES["powerInput"].lang is hi.LANG
 
 
 def test_list_prints_sorted_names(capsys):
@@ -145,14 +143,6 @@ def _script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_compile_examples_script_prints_both_back_ends():
-    proc = _script("compile_examples.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "=== powerInput [pseudo] ===" in proc.stdout
-    assert "=== sumInput [c] ===" in proc.stdout
-    assert (GOLDEN / "power_pseudo.txt").read_text() in proc.stdout
-
-
 @pytest.mark.skipif(not have_c_compiler(), reason="no C compiler on PATH")
 def test_c_differential_script_agrees_on_a_small_corpus():
     proc = _script("c_differential.py", "--count", "5")
@@ -166,7 +156,7 @@ def test_c_differential_takes_its_examples_from_the_registry(capsys, monkeypatch
     echo = for_loop(
         lang, hi.lit(3), lambda _i: read_input(lang).bind(lambda n: write_output(n * n))
     )
-    monkeypatch.setitem(EXAMPLES, "echoSquares", Example("echoSquares", lang, echo))
+    monkeypatch.setitem(EXAMPLES, "echoSquares", echo)
     monkeypatch.setattr(sys, "argv", ["c_differential.py", "--count", "0"])
     with pytest.raises(SystemExit) as done:
         runpy.run_path(str(SCRIPTS / "c_differential.py"), run_name="__main__")

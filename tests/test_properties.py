@@ -13,7 +13,7 @@ import pytest
 import support
 from stagedsl import highexpr as hi, lowexpr as lo
 from stagedsl.cgen import emit_c
-from stagedsl.core import TagError, interpret, ret, reexpress
+from stagedsl.core import Bind, Ret, TagError, interpret, ret, reexpress
 from stagedsl.pseudo import render_program
 from stagedsl.randprog import GenConfig, corpus, random_program
 from stagedsl.runtime import run_text
@@ -76,6 +76,13 @@ def test_right_nesting_changes_nothing_observable():
         )
         low, low_rotated = lower_program(gp.program), lower_program(rotated)
         assert render_program(low) == render_program(low_rotated)
+
+
+def test_lowering_binds_no_returned_value():
+    for gp in CORPUS:
+        for config in ALL_CONFIGS:
+            nodes = support.reached_nodes(lower_program(gp.program, config))
+            assert not [n for n in nodes if isinstance(n, Bind) and isinstance(n.first, Ret)]
 
 
 def test_generated_renders_allocate_names_in_first_use_order():

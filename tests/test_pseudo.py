@@ -6,6 +6,7 @@ import support
 from stagedsl import highexpr as hi, lowexpr as lo
 from stagedsl.core import (
     DslError,
+    Instr,
     for_loop,
     get_ref,
     init_ref,
@@ -84,6 +85,11 @@ def test_rendering_is_deterministic_and_repeatable():
 
 def test_empty_program_renders_as_empty_text():
     assert render_program(ret(None)) == ""
+
+
+def test_the_symbolic_walk_refuses_a_non_instruction():
+    with pytest.raises(DslError, match="not an instruction"):
+        render_program(Instr("nope"))
 
 
 def test_languages_without_a_renderer_are_rejected():

@@ -117,6 +117,11 @@ def test_symbolic_values_cannot_reach_the_runtime():
         run_text(Instr(GetRef(SymbolicRef(TypeTag.I32, "r0"))), lo.LANG)
 
 
+def test_the_runtime_refuses_a_non_instruction():
+    with pytest.raises(DslError, match="not an instruction"):
+        run_text(Instr("nope"), lo.LANG)
+
+
 def test_languages_without_evaluation_cannot_run():
     mute = Language(name="mute", const=lo.LANG.const, var=lo.LANG.var)
     with pytest.raises(DslError):
