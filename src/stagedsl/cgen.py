@@ -12,6 +12,7 @@ wraparound is defined behaviour rather than a compiler mood.
 from __future__ import annotations
 
 import os
+import shlex
 import shutil
 import subprocess
 from pathlib import Path
@@ -139,11 +140,16 @@ def emit_c(prog: Program) -> str:
 
 
 def c_compiler() -> str:
+    """The compiler command, $CC or cc: a program and any leading flags."""
     return os.environ.get("CC", "cc")
 
 
 def have_c_compiler() -> bool:
-    return shutil.which(c_compiler()) is not None
+    try:
+        words = shlex.split(c_compiler())
+    except ValueError:  # unbalanced quotes
+        return False
+    return bool(words) and shutil.which(words[0]) is not None
 
 
 def compile_c(source: str, workdir: Path, name: str = "prog") -> Path:
@@ -153,11 +159,11 @@ def compile_c(source: str, workdir: Path, name: str = "prog") -> Path:
     c_file = workdir / f"{name}.c"
     exe = workdir / name
     c_file.write_text(source)
-    proc = subprocess.run(
-        [c_compiler(), *STRICT_FLAGS, "-o", str(exe), str(c_file)],
-        capture_output=True,
-        text=True,
-    )
+    try:
+        command = [*shlex.split(c_compiler()), *STRICT_FLAGS, "-o", str(exe), str(c_file)]
+        proc = subprocess.run(command, capture_output=True, text=True)
+    except (OSError, ValueError) as err:
+        raise DslError(f"cannot start the C compiler CC={c_compiler()!r}: {err}") from None
     if proc.returncode != 0 or proc.stderr:
         raise DslError(f"C compile failed:\n{proc.stderr}")
     return exe

@@ -1,15 +1,17 @@
 """Deep embedding of imperative programs over a pluggable expression language.
 
-A program is a tree of Return / Bind / Instr nodes.  The instruction set is
-fixed (references, console input/output, counted loops); the expression
-language is not.  Anything that wants to consume a program, whether to run
-it, print it, or rewrite it into a program over a different expression
-language, does so by folding over the tree, and must behave identically no
-matter how the Bind nodes happen to be nested.
+A program is a tree of Ret / Bind / instruction nodes.  An instruction is
+its own program node: the seven instruction classes subclass Instr, itself a
+Program, so no wrapper stands between a Bind and the instruction it runs.
+The instruction set is fixed (references, console input/output, counted
+loops); the expression language is not.  Anything that wants to consume a
+program, whether to run it, print it, or rewrite it into a program over a
+different expression language, does so by folding over the tree, and must
+behave identically no matter how the Bind nodes happen to be nested.
 
 Binding a returned value applies the continuation at once, by return's
-left identity (ret(a).bind(f) is f(a)); binding a Bind or an Instr builds a
-Bind, whose continuation runs only when an interpretation reaches it.
+left identity (ret(a).bind(f) is f(a)); binding a Bind or an instruction
+builds a Bind, whose continuation runs only when an interpretation reaches it.
 
 Loop and continuation bodies are ordinary host functions.  They are
 instantiated with symbolic names when generating code, and also when the
@@ -94,80 +96,10 @@ Ref = ConcreteRef | SymbolicRef
 
 
 # --------------------------------------------------------------------------
-# Instructions.  Expression operands are duck-typed: anything with a .tag.
-# Tag checks happen here, when the instruction is built, so an ill-tagged
-# program can never reach an interpretation.
-
-@dataclass(frozen=True)
-class InitRef:
-    """Allocate a reference initialised to the expression's value."""
-
-    init: Any
-
-
-@dataclass(frozen=True)
-class GetRef:
-    """Yield the current value of a reference."""
-
-    ref: Ref
-
-
-@dataclass(frozen=True)
-class SetRef:
-    ref: Ref
-    value: Any
-
-    def __post_init__(self) -> None:
-        if self.ref.tag is not self.value.tag:
-            raise TagError(
-                f"setRef: reference holds {self.ref.tag.value}, "
-                f"expression has {self.value.tag.value}"
-            )
-
-
-@dataclass(frozen=True)
-class ReadInput:
-    """Read one line of input as a 32-bit integer."""
-
-
-@dataclass(frozen=True)
-class WriteOutput:
-    value: Any
-
-    def __post_init__(self) -> None:
-        if self.value.tag is not TypeTag.I32:
-            raise TagError(f"writeOutput: needs i32, got {self.value.tag.value}")
-
-
-@dataclass(frozen=True)
-class PrintStr:
-    text: str
-
-
-@dataclass(frozen=True)
-class ForLoop:
-    """Run body(counter) for counter = 0 .. count-1.
-
-    The body receives the counter as a Val and returns the program for one
-    iteration.  A non-positive count means zero iterations.
-    """
-
-    count: Any
-    body: Callable[[Val], "Program"]
-
-    def __post_init__(self) -> None:
-        if self.count.tag is not TypeTag.I32:
-            raise TagError(f"for: count must be i32, got {self.count.tag.value}")
-
-
-Instruction = InitRef | GetRef | SetRef | ReadInput | WriteOutput | PrintStr | ForLoop
-
-
-# --------------------------------------------------------------------------
 # Program trees.
 
 class Program:
-    """Base class for the three node shapes.
+    """Base class for the three node shapes: Ret, Bind and instructions.
 
     Interpretations may not inspect how Binds nest; the tree is built by
     whatever order the combinators were applied in, and equivalent
@@ -183,7 +115,7 @@ class Program:
 
 @dataclass(frozen=True)
 class Ret(Program):
-    value: Any
+    value: Any = None
 
     def bind(self, rest: Callable[[Any], Program]) -> Program:
         return rest(self.value)
@@ -195,27 +127,95 @@ class Bind(Program):
     rest: Callable[[Any], Program]
 
 
-@dataclass(frozen=True)
 class Instr(Program):
-    cmd: Instruction
+    """Base class of the seven instructions, each a program node itself."""
+
+    @property
+    def cmd(self) -> "Instr":
+        """The node itself, for walkers that read an instruction's cmd
+        (perfbench/oracle.py does)."""
+        return self
 
 
-def ret(value: Any = None) -> Program:
-    return Ret(value)
+# --------------------------------------------------------------------------
+# Instructions.  Expression operands are duck-typed: anything with a .tag.
+# Tag checks happen here, when the instruction is built, so an ill-tagged
+# program can never reach an interpretation.
+
+@dataclass(frozen=True)
+class InitRef(Instr):
+    """Allocate a reference initialised to the expression's value."""
+
+    init: Any
+
+
+@dataclass(frozen=True)
+class GetRef(Instr):
+    """Yield the current value of a reference."""
+
+    ref: Ref
+
+
+@dataclass(frozen=True)
+class SetRef(Instr):
+    ref: Ref
+    value: Any
+
+    def __post_init__(self) -> None:
+        if self.ref.tag is not self.value.tag:
+            raise TagError(
+                f"setRef: reference holds {self.ref.tag.value}, "
+                f"expression has {self.value.tag.value}"
+            )
+
+
+@dataclass(frozen=True)
+class ReadInput(Instr):
+    """Read one line of input as a 32-bit integer."""
+
+
+@dataclass(frozen=True)
+class WriteOutput(Instr):
+    value: Any
+
+    def __post_init__(self) -> None:
+        if self.value.tag is not TypeTag.I32:
+            raise TagError(f"writeOutput: needs i32, got {self.value.tag.value}")
+
+
+@dataclass(frozen=True)
+class PrintStr(Instr):
+    text: str
+
+
+@dataclass(frozen=True)
+class ForLoop(Instr):
+    """Run body(counter) for counter = 0 .. count-1.
+
+    The body receives the counter as a Val and returns the program for one
+    iteration.  A non-positive count means zero iterations.
+    """
+
+    count: Any
+    body: Callable[[Val], "Program"]
+
+    def __post_init__(self) -> None:
+        if self.count.tag is not TypeTag.I32:
+            raise TagError(f"for: count must be i32, got {self.count.tag.value}")
 
 
 def seq(*steps: Program) -> Program:
     """Run steps in order; the result is the last step's result."""
-    return functools.reduce(Program.then, steps, Ret(None))
+    return functools.reduce(Program.then, steps, Ret())
 
 
-def interpret(handler: Callable[[Instruction], Any], prog: Program) -> Any:
+def interpret(handler: Callable[[Instr], Any], prog: Program) -> Any:
     """Fold a program with a per-instruction handler.
 
-    Return nodes produce their value, Bind nodes sequence, Instr nodes go to
-    the handler, which performs whatever effect it stands for and returns the
-    instruction's result.  Iterative on the Bind spine, so only loop nesting
-    recurses (inside handlers that choose to).
+    Ret nodes produce their value, Bind nodes sequence, and an instruction
+    node is handed to the handler as it is; the handler performs whatever
+    effect it stands for and returns its result.  Iterative on the Bind
+    spine, so only loop nesting recurses (inside handlers that choose to).
     """
     pending: list[Callable[[Any], Program]] = []
     current = prog
@@ -227,7 +227,7 @@ def interpret(handler: Callable[[Instruction], Any], prog: Program) -> Any:
         if isinstance(current, Ret):
             result = current.value
         elif isinstance(current, Instr):
-            result = handler(current.cmd)
+            result = handler(current)
         else:
             raise DslError(f"not a program node: {current!r}")
         if not pending:
@@ -300,7 +300,7 @@ class SymbolicWalk:
             return ref.name
         raise StageError("live runtime reference reached the code generator")
 
-    def handle(self, cmd: Instruction):
+    def handle(self, cmd: Instr):
         match cmd:
             case InitRef(init):
                 name = self.fresh("r", init.tag)
@@ -357,30 +357,22 @@ def val_to_exp(lang: Language, val: Val) -> Any:
     raise StageError(f"not a value: {val!r}")
 
 
-def init_ref(init: Any) -> Program:
-    return Instr(InitRef(init))
+# constructors that only construct are the node classes themselves
+ret, init_ref, set_ref = Ret, InitRef, SetRef
+write_output, print_str = WriteOutput, PrintStr
 
 def get_ref(lang: Language, ref: Ref) -> Program:
-    return Instr(GetRef(ref)).bind(lambda val: Ret(val_to_exp(lang, val)))
-
-def set_ref(ref: Ref, value: Any) -> Program:
-    return Instr(SetRef(ref, value))
+    return GetRef(ref).bind(lambda val: Ret(val_to_exp(lang, val)))
 
 def modify_ref(lang: Language, ref: Ref, update: Callable[[Any], Any]) -> Program:
     return get_ref(lang, ref).bind(lambda e: set_ref(ref, update(e)))
 
 def read_input(lang: Language) -> Program:
-    return Instr(ReadInput()).bind(lambda val: Ret(val_to_exp(lang, val)))
-
-def write_output(value: Any) -> Program:
-    return Instr(WriteOutput(value))
-
-def print_str(text: str) -> Program:
-    return Instr(PrintStr(text))
+    return ReadInput().bind(lambda val: Ret(val_to_exp(lang, val)))
 
 def for_loop(lang: Language, count: Any, body: Callable[[Any], Program]) -> Program:
     """Counted loop; body receives the counter as an expression."""
-    return Instr(ForLoop(count, lambda val: body(val_to_exp(lang, val))))
+    return ForLoop(count, lambda val: body(val_to_exp(lang, val)))
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +394,7 @@ def reexpress(translate_expr: Callable[[Any], Program], prog: Program) -> Progra
         rests.append(prog.rest)
         prog = prog.first
     if isinstance(prog, Instr):
-        prog = reexpress_cmd(translate_expr, prog.cmd)
+        prog = reexpress_cmd(translate_expr, prog)
     elif not isinstance(prog, Ret):
         raise DslError(f"not a program node: {prog!r}")
     for rest in reversed(rests):
@@ -410,20 +402,18 @@ def reexpress(translate_expr: Callable[[Any], Program], prog: Program) -> Progra
     return prog
 
 
-def reexpress_cmd(translate_expr: Callable[[Any], Program], cmd: Instruction) -> Program:
+def reexpress_cmd(translate_expr: Callable[[Any], Program], cmd: Instr) -> Program:
     match cmd:
         case InitRef(init):
-            return translate_expr(init).bind(lambda e: Instr(InitRef(e)))
+            return translate_expr(init).bind(InitRef)
         case SetRef(ref, value):
-            return translate_expr(value).bind(lambda e: Instr(SetRef(ref, e)))
+            return translate_expr(value).bind(lambda e: SetRef(ref, e))
         case WriteOutput(value):
-            return translate_expr(value).bind(lambda e: Instr(WriteOutput(e)))
+            return translate_expr(value).bind(WriteOutput)
         case ForLoop(count, body):
             return translate_expr(count).bind(
-                lambda c: Instr(
-                    ForLoop(c, lambda val: reexpress(translate_expr, body(val)))
-                )
+                lambda c: ForLoop(c, lambda val: reexpress(translate_expr, body(val)))
             )
         case GetRef() | ReadInput() | PrintStr():
-            return Instr(cmd)
+            return cmd
     raise DslError(f"not an instruction: {cmd!r}")

@@ -5,8 +5,9 @@ Var, Lit, Add, Mul, Not, Eq, lit, eval_closed and compile_open are
 lowexpr's own objects, re-exported, so a low-language expression is already
 a rich one and both languages evaluate and compile through lowexpr's fold.
 This module adds only Let and Iter, their entries in the evaluation and
-compilation rule tables, and LANG, which is lowexpr's with its own name and
-no renderer.
+compilation rule tables, and LANG, which is lowexpr's with its own name.
+Its renderer is lowexpr's too, whose text table has no rule for Let or
+Iter, so a program prints only once its expressions are low.
 
 Both classes are binders: their rules instantiate the body when the fold
 reaches it.  Evaluation of closed expressions is the reference semantics:
@@ -117,4 +118,4 @@ def _compile_iter(e: Iter, scope: Scope) -> Iterator[Expr]:
 lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})
 lo.COMPILE.update({Let: _compile_let, Iter: _compile_iter})
 
-LANG = replace(lo.LANG, name="high", render=None)
+LANG = replace(lo.LANG, name="high")

@@ -36,7 +36,7 @@ from .core import (
     ForLoop,
     GetRef,
     InitRef,
-    Instruction,
+    Instr,
     Language,
     PrintStr,
     Program,
@@ -97,7 +97,7 @@ class _Runner(SymbolicWalk):
             text = ("-" if text[0] == "-" else "") + text[-32:]
         return wrap_i32(int(text))
 
-    def perform(self, cmd: Instruction):
+    def perform(self, cmd: Instr):
         match cmd:
             case InitRef(init):
                 return ConcreteRef(init.tag, self._eval(init))

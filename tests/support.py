@@ -54,11 +54,10 @@ def reached_nodes(prog) -> list:
         if isinstance(p, Bind):
             return walk(p.rest(walk(p.first)))
         assert isinstance(p, Instr)
-        cmd = p.cmd
-        if isinstance(cmd, ForLoop):
-            walk(cmd.body(SymbolicVal(I32, "v0")))
+        if isinstance(p, ForLoop):
+            walk(p.body(SymbolicVal(I32, "v0")))
             return None
-        return _placeholder(cmd)
+        return _placeholder(p)
 
     walk(prog)
     return nodes

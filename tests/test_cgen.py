@@ -1,6 +1,7 @@
 """The C backend: emitted shape, escaping, and the differential harness."""
 
 import re
+import shutil
 import subprocess
 import tempfile
 from pathlib import Path
@@ -14,6 +15,7 @@ from stagedsl import highexpr as hi, lowexpr as lo
 from stagedsl.cgen import c_escape, compile_c, emit_c, have_c_compiler
 from stagedsl.core import (
     DslError,
+    Instr,
     for_loop,
     get_ref,
     init_ref,
@@ -138,6 +140,34 @@ def _c_output(src: str, stdin_text: str, tmp_path, name: str) -> str:
 def test_compile_c_reports_the_compilers_rejection(tmp_path):
     with pytest.raises(DslError, match="C compile failed"):
         compile_c("int main(void) { return undeclared; }\n", tmp_path, "bad")
+
+
+def test_emit_c_refuses_a_non_instruction():
+    with pytest.raises(DslError, match="not an instruction"):
+        emit_c(print_str("a").then(Instr()))
+
+
+@needs_cc
+def test_cc_may_carry_flags_after_the_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("CC", f"{shutil.which('cc')} -O0")
+    assert have_c_compiler()
+    prog = read_input(lo.LANG).bind(lambda n: print_str("n=").then(write_output(n * n)))
+    assert _c_output(emit_c(prog), "7\n", tmp_path, "flags") == run_text(prog, lo.LANG, "7\n")[1]
+
+
+def test_cc_names_its_compiler_by_the_first_word(monkeypatch):
+    for unusable in ("/nonexistent/cc -O0", "", 'cc "-O0'):
+        monkeypatch.setenv("CC", unusable)
+        assert not have_c_compiler()
+
+
+def test_compile_c_without_a_compiler_raises_a_dsl_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with pytest.raises(DslError, match="CC='/nonexistent/cc'"):
+        compile_c(emit_c(print_str("a")), tmp_path, "none")
+    monkeypatch.setenv("CC", 'cc "-O0')
+    with pytest.raises(DslError, match="cannot start the C compiler"):
+        compile_c(emit_c(print_str("a")), tmp_path, "none")
 
 
 def _names_left_unread():

@@ -51,7 +51,7 @@ def test_bind_feeds_results_forward():
 
 
 def test_bind_rebracketing_is_invisible():
-    first = Instr(core.ReadInput())
+    first = core.ReadInput()
 
     def f(val):
         e = val_to_exp(lo.LANG, val)
@@ -72,7 +72,7 @@ def test_binding_a_returned_value_applies_the_continuation_at_once():
     assert ret(3).bind(lambda x: seen.append(x) or rest) is rest
     assert seen == [3]
     assert ret(3).then(rest) is rest
-    assert isinstance(Instr(core.ReadInput()).bind(lambda _x: rest), Bind)
+    assert isinstance(core.ReadInput().bind(lambda _x: rest), Bind)
     assert isinstance(rest.then(rest).bind(lambda _x: rest), Bind)
 
 
@@ -181,9 +181,54 @@ def test_write_and_for_insist_on_i32():
 
 def test_cross_stage_values_are_internal_errors():
     with pytest.raises(StageError):
-        run_text(Instr(GetRef(SymbolicRef(TypeTag.I32, "r0"))), lo.LANG)
+        run_text(GetRef(SymbolicRef(TypeTag.I32, "r0")), lo.LANG)
     with pytest.raises(StageError):
-        render_program(Instr(GetRef(ConcreteRef(TypeTag.I32, 5))))
+        render_program(GetRef(ConcreteRef(TypeTag.I32, 5)))
+
+
+def _one_of_each_instruction():
+    cell = SymbolicRef(TypeTag.I32, "r0")
+    return [
+        core.InitRef(lo.lit(1)),
+        GetRef(cell),
+        SetRef(cell, lo.lit(2)),
+        core.ReadInput(),
+        core.WriteOutput(lo.lit(3)),
+        core.PrintStr("a"),
+        ForLoop(lo.lit(2), lambda _v: ret()),
+    ]
+
+
+def test_interpret_hands_the_handler_the_instruction_node_itself():
+    for node in _one_of_each_instruction():
+        seen = []
+        assert interpret(lambda cmd: seen.append(cmd) or 5, node.bind(Ret)) == 5
+        assert len(seen) == 1 and seen[0] is node
+
+
+def test_constructors_that_only_construct_are_the_node_classes():
+    r = SymbolicRef(TypeTag.I32, "r0")
+    cases = [
+        (init_ref, (lo.lit(1),), core.InitRef),
+        (set_ref, (r, lo.lit(1)), SetRef),
+        (write_output, (lo.lit(1),), core.WriteOutput),
+        (print_str, ("a",), core.PrintStr),
+        (ret, (4,), Ret),
+    ]
+    for make, args, cls in cases:
+        assert make is cls
+        node = make(*args)
+        assert isinstance(node, cls) and isinstance(node, core.Program)
+    assert ret() == Ret(None)
+
+
+def test_reexpress_passes_operandless_instructions_through_as_they_are():
+    nodes = _one_of_each_instruction()
+    for node in nodes[1::2]:  # GetRef, ReadInput, PrintStr
+        assert reexpress(lambda e: ret(e), node) is node
+    for node in nodes[0:6:2]:  # InitRef, SetRef, WriteOutput: rebuilt, equal
+        same = reexpress(lambda e: ret(e), node)
+        assert same == node and same is not node
 
 
 def test_interpret_refuses_a_non_program_node():
@@ -203,7 +248,7 @@ def test_reexpress_refuses_a_non_program_node():
 
 def test_reexpress_refuses_a_non_instruction():
     with pytest.raises(DslError, match="not an instruction"):
-        reexpress(ret, Instr("nope"))
+        reexpress(ret, Instr())
 
 
 def test_reexpress_with_identity_translation_preserves_behaviour():

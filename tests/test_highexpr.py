@@ -131,8 +131,8 @@ def test_evaluators_and_language_record_are_the_low_languages_own():
 
     assert hi.eval_closed is lo.eval_closed
     assert hi.compile_open is lo.compile_open
-    # only the name and the missing renderer are the high language's own
-    assert hi.LANG == dataclasses.replace(lo.LANG, name="high", render=None)
+    # only the name is the high language's own
+    assert hi.LANG == dataclasses.replace(lo.LANG, name="high")
 
 
 def test_low_programs_give_the_same_transcript_under_either_language():

@@ -1,5 +1,7 @@
 """Statement shapes, quoting, indentation, and the fresh-name supply."""
 
+import dataclasses
+
 import pytest
 
 import support
@@ -17,7 +19,10 @@ from stagedsl.core import (
     set_ref,
     write_output,
 )
+from stagedsl.examples import power_input, sum_input
 from stagedsl.pseudo import quote_string, render_program
+from stagedsl.randprog import corpus
+from stagedsl.translate import lower_program
 
 
 def test_each_instruction_has_its_statement_shape():
@@ -89,9 +94,25 @@ def test_empty_program_renders_as_empty_text():
 
 def test_the_symbolic_walk_refuses_a_non_instruction():
     with pytest.raises(DslError, match="not an instruction"):
-        render_program(Instr("nope"))
+        render_program(Instr())
 
 
 def test_languages_without_a_renderer_are_rejected():
     with pytest.raises(DslError):
-        render_program(write_output(hi.lit(1)), hi.LANG)
+        render_program(write_output(hi.lit(1)), dataclasses.replace(lo.LANG, render=None))
+
+
+def test_the_high_language_prints_only_low_expressions():
+    let = hi.Let(hi.lit(1), lambda x: x + 1)
+    it = hi.Iter(hi.lit(2), hi.lit(1), lambda x: x * 3)
+    with pytest.raises(DslError, match="not a low expression: Let"):
+        render_program(write_output(let), hi.LANG)
+    with pytest.raises(DslError, match="not a low expression: Iter"):
+        render_program(init_ref(hi.lit(0)).then(write_output(it)), hi.LANG)
+
+
+def test_low_programs_print_the_same_under_either_language():
+    progs = [sum_input(), lower_program(power_input())]
+    progs += [lower_program(gp.program) for gp in corpus(seed=5, size=20)]
+    for prog in progs:
+        assert render_program(prog, hi.LANG) == render_program(prog, lo.LANG)

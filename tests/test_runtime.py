@@ -114,12 +114,12 @@ def test_loop_bound_is_evaluated_exactly_once():
 
 def test_symbolic_values_cannot_reach_the_runtime():
     with pytest.raises(StageError):
-        run_text(Instr(GetRef(SymbolicRef(TypeTag.I32, "r0"))), lo.LANG)
+        run_text(GetRef(SymbolicRef(TypeTag.I32, "r0")), lo.LANG)
 
 
 def test_the_runtime_refuses_a_non_instruction():
     with pytest.raises(DslError, match="not an instruction"):
-        run_text(Instr("nope"), lo.LANG)
+        run_text(Instr(), lo.LANG)
 
 
 def test_languages_without_evaluation_cannot_run():
@@ -246,7 +246,7 @@ def test_program_supplied_symbolic_refs_in_staged_loops_are_stage_errors():
 
     prog = for_loop(lo.LANG, lo.lit(2), body)
     assert _both(prog, lo.LANG) == (StageError, "a")
-    stray = Instr(GetRef(SymbolicRef(I32, "r0")))
+    stray = GetRef(SymbolicRef(I32, "r0"))
     get = for_loop(lo.LANG, lo.lit(2), lambda _i: print_str("b").then(stray))
     assert _both(get, lo.LANG) == (StageError, "b")
 
