@@ -18,7 +18,7 @@ import subprocess
 from pathlib import Path
 
 from . import core
-from .core import DslError, Program, SymbolicWalk, TypeTag
+from .core import STRING_ESCAPES, DslError, Program, SymbolicWalk, TypeTag
 from .lowexpr import Add, Eq, Expr, Lit, Mul, Not, Rules, Var, fold
 
 _C_TYPE = {TypeTag.I32: "int32_t", TypeTag.BOOL: "int"}
@@ -36,17 +36,8 @@ STRICT_FLAGS = [
 ]
 
 
-# Control characters and DEL as 3-digit octal, which a following digit
-# cannot extend; then the characters with a shorter escape.  "?" is escaped
-# so no trigraph can form.
-_C_STRING = {c: f"\\{c:03o}" for c in [*range(32), 127]} | {
-    ord("\\"): "\\\\",
-    ord('"'): '\\"',
-    ord("\n"): "\\n",
-    ord("\t"): "\\t",
-    ord("\r"): "\\r",
-    ord("?"): "\\?",
-}
+# The shared quoting, plus "?" so that no trigraph can form.
+_C_STRING = STRING_ESCAPES | {ord("?"): "\\?"}
 _C_FORMAT = _C_STRING | {ord("%"): "%%"}
 
 

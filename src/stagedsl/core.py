@@ -187,6 +187,14 @@ class WriteOutput(Instr):
 class PrintStr(Instr):
     text: str
 
+    def __post_init__(self) -> None:
+        try:  # the back ends write UTF-8, which has no lone surrogates
+            if isinstance(self.text, str) and (self.text.isascii() or self.text.encode()):
+                return
+        except UnicodeEncodeError:
+            pass
+        raise TagError(f"printStr: needs text that encodes as UTF-8, got {self.text!r}")
+
 
 @dataclass(frozen=True)
 class ForLoop(Instr):
@@ -262,6 +270,18 @@ class Scope:
 
     def __contains__(self, name: object) -> bool:
         return self._names.get(id(name)) is name
+
+
+# How the text back ends quote a print string: backslash, quote, \n, \t and
+# \r escaped short, every other control character and DEL as 3-digit octal,
+# which no digit after it extends.  So no quoted string spans lines.
+STRING_ESCAPES = {c: f"\\{c:03o}" for c in [*range(32), 127]} | {
+    ord("\\"): "\\\\",
+    ord('"'): '\\"',
+    ord("\n"): "\\n",
+    ord("\t"): "\\t",
+    ord("\r"): "\\r",
+}
 
 
 class SymbolicWalk:

@@ -1,26 +1,21 @@
 """Render programs as indented pseudo-code.
 
-One statement per instruction, loops as for/end-for blocks, the whole
-program indented one level.  The walk itself, with its fresh names,
-indentation and loop recursion, is core.SymbolicWalk, shared with the C
-back end; this module supplies only the text of each statement.
+One statement per instruction, each on one line, loops as for/end-for
+blocks, the whole program indented one level.  The walk itself, with its
+fresh names, indentation and loop recursion, is core.SymbolicWalk, shared
+with the C back end; this module supplies only the text of each statement.
 """
 
 from __future__ import annotations
 
 from . import lowexpr
-from .core import DslError, Language, Program, SymbolicWalk, interpret
+from .core import STRING_ESCAPES, DslError, Language, Program, SymbolicWalk, interpret
 
 
 def quote_string(s: str) -> str:
-    """Double-quote a string, escaping backslash, quote, newline and tab."""
-    out = (
-        s.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\t", "\\t")
-    )
-    return f'"{out}"'
+    """Double-quote a string by core.STRING_ESCAPES, the table C quotes by
+    too, so a control character never breaks a statement's line."""
+    return '"' + s.translate(STRING_ESCAPES) + '"'
 
 
 class _Pseudo(SymbolicWalk):

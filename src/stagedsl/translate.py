@@ -18,7 +18,6 @@ from typing import Callable, Iterator
 
 from . import highexpr as hi
 from . import lowexpr as lo
-from . import pseudo
 from .core import (
     Program,
     Ret,
@@ -132,7 +131,3 @@ def lower_program(prog: Program, config: TranslationConfig = DEFAULT_CONFIG) -> 
     """Lower every expression operand in a program."""
     return reexpress(lambda e: lower_expr(e, config), prog)
 
-
-def compile_pseudo(prog: Program, config: TranslationConfig = DEFAULT_CONFIG) -> str:
-    """Lower a rich-language program and render it as pseudo-code."""
-    return pseudo.render_program(lower_program(prog, config))

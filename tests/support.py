@@ -114,6 +114,20 @@ def fresh_suffixes_in_order(text: str) -> list[int]:
     return seen
 
 
+_QUOTED = re.compile(r'"((?:[^"\\]|\\[\\"ntr]|\\[0-7]{3})*)"')
+_ESCAPE = re.compile(r"\\([\\\"ntr]|[0-7]{3})")
+_SHORT = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+
+
+def unquote(quoted: str) -> str:
+    """The string a double-quoted print-string literal stands for.  Reads
+    \\\\ \\" \\n \\t \\r and 3-digit octal escapes by its own rules, not
+    by the printers' table, and refuses any other backslash or a bare quote."""
+    m = _QUOTED.fullmatch(quoted)
+    assert m, f"not a quoted string: {quoted!r}"
+    return _ESCAPE.sub(lambda e: _SHORT.get(e[1]) or chr(int(e[1], 8)), m[1])
+
+
 # --------------------------------------------------------------------------
 # First-order step templates: expressions in one hole, evaluable both as
 # rich-language trees and directly in Python.  Shapes:

@@ -29,7 +29,6 @@ from stagedsl.translate import (
     LetStrategy,
     TranslationConfig,
     UnrollPolicy,
-    compile_pseudo,
     lower_program,
 )
 
@@ -63,7 +62,7 @@ def criterion(n: int, capsys, limit: float | None, note: str):
 def test_criterion_1_power_pseudo_golden(capsys):
     golden = (GOLDEN / "power_pseudo.txt").read_text()
     with criterion(1, capsys, 1.0, "powerInput pseudo-code matches the golden file"):
-        assert compile_pseudo(power_input()) == golden
+        assert render_program(lower_program(power_input())) == golden
         rc = cli(["compile", "powerInput", "--backend", "pseudo"])
         assert rc == 0
         assert capsys.readouterr().out == golden

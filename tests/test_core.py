@@ -179,6 +179,12 @@ def test_write_and_for_insist_on_i32():
         for_loop(lo.LANG, lo.lit(False), lambda _i: ret(None))
 
 
+@pytest.mark.parametrize("text", [5, b"x", "\ud800"])
+def test_print_str_refuses_what_is_not_utf8_text_at_construction(text):
+    with pytest.raises(TagError, match="printStr: needs text that encodes as UTF-8"):
+        print_str(text)
+
+
 def test_cross_stage_values_are_internal_errors():
     with pytest.raises(StageError):
         run_text(GetRef(SymbolicRef(TypeTag.I32, "r0")), lo.LANG)

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import support
 from stagedsl import highexpr as hi, lowexpr as lo
@@ -43,7 +45,7 @@ def test_each_instruction_has_its_statement_shape():
     )
 
 
-def test_quote_string_escapes_exactly_four_characters():
+def test_quote_string_gives_backslash_quote_newline_and_tab_short_escapes():
     assert quote_string("") == '""'
     assert quote_string("plain") == '"plain"'
     assert quote_string(".\n") == '".\\n"'
@@ -51,6 +53,22 @@ def test_quote_string_escapes_exactly_four_characters():
     assert quote_string('say "hi"') == '"say \\"hi\\""'
     assert quote_string("back\\slash") == '"back\\\\slash"'
     assert quote_string('\\"\n\t') == '"\\\\\\"\\n\\t"'
+
+
+def test_quote_string_escapes_carriage_return_and_octal_control_characters():
+    assert quote_string("a\rb\x00c\x7f") == '"a\\rb\\000c\\177"'
+
+
+_QUOTING_ALPHABET = [*map(chr, range(32)), "\x7f", '"', "\\", "?", "%", "a", "\u00e9"]
+
+
+@given(st.text(st.sampled_from(_QUOTING_ALPHABET), max_size=12))
+def test_every_print_string_stays_on_its_statement_line(s):
+    text = render_program(seq(print_str(s), print_str("x")))
+    first, second = text.splitlines()
+    assert [c for c in text if ord(c) < 32 or ord(c) == 127] == ["\n", "\n"]
+    assert first.startswith("    printStr ") and second == '    printStr "x"'
+    assert support.unquote(first.removeprefix("    printStr ")) == s
 
 
 def test_loops_indent_their_bodies_one_level():

@@ -14,7 +14,6 @@ from stagedsl.translate import (
     LetStrategy,
     TranslationConfig,
     UnrollPolicy,
-    compile_pseudo,
     lower_expr,
     lower_program,
 )
@@ -188,12 +187,12 @@ def test_unrolling_agrees_with_direct_runs_at_extreme_halves(base, offset):
     assert transcripts[0][1] == str(max(wrap_i32(2 * k), 0))
 
 
-def test_compile_pseudo_reproduces_the_stored_power_listing():
+def test_lowered_power_input_renders_as_the_stored_power_listing():
     from pathlib import Path
     from stagedsl.examples import power_input
 
     golden = (Path(__file__).parent / "golden" / "power_pseudo.txt").read_text()
-    assert compile_pseudo(power_input()) == golden
+    assert render_program(lower_program(power_input())) == golden
 
 
 def test_ten_thousand_statement_sequences_lower_run_and_print():
