@@ -3,7 +3,8 @@
 Everything lives in one main().  The walk over the program is
 core.SymbolicWalk, shared with the pseudo-code back end, so variables get
 the same names there and here.  This module supplies the C text of each
-statement and records the declarations, all hoisted to the top of main.
+statement; the declarations, all hoisted to the top of main, are the names
+on the walk's Scope.
 An expression's text is a table of rules for lowexpr.fold, which has no
 rule for Let or Iter.  Arithmetic goes through unsigned casts so 32-bit
 wraparound is defined behaviour rather than a compiler mood.
@@ -62,18 +63,10 @@ _TEXT = Rules("cannot emit C for", {
 
 
 class _C(SymbolicWalk):
-    """Statement text for the shared symbolic walk, plus the declarations."""
+    """Statement text for the shared symbolic walk, whose scope holds the
+    names to declare."""
 
     loop_end = "}"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.decls: list[tuple[str, TypeTag]] = []
-
-    def fresh(self, prefix: str, tag: TypeTag) -> str:
-        name = super().fresh(prefix, tag)
-        self.decls.append((name, tag))
-        return name
 
     def expr(self, e: Expr) -> str:
         return fold(_TEXT, e)
@@ -109,6 +102,7 @@ def emit_c(prog: Program) -> str:
     expression language."""
     em = _C()
     core.interpret(em.handle, prog)
+    decls = em.scope.names
     lines = [
         "#include <stdint.h>",
         "#include <stdio.h>",
@@ -116,14 +110,14 @@ def emit_c(prog: Program) -> str:
         "int main(void)",
         "{",
     ]
-    for name, tag in em.decls:
+    for name, tag in decls:
         lines.append(f"    {_C_TYPE[tag]} {name} = 0;")
-    if em.decls and em.statements:
+    if decls and em.statements:
         lines.append("")
     lines.extend(em.statements)
     # a declared name may never be read (a write-only cell, an unused input
     # or counter); keep the strict compile quiet about every one of them
-    for name, _ in em.decls:
+    for name, _ in decls:
         lines.append(f"    (void){name};")
     lines.append("    return 0;")
     lines.append("}")

@@ -250,8 +250,9 @@ def interpret(handler: Callable[[Instr], Any], prog: Program) -> Any:
 # print them.
 
 class Scope:
-    """The names generated while staging one loop body, nested loops and
-    binders included.
+    """The one list of the names a walk generates, each with its tag, in
+    order of allocation; results, loop counters and compiled binders share
+    its counter, and the C back end declares every name on it.
 
     Staging instantiates a body once with generated names and compiles it to
     functions of an environment, a dict from those names to their current
@@ -261,15 +262,20 @@ class Scope:
     """
 
     def __init__(self) -> None:
-        self._names: dict[int, str] = {}
+        # keyed by id; holding each name keeps its id from being reused
+        self._names: dict[int, tuple[str, TypeTag]] = {}
 
-    def fresh(self, prefix: str) -> str:
+    def fresh(self, prefix: str, tag: TypeTag) -> str:
         name = f"{prefix}{len(self._names)}"
-        self._names[id(name)] = name
+        self._names[id(name)] = name, tag
         return name
 
+    @property
+    def names(self) -> list[tuple[str, TypeTag]]:
+        return list(self._names.values())
+
     def __contains__(self, name: object) -> bool:
-        return self._names.get(id(name)) is name
+        return id(name) in self._names
 
 
 # How the text back ends quote a print string: backslash, quote, \n, \t and
@@ -288,10 +294,11 @@ class SymbolicWalk:
     """The symbolic interpretation that every code generator shares.
 
     As an interpret() handler it names each instruction's result through
-    one Scope, so value ("v") and reference ("r") names share a counter and
-    their suffixes count 0, 1, 2, ... in order of appearance.  It indents
-    each statement by loop depth, refuses live runtime references, and walks
-    each loop body once, instantiated with its counter's name.
+    its scope, so value ("v") and reference ("r") names share a counter and
+    their suffixes count 0, 1, 2, ... in order of appearance; a back end
+    that needs the names reads them there.  It indents each statement by
+    loop depth, refuses live runtime references, and walks each loop body
+    once, instantiated with its counter's name.
 
     A back end subclasses it and supplies only its statements, one method
     per instruction kind (init_ref, get_ref, set_ref, read_input,
@@ -307,9 +314,6 @@ class SymbolicWalk:
         self.statements: list[Any] = []
         self.depth = 1
 
-    def fresh(self, prefix: str, tag: TypeTag) -> str:
-        return self.scope.fresh(prefix)
-
     def emit(self, text: str | None) -> None:
         if text is not None:
             self.statements.append("    " * self.depth + text)
@@ -323,18 +327,18 @@ class SymbolicWalk:
     def handle(self, cmd: Instr):
         match cmd:
             case InitRef(init):
-                name = self.fresh("r", init.tag)
+                name = self.scope.fresh("r", init.tag)
                 self.emit(self.init_ref(name, init))
                 return SymbolicRef(init.tag, name)
             case GetRef(ref):
                 source = self.reference(ref)
-                name = self.fresh("v", ref.tag)
+                name = self.scope.fresh("v", ref.tag)
                 self.emit(self.get_ref(name, source))
                 return SymbolicVal(ref.tag, name)
             case SetRef(ref, value):
                 self.emit(self.set_ref(self.reference(ref), value))
             case ReadInput():
-                name = self.fresh("v", TypeTag.I32)
+                name = self.scope.fresh("v", TypeTag.I32)
                 self.emit(self.read_input(name))
                 return SymbolicVal(TypeTag.I32, name)
             case WriteOutput(value):
@@ -342,7 +346,7 @@ class SymbolicWalk:
             case PrintStr(text):
                 self.emit(self.print_str(text))
             case ForLoop(count, body):
-                self.loop(self.fresh("v", TypeTag.I32), count, body)
+                self.loop(self.scope.fresh("v", TypeTag.I32), count, body)
             case _:
                 raise DslError(f"not an instruction: {cmd!r}")
         return None

@@ -87,7 +87,7 @@ def _eval_iter(e: Iter, _context: Any) -> Iterator[Expr]:
 
 def _compile_let(e: Let, scope: Scope) -> Iterator[Expr]:
     # the body is built once, over a fresh name
-    name = scope.fresh("x")
+    name = scope.fresh("x", e.shared.tag)
     fshared = yield e.shared
     fbody = yield e.body(Var(name, e.shared.tag))
 
@@ -100,7 +100,7 @@ def _compile_let(e: Let, scope: Scope) -> Iterator[Expr]:
 
 def _compile_iter(e: Iter, scope: Scope) -> Iterator[Expr]:
     # the step is built once, over a fresh name
-    name = scope.fresh("s")
+    name = scope.fresh("s", e.init.tag)
     fcount = yield e.count
     finit = yield e.init
     fstep = yield e.step(Var(name, e.init.tag))

@@ -2,9 +2,10 @@
 input scripts big enough to feed every read they can perform.
 
 Generation happens in two phases so the same program can be interpreted any
-number of times.  First all random decisions are taken and frozen into pure
-builder closures; then the builders assemble the tree, re-running
-deterministically whenever a loop or binder body is instantiated.
+number of times.  First one recursion per block takes every random decision,
+statement by statement, and freezes them into pure builder closures; then the
+builders assemble the tree, re-running deterministically whenever a loop or
+binder body is instantiated.
 
 Loop bounds and iteration counts are kept small and literal so no generated
 program can run away; literal pools elsewhere include extreme values to
@@ -148,7 +149,10 @@ def _block(
     expr_tags: list[TypeTag],
     n_stmts: int,
 ) -> tuple[BlockBuilder, int]:
-    """Builder for a statement block, plus the most reads it can perform."""
+    """Builder for a statement block, plus the most reads it can perform.
+    The first statement's kind takes its draws, then states the ref and expr
+    tags the rest of the block sees, the reads it adds, and make(rest), its
+    builder around the rest's; one call after it generates the rest."""
     if n_stmts <= 0:
         return (lambda refs, xs: ret(None)), 0
 
@@ -159,68 +163,63 @@ def _block(
         kinds += ["for", "for"]
     kind = rng.choice(kinds)
     depth = cfg.max_expr_depth
+    rest_refs, rest_exprs, reads = ref_tags, expr_tags, 0
 
     if kind == "print":
         text = rng.choice(PRINT_POOL)
-        rest, reads = _block(rng, cfg, loop_depth, ref_tags, expr_tags, n_stmts - 1)
-        return (lambda refs, xs: print_str(text).then(rest(refs, xs))), reads
+        make = lambda rest: lambda refs, xs: print_str(text).then(rest(refs, xs))
 
-    if kind == "write":
+    elif kind == "write":
         fe = _expr(rng, cfg, I32, depth, expr_tags)
-        rest, reads = _block(rng, cfg, loop_depth, ref_tags, expr_tags, n_stmts - 1)
-        return (lambda refs, xs: write_output(fe(xs)).then(rest(refs, xs))), reads
+        make = lambda rest: lambda refs, xs: write_output(fe(xs)).then(rest(refs, xs))
 
-    if kind == "read":
-        rest, reads = _block(rng, cfg, loop_depth, ref_tags, expr_tags + [I32], n_stmts - 1)
-        return (
+    elif kind == "read":
+        rest_exprs, reads = expr_tags + [I32], 1
+        make = lambda rest: (
             lambda refs, xs: read_input(hi.LANG).bind(lambda x: rest(refs, xs + [x]))
-        ), reads + 1
+        )
 
-    if kind == "init":
+    elif kind == "init":
         t = rng.choice([I32, I32, BOOL])
         fe = _expr(rng, cfg, t, depth, expr_tags)
-        rest, reads = _block(rng, cfg, loop_depth, ref_tags + [t], expr_tags, n_stmts - 1)
-        return (
+        rest_refs = ref_tags + [t]
+        make = lambda rest: (
             lambda refs, xs: init_ref(fe(xs)).bind(lambda r: rest(refs + [r], xs))
-        ), reads
+        )
 
-    if kind == "set":
+    elif kind == "set":
         i = rng.randrange(len(ref_tags))
         fe = _expr(rng, cfg, ref_tags[i], depth, expr_tags)
-        rest, reads = _block(rng, cfg, loop_depth, ref_tags, expr_tags, n_stmts - 1)
-        return (lambda refs, xs: set_ref(refs[i], fe(xs)).then(rest(refs, xs))), reads
+        make = lambda rest: lambda refs, xs: set_ref(refs[i], fe(xs)).then(rest(refs, xs))
 
-    if kind == "get":
+    elif kind == "get":
         i = rng.randrange(len(ref_tags))
-        rest, reads = _block(
-            rng, cfg, loop_depth, ref_tags, expr_tags + [ref_tags[i]], n_stmts - 1
-        )
-        return (
+        rest_exprs = expr_tags + [ref_tags[i]]
+        make = lambda rest: (
             lambda refs, xs: get_ref(hi.LANG, refs[i]).bind(lambda x: rest(refs, xs + [x]))
-        ), reads
+        )
 
-    if kind == "modify":
+    elif kind == "modify":
         i = rng.randrange(len(ref_tags))
         fe = _expr(rng, cfg, ref_tags[i], depth, expr_tags + [ref_tags[i]])
-        rest, reads = _block(rng, cfg, loop_depth, ref_tags, expr_tags, n_stmts - 1)
-        return (
-            lambda refs, xs: modify_ref(
-                hi.LANG, refs[i], lambda x: fe(xs + [x])
-            ).then(rest(refs, xs))
-        ), reads
+        make = lambda rest: lambda refs, xs: modify_ref(
+            hi.LANG, refs[i], lambda x: fe(xs + [x])
+        ).then(rest(refs, xs))
 
-    # for: a literal bound, occasionally negative to cover the no-run case
-    bound = rng.randrange(-1, cfg.max_loop_bound + 1)
-    body_len = rng.randrange(1, 4)
-    fbody, body_reads = _block(
-        rng, cfg, loop_depth - 1, ref_tags, expr_tags + [I32], body_len
-    )
-    rest, rest_reads = _block(rng, cfg, loop_depth, ref_tags, expr_tags, n_stmts - 1)
-    return (
-        lambda refs, xs: for_loop(
+    else:
+        # for: a literal bound, occasionally negative to cover the no-run case
+        bound = rng.randrange(-1, cfg.max_loop_bound + 1)
+        body_len = rng.randrange(1, 4)
+        fbody, body_reads = _block(
+            rng, cfg, loop_depth - 1, ref_tags, expr_tags + [I32], body_len
+        )
+        reads = max(bound, 0) * body_reads
+        make = lambda rest: lambda refs, xs: for_loop(
             hi.LANG, hi.lit(bound), lambda i: fbody(refs, xs + [i])
         ).then(rest(refs, xs))
-    ), max(bound, 0) * body_reads + rest_reads
+
+    rest, rest_reads = _block(rng, cfg, loop_depth, rest_refs, rest_exprs, n_stmts - 1)
+    return make(rest), reads + rest_reads
 
 
 def random_program(rng: random.Random, cfg: GenConfig = GenConfig()) -> GeneratedProgram:

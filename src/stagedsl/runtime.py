@@ -91,11 +91,10 @@ class _Runner(SymbolicWalk):
         if not _DECIMAL.fullmatch(text):
             raise InputError(f"not a decimal integer: {text!r}")
         self.reads += 1
-        if len(text) > 32:
-            # 2**32 divides 10**32, so only the last 32 digits count, and
-            # dropping the rest keeps int() within its digit limit
-            text = ("-" if text[0] == "-" else "") + text[-32:]
-        return wrap_i32(int(text))
+        # 2**32 divides 10**32, so only the last 32 digits count, and
+        # dropping the rest keeps int() within its digit limit
+        value = int(text.lstrip("+-")[-32:])
+        return wrap_i32(-value if text[0] == "-" else value)
 
     def perform(self, cmd: Instr):
         match cmd:
@@ -122,7 +121,7 @@ class _Runner(SymbolicWalk):
                     for k in range(n):
                         core.interpret(self.perform, body(ConcreteVal(TypeTag.I32, k)))
                 else:
-                    self.loop_step(self.fresh("v", TypeTag.I32), lambda env: n, body)({})
+                    self.loop_step(self.scope.fresh("v", TypeTag.I32), lambda env: n, body)({})
                 return None
         raise DslError(f"not an instruction: {cmd!r}")
 

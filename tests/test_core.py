@@ -13,6 +13,7 @@ from stagedsl.core import (
     GetRef,
     Instr,
     Ret,
+    Scope,
     SetRef,
     StageError,
     SymbolicRef,
@@ -190,6 +191,23 @@ def test_cross_stage_values_are_internal_errors():
         run_text(GetRef(SymbolicRef(TypeTag.I32, "r0")), lo.LANG)
     with pytest.raises(StageError):
         render_program(GetRef(ConcreteRef(TypeTag.I32, 5)))
+
+
+def test_scope_is_the_one_ordered_list_of_generated_names_and_tags():
+    scope = Scope()
+    made = [
+        scope.fresh("r", TypeTag.I32),
+        scope.fresh("v", TypeTag.BOOL),
+        scope.fresh("x", TypeTag.I32),
+        scope.fresh("s", TypeTag.BOOL),
+    ]
+    assert made == ["r0", "v1", "x2", "s3"]
+    assert scope.names == list(zip(made, [TypeTag.I32, TypeTag.BOOL] * 2))
+    assert all(name in scope for name in made)
+    # same text as a generated name, but not made by the scope
+    lookalike = "".join(["v", "1"])
+    assert lookalike == made[1] and lookalike is not made[1]
+    assert lookalike not in scope
 
 
 def _one_of_each_instruction():

@@ -200,14 +200,14 @@ def test_distinct_trees_render_distinctly(e1, e2):
 @given(any_expr, environments)
 def test_compiled_open_expressions_agree_with_environment_oracle(e, env):
     scope = Scope()
-    names = {n: scope.fresh(n) for n in env}
+    names = {n: scope.fresh(n, TypeTag.I32 if n in I32_VARS else TypeTag.BOOL) for n in env}
     compiled = lo.compile_open(rename(e, names), scope)
     assert compiled({names[n]: v for n, v in env.items()}) == eval_env(e, env)
 
 
 def test_compiled_free_variables_fail_when_evaluated_not_when_compiled():
     scope = Scope()
-    bound = scope.fresh("a")
+    bound = scope.fresh("a", TypeTag.I32)
     # same text as the generated name, but not generated by the scope
     e = lo.Add(lo.Var(bound, TypeTag.I32), lo.Var("a0", TypeTag.I32))
     assert bound == "a0"
