@@ -245,9 +245,9 @@ def interpret(handler: Callable[[Instr], Any], prog: Program) -> Any:
 
 # --------------------------------------------------------------------------
 # Expression-language capabilities, and the front end that is generic in
-# them.  A Language says how to build literals and variables, and optionally
-# how to evaluate closed expressions, how to compile open ones and how to
-# print them.
+# them.  A Language says how to build literals and variables, how to
+# evaluate closed expressions and how to print them, and optionally how to
+# compile open ones.
 
 class Scope:
     """The one list of the names a walk generates, each with its tag, in
@@ -361,23 +361,22 @@ class SymbolicWalk:
 
 @dataclass(frozen=True)
 class Language:
-    name: str
-    const: Callable[[TypeTag, Any], Any]
-    var: Callable[[TypeTag, str], Any]
-    eval_closed: Callable[[Any], Any] | None = None
-    render: Callable[[Any], str] | None = None
-    # compile(e, scope) gives fn(env), which evaluates e reading the names
-    # the scope generated from env, and raises as eval_closed would on
-    # anything else
+    const: Callable[[Any, TypeTag], Any]
+    var: Callable[[str, TypeTag], Any]
+    eval_closed: Callable[[Any], Any]
+    render: Callable[[Any], str]
+    # compile(e, scope) gives fn(env), which evaluates e reading the scope's
+    # names from env and raises as eval_closed would on anything else; None
+    # selects the reference path, which rebuilds a loop body on every trip
     compile: Callable[[Any, Scope], Callable[[dict[str, Any]], Any]] | None = None
 
 
 def val_to_exp(lang: Language, val: Val) -> Any:
     """Inject an instruction result back into an expression language."""
     if isinstance(val, ConcreteVal):
-        return lang.const(val.tag, val.value)
+        return lang.const(val.value, val.tag)
     if isinstance(val, SymbolicVal):
-        return lang.var(val.tag, val.name)
+        return lang.var(val.name, val.tag)
     raise StageError(f"not a value: {val!r}")
 
 

@@ -4,10 +4,10 @@ iterated application.
 Var, Lit, Add, Mul, Not, Eq, lit, eval_closed and compile_open are
 lowexpr's own objects, re-exported, so a low-language expression is already
 a rich one and both languages evaluate and compile through lowexpr's fold.
-This module adds only Let and Iter, their entries in the evaluation and
-compilation rule tables, and LANG, which is lowexpr's with its own name.
-Its renderer is lowexpr's too, whose text table has no rule for Let or
-Iter, so a program prints only once its expressions are low.
+This module adds only Let and Iter and their entries in the evaluation and
+compilation rule tables; LANG is lowexpr's LANG itself, whose text table
+has no rule for Let or Iter, so a program prints only once its
+expressions are low.
 
 Both classes are binders: their rules instantiate the body when the fold
 reaches it.  Evaluation of closed expressions is the reference semantics:
@@ -18,7 +18,7 @@ once with a generated variable instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterator
 
@@ -118,4 +118,4 @@ def _compile_iter(e: Iter, scope: Scope) -> Iterator[Expr]:
 lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})
 lo.COMPILE.update({Let: _compile_let, Iter: _compile_iter})
 
-LANG = replace(lo.LANG, name="high")
+LANG = lo.LANG

@@ -244,18 +244,9 @@ def render(e: Expr) -> str:
     return fold(_TEXT, e)
 
 
-def _const(tag: TypeTag, value: Any) -> Lit:
-    return Lit(value, tag)
-
-
-def _var(tag: TypeTag, name: str) -> Var:
-    return Var(name, tag)
-
-
 LANG = Language(
-    name="low",
-    const=_const,
-    var=_var,
+    const=Lit,
+    var=Var,
     eval_closed=eval_closed,
     render=render,
     compile=compile_open,

@@ -9,7 +9,7 @@ with the C back end; this module supplies only the text of each statement.
 from __future__ import annotations
 
 from . import lowexpr
-from .core import STRING_ESCAPES, DslError, Language, Program, SymbolicWalk, interpret
+from .core import STRING_ESCAPES, Language, Program, SymbolicWalk, interpret
 
 
 def quote_string(s: str) -> str:
@@ -51,8 +51,6 @@ class _Pseudo(SymbolicWalk):
 
 def render_program(prog: Program, lang: Language = lowexpr.LANG) -> str:
     """Emit a whole program.  The empty program renders as empty text."""
-    if lang.render is None:
-        raise DslError(f"language {lang.name!r} has no renderer")
     walk = _Pseudo(lang.render)
     interpret(walk.handle, prog)
     return "".join(line + "\n" for line in walk.statements)

@@ -1,8 +1,7 @@
 """Run programs against a line-oriented input source and a text sink.
 
-Works for any expression language that can evaluate closed expressions.
-Input and output are injectable, so tests can script a session; the CLI
-plugs in the process's stdio.
+Generic in the expression Language.  Input and output are injectable, so
+tests can script a session; the CLI plugs in the process's stdio.
 
 The interpreter is one object, a back end of core.SymbolicWalk.
 Straight-line code is performed instruction by instruction with concrete
@@ -19,7 +18,7 @@ trip's output instead of during it; every error from running an instruction
 surfaces where it would without staging.  A language with no `compile` gets
 the reference behaviour: the body is rebuilt and interpreted on every trip.
 An input line is an optionally signed decimal of any length, wrapped into
-32 bits.
+32 bits, padded only with the ASCII whitespace C's scanf skips.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class _Runner(SymbolicWalk):
         line = self._stdin.readline()
         if line == "":
             raise InputError("input exhausted")
-        text = line.strip()
+        text = line.strip(" \t\n\r\f\v")
         if not _DECIMAL.fullmatch(text):
             raise InputError(f"not a decimal integer: {text!r}")
         self.reads += 1
@@ -206,8 +205,6 @@ class _Runner(SymbolicWalk):
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:
     """Interpret a program.  Returns its result and the number of input
     lines consumed."""
-    if lang.eval_closed is None:
-        raise DslError(f"language {lang.name!r} cannot evaluate expressions")
     runner = _Runner(lang, stdin, stdout)
     result = core.interpret(runner.perform, prog)
     return result, runner.reads

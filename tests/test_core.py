@@ -155,8 +155,8 @@ def test_val_to_exp_injects_into_each_language():
 
 @pytest.mark.parametrize("lang", [lo.LANG, hi.LANG])
 def test_eval_of_injected_constant_is_identity(lang):
-    assert lang.eval_closed(lang.const(TypeTag.I32, -17)) == -17
-    assert lang.eval_closed(lang.const(TypeTag.BOOL, True)) is True
+    assert lang.eval_closed(lang.const(-17, TypeTag.I32)) == -17
+    assert lang.eval_closed(lang.const(True, TypeTag.BOOL)) is True
 
 
 def test_set_ref_tag_mismatch_fails_at_construction():

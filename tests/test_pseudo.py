@@ -1,7 +1,5 @@
 """Statement shapes, quoting, indentation, and the fresh-name supply."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -113,11 +111,6 @@ def test_empty_program_renders_as_empty_text():
 def test_the_symbolic_walk_refuses_a_non_instruction():
     with pytest.raises(DslError, match="not an instruction"):
         render_program(Instr())
-
-
-def test_languages_without_a_renderer_are_rejected():
-    with pytest.raises(DslError):
-        render_program(write_output(hi.lit(1)), dataclasses.replace(lo.LANG, render=None))
 
 
 def test_the_high_language_prints_only_low_expressions():

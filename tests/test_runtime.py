@@ -9,7 +9,6 @@ from stagedsl import highexpr as hi, lowexpr as lo, runtime
 from stagedsl.core import (
     ConcreteRef,
     DslError,
-    Language,
     StageError,
     SymbolicRef,
     TypeTag,
@@ -67,6 +66,11 @@ def test_read_rejects_garbage_naming_the_text():
         run_text(prog, lo.LANG, "\n")
     with pytest.raises(InputError, match="exhausted"):
         run_text(prog, lo.LANG, "")
+    # only ASCII whitespace pads a number, as under C's scanf
+    for line in ["\u00a07\n", "\x1c7\n"]:
+        with pytest.raises(InputError, match="7"):
+            run_text(prog, lo.LANG, line)
+    assert run_text(prog.bind(write_output), lo.LANG, "  42  \n")[1] == "42"
 
 
 # longer than the 4,300 digits int() accepts by default
@@ -122,12 +126,6 @@ def test_the_runtime_refuses_a_non_instruction():
         run_text(Instr(), lo.LANG)
 
 
-def test_languages_without_evaluation_cannot_run():
-    mute = Language(name="mute", const=lo.LANG.const, var=lo.LANG.var)
-    with pytest.raises(DslError):
-        run_text(write_output(lo.lit(1)), mute)
-
-
 def test_run_reports_result_and_consumed_lines():
     result, reads = run(ret(5), lo.LANG, io.StringIO(""), io.StringIO())
     assert (result, reads) == (5, 0)
@@ -166,10 +164,10 @@ def test_a_loop_that_never_runs_never_builds_its_body(bound):
         raise AssertionError("body built")
 
     for lang in (lo.LANG, hi.LANG):
-        prog = for_loop(lang, lang.const(I32, bound), body)
+        prog = for_loop(lang, lang.const(bound, I32), body)
         assert _both(prog, lang) == (None, "", 0)
-        inner = for_loop(lang, lang.const(I32, bound), body)
-        nested = for_loop(lang, lang.const(I32, 2), lambda _i: inner)
+        inner = for_loop(lang, lang.const(bound, I32), body)
+        nested = for_loop(lang, lang.const(2, I32), lambda _i: inner)
         assert _both(nested, lang) == (None, "", 0)
 
 
@@ -209,8 +207,28 @@ def test_init_ref_in_a_staged_loop_makes_a_fresh_cell_every_trip(monkeypatch):
 
 def test_nested_loop_bounded_by_the_outer_counter():
     for lang in (lo.LANG, hi.LANG):
-        prog = for_loop(lang, lang.const(I32, 4), lambda i: for_loop(lang, i, write_output))
+        prog = for_loop(lang, lang.const(4, I32), lambda i: for_loop(lang, i, write_output))
         assert _both(prog, lang) == (None, "001012", 0)
+
+
+def test_a_staged_loop_builds_its_body_and_binder_bodies_once():
+    built = {"body": 0, "step": 0}
+
+    def step(x):
+        built["step"] += 1
+        return x * 3
+
+    def body(i):
+        built["body"] += 1
+        return write_output(hi.Iter(hi.lit(4), i, step)).then(print_str(" "))
+
+    prog = for_loop(hi.LANG, hi.lit(5), body)
+    # staged: the step is built for Iter's tag check and once to compile it
+    # reference: a tag check and four trips per Iter, on all five trips
+    for lang, counts in [(hi.LANG, (1, 2)), (_reference(hi.LANG), (5, 25))]:
+        built.update(body=0, step=0)
+        assert run_text(prog, lang) == (None, "0 81 162 243 324 ", 0)
+        assert (built["body"], built["step"]) == counts
 
 
 @pytest.mark.parametrize("name", ["v0", "r1", "v2"])
