@@ -6,6 +6,7 @@ flags, feeds both sides the same scripted stdin, and compares stdout bytes.
 Every bundled example is always included, lowered like the rest and fed
 one input script long enough for each of them.  Runs every case, prints one
 summary line, and exits 1 if any case mismatched or failed to compile.
+disagreement() is the one comparison; the tests that run emitted C call it.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from stagedsl import lowexpr as lo
 from stagedsl.cgen import c_compiler, compile_c, emit_c, have_c_compiler
-from stagedsl.core import DslError
+from stagedsl.core import DslError, Program
 from stagedsl.examples import EXAMPLES
 from stagedsl.randprog import corpus
 from stagedsl.runtime import run_text
@@ -24,6 +25,27 @@ from stagedsl.translate import lower_program
 
 # enough lines for every bundled example: sumInput reads four, powerInput two
 EXAMPLE_INPUT = "3\n4\n5\n6\n"
+
+
+def disagreement(low: Program, stdin_text: str, workdir: Path, name: str = "prog") -> str | None:
+    """Compile a low program's C in workdir and run it on stdin_text.  None
+    when it exits 0 having printed the interpreter's output byte for byte;
+    otherwise a short report: the compile failure, or both outputs and the
+    exit status."""
+    source = emit_c(low)
+    try:
+        exe = compile_c(source, workdir, name)
+    except DslError as err:
+        return f"{name}: compile FAILED: {err}"
+    proc = subprocess.run([str(exe)], input=stdin_text.encode(), capture_output=True, timeout=60)
+    expected = run_text(low, lo.LANG, stdin_text)[1].encode()
+    if proc.returncode == 0 and proc.stdout == expected:
+        return None
+    return (
+        f"{name}: MISMATCH\n"
+        f"  interpreter: {expected!r}\n"
+        f"  compiled:    {proc.stdout!r} (rc {proc.returncode})"
+    )
 
 
 def main() -> int:
@@ -43,28 +65,13 @@ def main() -> int:
 
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
         for name, low, stdin_text in cases:
-            source = emit_c(low)
-            try:
-                exe = compile_c(source, workdir, name=name)
-            except DslError as err:
+            report = disagreement(low, stdin_text, Path(tmp), name)
+            if report is not None:
                 failures += 1
-                print(f"{name}: compile FAILED: {err}")
+                print(report)
                 if args.keep:
-                    print(source)
-                continue
-            proc = subprocess.run(
-                [str(exe)], input=stdin_text.encode(), capture_output=True, timeout=30
-            )
-            _, expected, _ = run_text(low, lo.LANG, stdin_text)
-            if proc.returncode != 0 or proc.stdout.decode() != expected:
-                failures += 1
-                print(f"{name}: MISMATCH")
-                print(f"  interpreter: {expected!r}")
-                print(f"  compiled:    {proc.stdout.decode()!r} (rc {proc.returncode})")
-                if args.keep:
-                    print(source)
+                    print(emit_c(low))
 
     total = len(cases)
     print(f"{total - failures}/{total} programs agree ({c_compiler()}, strict C99)")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import core
 from .core import STRING_ESCAPES, DslError, Program, SymbolicWalk, TypeTag
-from .lowexpr import Add, Eq, Expr, Lit, Mul, Not, Rules, Var, fold
+from .lowexpr import Add, Eq, Expr, Lit, Mul, Not, Rules, Var, _unbound, fold
 
 _C_TYPE = {TypeTag.I32: "int32_t", TypeTag.BOOL: "int"}
 
@@ -53,7 +53,9 @@ def _c_lit(e: Lit, _context) -> str:
 
 
 _TEXT = Rules("cannot emit C for", {
-    Var: lambda e, _: e.name,
+    # only the names the walk declared exist in C; the rest are unbound, as
+    # under closed evaluation
+    Var: lambda e, scope: e.name if e.name in scope else _unbound(e, scope),
     Lit: _c_lit,
     Add: "(int32_t)((uint32_t){} + (uint32_t){})".format,
     Mul: "(int32_t)((uint32_t){} * (uint32_t){})".format,
@@ -69,7 +71,7 @@ class _C(SymbolicWalk):
     loop_end = "}"
 
     def expr(self, e: Expr) -> str:
-        return fold(_TEXT, e)
+        return fold(_TEXT, e, self.scope)
 
     def init_ref(self, name: str, init) -> str:
         return f"{name} = {self.expr(init)};"

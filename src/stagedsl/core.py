@@ -53,8 +53,8 @@ class TagError(DslError):
 
 class StageError(DslError):
     """A value crossed stages: a symbolic name reached the runtime
-    interpreter, or a live runtime cell reached a code generator.  Always a
-    bug in an interpretation, never in user programs."""
+    interpreter, a live runtime cell reached a code generator, or a
+    reference the program made up itself reached either."""
 
 
 class UnboundVariableError(DslError):
@@ -297,8 +297,8 @@ class SymbolicWalk:
     its scope, so value ("v") and reference ("r") names share a counter and
     their suffixes count 0, 1, 2, ... in order of appearance; a back end
     that needs the names reads them there.  It indents each statement by
-    loop depth, refuses live runtime references, and walks each loop body
-    once, instantiated with its counter's name.
+    loop depth, refuses references it did not generate, and walks each
+    loop body once, instantiated with its counter's name.
 
     A back end subclasses it and supplies only its statements, one method
     per instruction kind (init_ref, get_ref, set_ref, read_input,
@@ -319,10 +319,11 @@ class SymbolicWalk:
             self.statements.append("    " * self.depth + text)
 
     def reference(self, ref: Ref) -> Any:
-        """What a statement refers to a reference by: its name."""
-        if isinstance(ref, SymbolicRef):
+        """What a statement refers to a reference by: its name, which this
+        walk must have generated."""
+        if isinstance(ref, SymbolicRef) and ref.name in self.scope:
             return ref.name
-        raise StageError("live runtime reference reached the code generator")
+        raise StageError(f"reference {ref!r} was not generated by this walk")
 
     def handle(self, cmd: Instr):
         match cmd:

@@ -2,7 +2,6 @@
 
 import re
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -11,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from stagedsl import highexpr as hi, lowexpr as lo
+from c_differential import disagreement
+from stagedsl import lowexpr as lo
 from stagedsl.cgen import c_escape, compile_c, emit_c, have_c_compiler
 from stagedsl.core import (
     DslError,
@@ -127,15 +127,6 @@ def test_c_names_match_the_pseudo_code_names():
     assert pseudo_names == c_names
 
 
-def _c_output(src: str, stdin_text: str, tmp_path, name: str) -> str:
-    exe = compile_c(src, tmp_path, name)
-    proc = subprocess.run(
-        [str(exe)], input=stdin_text, capture_output=True, text=True, timeout=30
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 @needs_cc
 def test_compile_c_reports_the_compilers_rejection(tmp_path):
     with pytest.raises(DslError, match="C compile failed"):
@@ -152,7 +143,7 @@ def test_cc_may_carry_flags_after_the_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("CC", f"{shutil.which('cc')} -O0")
     assert have_c_compiler()
     prog = read_input(lo.LANG).bind(lambda n: print_str("n=").then(write_output(n * n)))
-    assert _c_output(emit_c(prog), "7\n", tmp_path, "flags") == run_text(prog, lo.LANG, "7\n")[1]
+    assert disagreement(prog, "7\n", tmp_path, "flags") is None
 
 
 def test_cc_names_its_compiler_by_the_first_word(monkeypatch):
@@ -205,9 +196,7 @@ def test_every_declared_name_is_voided_exactly_once(make):
 @needs_cc
 @pytest.mark.parametrize("make", [_names_left_unread, _names_all_read])
 def test_read_and_unread_names_compile_strictly_and_match_the_interpreter(tmp_path, make):
-    prog = make()
-    want = run_text(prog, lo.LANG, "5\n")[1]
-    assert _c_output(emit_c(prog), "5\n", tmp_path, "void") == want
+    assert disagreement(make(), "5\n", tmp_path, "void") is None
 
 
 @needs_cc
@@ -217,8 +206,7 @@ def test_compiled_examples_match_the_interpreter(tmp_path):
         ("power", lower_program(power_input()), "3\n4\n"),
         ("power2", lower_program(power_input()), "2\n10\n"),
     ]:
-        _, want, _ = run_text(prog, lo.LANG, stdin_text)
-        assert _c_output(emit_c(prog), stdin_text, tmp_path, name) == want
+        assert disagreement(prog, stdin_text, tmp_path, name) is None
 
 
 @needs_cc
@@ -232,33 +220,28 @@ def test_compiled_wraparound_matches_the_interpreter(tmp_path):
     )
     _, want, _ = run_text(prog, lo.LANG)
     assert want == "-2147483648 -2 -2147483648"
-    assert _c_output(emit_c(prog), "", tmp_path, "wrap") == want
+    assert disagreement(prog, "", tmp_path, "wrap") is None
 
 
 @needs_cc
 def test_compiled_code_survives_negative_loop_bounds(tmp_path):
     prog = for_loop(lo.LANG, lo.lit(-5), lambda _i: write_output(lo.lit(1)))
-    assert _c_output(emit_c(prog), "", tmp_path, "neg") == ""
+    assert run_text(prog, lo.LANG)[1] == ""
+    assert disagreement(prog, "", tmp_path, "neg") is None
 
 
 @needs_cc
 @pytest.mark.parametrize("text", ["a??!b", "x\ry", "a\x01b", "q?\x1b[0m?\x7f"])
 def test_compiled_print_strings_match_the_interpreter_byte_for_byte(tmp_path, text):
     prog = seq(print_str(text), write_output(lo.lit(1)))
-    exe = compile_c(emit_c(prog), tmp_path, "strings")
-    proc = subprocess.run([str(exe)], capture_output=True, timeout=30)
-    assert proc.returncode == 0
-    assert proc.stdout == run_text(prog, lo.LANG)[1].encode()
+    assert disagreement(prog, "", tmp_path, "strings") is None
 
 
 @needs_cc
 @pytest.mark.parametrize("text", ["a\0b", "\0", "%\0%d\0"])
 def test_print_strings_holding_nul_match_the_interpreter_byte_for_byte(tmp_path, text):
     prog = seq(print_str(text), print_str("50%\n"), write_output(lo.lit(1)))
-    exe = compile_c(emit_c(prog), tmp_path, "nul")
-    proc = subprocess.run([str(exe)], capture_output=True, timeout=30)
-    assert proc.returncode == 0
-    assert proc.stdout == run_text(prog, lo.LANG)[1].encode()
+    assert disagreement(prog, "", tmp_path, "nul") is None
 
 
 def test_only_strings_holding_nul_leave_printf():
@@ -283,7 +266,4 @@ c_texts = st.lists(st.sampled_from(C_STRING_PIECES), max_size=8).map("".join)
 def test_compiled_generated_print_strings_match_the_interpreter_byte_for_byte(texts):
     prog = seq(*(print_str(t) for t in texts), write_output(lo.lit(7)))
     with tempfile.TemporaryDirectory() as tmp:
-        exe = compile_c(emit_c(prog), Path(tmp), "texts")
-        proc = subprocess.run([str(exe)], capture_output=True, timeout=30)
-    assert proc.returncode == 0
-    assert proc.stdout == run_text(prog, lo.LANG)[1].encode()
+        assert disagreement(prog, "", Path(tmp), "texts") is None

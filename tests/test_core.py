@@ -1,9 +1,11 @@
 """Program trees, the generic fold, the front end, and operand translation."""
 
+import dataclasses
+
 import pytest
 
 import support
-from stagedsl import core, highexpr as hi, lowexpr as lo
+from stagedsl import core, highexpr as hi, lowexpr as lo, randprog
 from stagedsl.core import (
     Bind,
     ConcreteRef,
@@ -320,3 +322,24 @@ def test_instructions_pass_through_reexpress_in_order():
     same = reexpress(lambda e: ret(e), prog)
     assert run_text(same, lo.LANG, "9\n") == run_text(prog, lo.LANG, "9\n")
     assert support.fold_count(same) == support.fold_count(prog)
+
+
+def test_the_package_api_the_benchmark_reads_stays():
+    # perfbench/ reads an instruction's cmd, hands loop bodies concrete
+    # counters, swaps the evaluator and renderer, builds GeneratedProgram
+    node = print_str("a")
+    assert node.cmd is node
+    seen = []
+    for_loop(lo.LANG, lo.lit(3), seen.append).body(ConcreteVal(TypeTag.I32, 2))
+    assert seen == [lo.Lit(2, TypeTag.I32)]
+    calls = []
+    lang = dataclasses.replace(
+        lo.LANG,
+        eval_closed=lambda e: calls.append("eval") or 4,
+        render=lambda e: calls.append("render") or "four",
+    )
+    prog = write_output(lo.lit(1))
+    assert run_text(prog, lang)[1] == "4" and calls == ["eval"]
+    assert render_program(prog, lang) == "    writeOutput four\n" and calls == ["eval", "render"]
+    gp = randprog.GeneratedProgram(prog, "5\n", 1)
+    assert (gp.program, gp.input_text, gp.max_reads) == (prog, "5\n", 1)

@@ -19,10 +19,7 @@ from stagedsl.core import (
     set_ref,
     write_output,
 )
-from stagedsl.examples import power_input, sum_input
 from stagedsl.pseudo import quote_string, render_program
-from stagedsl.randprog import corpus
-from stagedsl.translate import lower_program
 
 
 def test_each_instruction_has_its_statement_shape():
@@ -120,10 +117,3 @@ def test_the_high_language_prints_only_low_expressions():
         render_program(write_output(let), hi.LANG)
     with pytest.raises(DslError, match="not a low expression: Iter"):
         render_program(init_ref(hi.lit(0)).then(write_output(it)), hi.LANG)
-
-
-def test_low_programs_print_the_same_under_either_language():
-    progs = [sum_input(), lower_program(power_input())]
-    progs += [lower_program(gp.program) for gp in corpus(seed=5, size=20)]
-    for prog in progs:
-        assert render_program(prog, hi.LANG) == render_program(prog, lo.LANG)

@@ -6,6 +6,7 @@ import io
 import pytest
 
 from stagedsl import highexpr as hi, lowexpr as lo, runtime
+from stagedsl.cgen import emit_c
 from stagedsl.core import (
     ConcreteRef,
     DslError,
@@ -28,6 +29,7 @@ from stagedsl.core import (
     write_output,
 )
 from stagedsl.examples import power_input, sum_input
+from stagedsl.pseudo import render_program
 from stagedsl.runtime import InputError, run, run_text
 
 
@@ -163,12 +165,10 @@ def test_a_loop_that_never_runs_never_builds_its_body(bound):
     def body(_i):
         raise AssertionError("body built")
 
-    for lang in (lo.LANG, hi.LANG):
-        prog = for_loop(lang, lang.const(bound, I32), body)
-        assert _both(prog, lang) == (None, "", 0)
-        inner = for_loop(lang, lang.const(bound, I32), body)
-        nested = for_loop(lang, lang.const(2, I32), lambda _i: inner)
-        assert _both(nested, lang) == (None, "", 0)
+    prog = for_loop(lo.LANG, lo.lit(bound), body)
+    assert _both(prog, lo.LANG) == (None, "", 0)
+    nested = for_loop(lo.LANG, lo.lit(2), lambda _i: prog)
+    assert _both(nested, lo.LANG) == (None, "", 0)
 
 
 def test_reads_inside_staged_loops_are_counted_per_trip():
@@ -206,9 +206,8 @@ def test_init_ref_in_a_staged_loop_makes_a_fresh_cell_every_trip(monkeypatch):
 
 
 def test_nested_loop_bounded_by_the_outer_counter():
-    for lang in (lo.LANG, hi.LANG):
-        prog = for_loop(lang, lang.const(4, I32), lambda i: for_loop(lang, i, write_output))
-        assert _both(prog, lang) == (None, "001012", 0)
+    prog = for_loop(lo.LANG, lo.lit(4), lambda i: for_loop(lo.LANG, i, write_output))
+    assert _both(prog, lo.LANG) == (None, "001012", 0)
 
 
 def test_a_staged_loop_builds_its_body_and_binder_bodies_once():
@@ -243,6 +242,10 @@ def test_generated_names_never_resolve_a_programs_own_variable(name):
 
     prog = for_loop(lo.LANG, lo.lit(2), body)
     assert _both(prog, lo.LANG) == (UnboundVariableError, "a")
+    with pytest.raises(UnboundVariableError, match=f"unbound variable {name}"):
+        emit_c(prog)
+    # pseudo-code prints the variable as written, since render takes no scope
+    assert f"writeOutput {name}" in render_program(prog)
 
 
 def test_high_binders_in_staged_loops_keep_free_variables_unbound():
@@ -267,6 +270,10 @@ def test_program_supplied_symbolic_refs_in_staged_loops_are_stage_errors():
     stray = GetRef(SymbolicRef(I32, "r0"))
     get = for_loop(lo.LANG, lo.lit(2), lambda _i: print_str("b").then(stray))
     assert _both(get, lo.LANG) == (StageError, "b")
+    for printer in (emit_c, render_program):
+        for foreign in (prog, get):
+            with pytest.raises(StageError, match="not generated by this walk"):
+                printer(foreign)
 
 
 def test_long_decimals_read_inside_a_staged_loop_match_the_reference():
