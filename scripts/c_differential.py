@@ -5,11 +5,13 @@ Generates random programs, lowers them, compiles the emitted C under strict
 flags, feeds both sides the same scripted stdin, and compares stdout bytes.
 Every bundled example is always included, lowered like the rest and fed
 one input script long enough for each of them.  Runs every case, prints one
-summary line, and exits 1 if any case mismatched or failed to compile.
+summary line, and exits 1 if any case mismatched, failed to compile, or
+made the interpreter raise (reported as a disagreement like the others).
 disagreement() is the one comparison; the tests that run emitted C call it.
 """
 
 import argparse
+import io
 import subprocess
 import sys
 import tempfile
@@ -20,7 +22,7 @@ from stagedsl.cgen import c_compiler, compile_c, emit_c, have_c_compiler
 from stagedsl.core import DslError, Program
 from stagedsl.examples import EXAMPLES
 from stagedsl.randprog import corpus
-from stagedsl.runtime import run_text
+from stagedsl.runtime import run
 from stagedsl.translate import lower_program
 
 # enough lines for every bundled example: sumInput reads four, powerInput two
@@ -29,21 +31,28 @@ EXAMPLE_INPUT = "3\n4\n5\n6\n"
 
 def disagreement(low: Program, stdin_text: str, workdir: Path, name: str = "prog") -> str | None:
     """Compile a low program's C in workdir and run it on stdin_text.  None
-    when it exits 0 having printed the interpreter's output byte for byte;
-    otherwise a short report: the compile failure, or both outputs and the
-    exit status."""
+    when the interpreter runs without error and the binary exits 0 having
+    printed the interpreter's output byte for byte; otherwise a short
+    report: the compile failure, or the interpreter's error if it raised,
+    both outputs (the interpreter's up to its error) and the exit status."""
     source = emit_c(low)
     try:
         exe = compile_c(source, workdir, name)
     except DslError as err:
         return f"{name}: compile FAILED: {err}"
     proc = subprocess.run([str(exe)], input=stdin_text.encode(), capture_output=True, timeout=60)
-    expected = run_text(low, lo.LANG, stdin_text)[1].encode()
-    if proc.returncode == 0 and proc.stdout == expected:
-        return None
+    out = io.StringIO()
+    try:
+        run(low, lo.LANG, io.StringIO(stdin_text), out)
+    except DslError as err:
+        verdict = f"interpreter raised {type(err).__name__}: {err}"
+    else:
+        if proc.returncode == 0 and proc.stdout == out.getvalue().encode():
+            return None
+        verdict = "MISMATCH"
     return (
-        f"{name}: MISMATCH\n"
-        f"  interpreter: {expected!r}\n"
+        f"{name}: {verdict}\n"
+        f"  interpreter: {out.getvalue().encode()!r}\n"
         f"  compiled:    {proc.stdout!r} (rc {proc.returncode})"
     )
 

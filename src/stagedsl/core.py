@@ -65,13 +65,13 @@ class UnboundVariableError(DslError):
 # Staged values.  Instructions yield Vals and Refs; each is either a live
 # runtime object (concrete) or a generated name (symbolic).
 
-@dataclass(frozen=True)
+@dataclass
 class ConcreteVal:
     tag: TypeTag
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass
 class SymbolicVal:
     tag: TypeTag
     name: str
@@ -85,7 +85,7 @@ class ConcreteRef:
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass
 class SymbolicRef:
     tag: TypeTag
     name: str
@@ -113,7 +113,7 @@ class Program:
         return self.bind(lambda _result: nxt)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Ret(Program):
     value: Any = None
 
@@ -121,7 +121,7 @@ class Ret(Program):
         return rest(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Bind(Program):
     first: Program
     rest: Callable[[Any], Program]
@@ -142,21 +142,21 @@ class Instr(Program):
 # Tag checks happen here, when the instruction is built, so an ill-tagged
 # program can never reach an interpretation.
 
-@dataclass(frozen=True)
+@dataclass
 class InitRef(Instr):
     """Allocate a reference initialised to the expression's value."""
 
     init: Any
 
 
-@dataclass(frozen=True)
+@dataclass
 class GetRef(Instr):
     """Yield the current value of a reference."""
 
     ref: Ref
 
 
-@dataclass(frozen=True)
+@dataclass
 class SetRef(Instr):
     ref: Ref
     value: Any
@@ -169,12 +169,12 @@ class SetRef(Instr):
             )
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReadInput(Instr):
     """Read one line of input as a 32-bit integer."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class WriteOutput(Instr):
     value: Any
 
@@ -183,7 +183,7 @@ class WriteOutput(Instr):
             raise TagError(f"writeOutput: needs i32, got {self.value.tag.value}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PrintStr(Instr):
     text: str
 
@@ -196,7 +196,7 @@ class PrintStr(Instr):
         raise TagError(f"printStr: needs text that encodes as UTF-8, got {self.text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ForLoop(Instr):
     """Run body(counter) for counter = 0 .. count-1.
 

@@ -29,7 +29,7 @@ from .lowexpr import (  # noqa: F401  (re-exported)
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class Let(Expr):
     """Bind the shared expression; the body maps the bound occurrence to the
     result.  Whether sharing is observed is the lowering pass's business."""
@@ -51,7 +51,7 @@ class Let(Expr):
         return e.tag
 
 
-@dataclass(frozen=True)
+@dataclass
 class Iter(Expr):
     """Apply step to init, count times.  A non-positive count yields init."""
 
@@ -63,12 +63,9 @@ class Iter(Expr):
     def __post_init__(self) -> None:
         if self.count.tag is not TypeTag.I32:
             raise TagError(f"iter: count must be i32, got {self.count.tag.value}")
+        self.tag = self.init.tag
         if self.step(self.init).tag is not self.tag:
             raise TagError("iter: step must preserve the state's tag")
-
-    @cached_property
-    def tag(self) -> TypeTag:
-        return self.init.tag
 
 
 def _eval_let(e: Let, _context: Any) -> Iterator[Expr]:

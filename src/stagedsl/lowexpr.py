@@ -42,13 +42,13 @@ class Expr:
         return Mul(_coerce(other), self)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Var(Expr):
     name: str
     tag: TypeTag
 
 
-@dataclass(frozen=True)
+@dataclass
 class Lit(Expr):
     value: Any
     tag: TypeTag
@@ -61,10 +61,10 @@ class Lit(Expr):
         elif isinstance(self.value, bool) or not isinstance(self.value, int):
             raise TagError(f"i32 literal from {type(self.value).__name__}")
         elif not -(2**31) <= self.value < 2**31:
-            object.__setattr__(self, "value", wrap_i32(self.value))
+            self.value = wrap_i32(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Arithmetic(Expr):
     left: Expr
     right: Expr
@@ -86,7 +86,7 @@ class Mul(_Arithmetic):
     """Wrapping 32-bit multiplication."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class Not(Expr):
     operand: Expr
     tag = TypeTag.BOOL
@@ -97,7 +97,7 @@ class Not(Expr):
             raise TagError(f"not: needs a boolean, got {self.operand.tag.value}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Eq(Expr):
     left: Expr
     right: Expr

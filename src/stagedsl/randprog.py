@@ -63,7 +63,7 @@ class GenConfig:
     input_span: int = 3  # script values drawn from [-span, span]
 
 
-@dataclass(frozen=True)
+@dataclass
 class GeneratedProgram:
     program: Program          # rich-language, unit result
     input_text: str

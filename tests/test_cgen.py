@@ -244,6 +244,12 @@ def test_print_strings_holding_nul_match_the_interpreter_byte_for_byte(tmp_path,
     assert disagreement(prog, "", tmp_path, "nul") is None
 
 
+@needs_cc
+def test_an_interpreter_error_is_reported_not_raised(tmp_path):
+    report = disagreement(read_input(lo.LANG).bind(write_output), "", tmp_path, "short")
+    assert report is not None and "InputError" in report
+
+
 def test_only_strings_holding_nul_leave_printf():
     src = emit_c(seq(print_str("a\0b%"), print_str("c%")))
     assert '    fwrite("a\\000b%", 1, 4, stdout);' in src

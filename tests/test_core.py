@@ -6,6 +6,7 @@ import pytest
 
 import support
 from stagedsl import core, highexpr as hi, lowexpr as lo, randprog
+from stagedsl.cgen import emit_c
 from stagedsl.core import (
     Bind,
     ConcreteRef,
@@ -36,8 +37,10 @@ from stagedsl.core import (
     val_to_exp,
     write_output,
 )
+from stagedsl.examples import EXAMPLES
 from stagedsl.pseudo import render_program
 from stagedsl.runtime import run_text
+from stagedsl.translate import LetStrategy, TranslationConfig, UnrollPolicy, lower_program
 
 
 def test_ret_produces_its_value_without_effects():
@@ -343,3 +346,32 @@ def test_the_package_api_the_benchmark_reads_stays():
     assert render_program(prog, lang) == "    writeOutput four\n" and calls == ["eval", "render"]
     gp = randprog.GeneratedProgram(prog, "5\n", 1)
     assert (gp.program, gp.input_text, gp.max_reads) == (prog, "5\n", 1)
+
+
+def test_no_interpretation_changes_a_shared_example():
+    # Records are plain, assignable dataclasses and every caller shares
+    # EXAMPLES, so each record on an example's top-level Bind spine, and
+    # each expression operand it holds, must keep its field values.  Fields,
+    # not vars(): a Let caches its tag lazily.
+    def field_values(record):
+        return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+    def records(prog):
+        todo = [prog]
+        while todo:
+            record = todo.pop()
+            yield record
+            todo += [v for v in field_values(record) if isinstance(v, (core.Program, lo.Expr))]
+
+    configs = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
+    stdin = "3\n4\n5\n6\n"  # enough for every example
+    for name, prog in EXAMPLES.items():
+        before = [(record, field_values(record)) for record in records(prog)]
+        assert len(before) > 2, name
+        run_text(prog, hi.LANG, stdin)
+        for config in configs:
+            low = lower_program(prog, config)
+            run_text(low, lo.LANG, stdin)
+            render_program(low)
+            emit_c(low)
+        assert [field_values(record) for record, _ in before] == [v for _, v in before], name

@@ -164,6 +164,21 @@ def test_c_differential_takes_its_examples_from_the_registry(capsys, monkeypatch
     assert capsys.readouterr().out.startswith("3/3 programs agree")
 
 
+@pytest.mark.skipif(not have_c_compiler(), reason="no C compiler on PATH")
+def test_c_differential_counts_an_interpreter_error_as_a_failure(capsys, monkeypatch):
+    # the examples share one input script of four lines, so this one runs dry
+    lang = hi.LANG
+    five = for_loop(lang, hi.lit(5), lambda _i: read_input(lang).bind(write_output))
+    monkeypatch.setitem(EXAMPLES, "readsFive", five)
+    monkeypatch.setattr(sys, "argv", ["c_differential.py", "--count", "0"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "c_differential.py"), run_name="__main__")
+    assert done.value.code == 1
+    out = capsys.readouterr().out
+    assert "readsFive: interpreter raised InputError" in out
+    assert out.splitlines()[-1].startswith("2/3 programs agree")
+
+
 def test_c_differential_without_a_compiler_exits_2():
     env = {**os.environ, "PYTHONPATH": str(SRC), "CC": "/nonexistent/cc"}
     proc = subprocess.run(
