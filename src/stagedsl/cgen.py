@@ -57,10 +57,10 @@ _TEXT = Rules("cannot emit C for", {
     # under closed evaluation
     Var: lambda e, scope: e.name if e.name in scope else _unbound(e, scope),
     Lit: _c_lit,
-    Add: "(int32_t)((uint32_t){} + (uint32_t){})".format,
-    Mul: "(int32_t)((uint32_t){} * (uint32_t){})".format,
-    Not: "(!{})".format,
-    Eq: "({} == {})".format,
+    Add: lambda _, a, b: f"(int32_t)((uint32_t){a} + (uint32_t){b})",
+    Mul: lambda _, a, b: f"(int32_t)((uint32_t){a} * (uint32_t){b})",
+    Not: lambda _, a: f"(!{a})",
+    Eq: lambda _, a, b: f"({a} == {b})",
 })
 
 

@@ -368,7 +368,7 @@ class Language:
     render: Callable[[Any], str]
     # compile(e, scope) gives fn(env), which evaluates e reading the scope's
     # names from env and raises as eval_closed would on anything else; None
-    # selects the reference path, which rebuilds a loop body on every trip
+    # selects the reference path: eval_closed, and loop bodies rebuilt per trip
     compile: Callable[[Any, Scope], Callable[[dict[str, Any]], Any]] | None = None
 
 

@@ -11,9 +11,10 @@ expressions are low.
 
 Both classes are binders: their rules instantiate the body when the fold
 reaches it.  Evaluation of closed expressions is the reference semantics:
-it instantiates binder bodies with literal nodes on every use.  Compilation
-of open expressions, for staged loop bodies, instantiates each binder body
-once with a generated variable instead.
+it instantiates binder bodies with literal nodes on every use.  Compilation,
+which the runtime uses for every expression, instantiates each binder body
+once with a generated variable instead: a Let becomes a step assigning it,
+an Iter one step that runs the step's own steps on every trip.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterator
 
 from . import lowexpr as lo
-from .core import Scope, TagError, TypeTag
+from .core import TagError, TypeTag
 from .lowexpr import (  # noqa: F401  (re-exported)
     Add, Compiled, Eq, Expr, Lit, Mul, Not, Var, compile_open, eval_closed, lit,
 )
@@ -82,37 +83,34 @@ def _eval_iter(e: Iter, _context: Any) -> Iterator[Expr]:
     return state
 
 
-def _compile_let(e: Let, scope: Scope) -> Iterator[Expr]:
-    # the body is built once, over a fresh name
-    name = scope.fresh("x", e.shared.tag)
-    fshared = yield e.shared
-    fbody = yield e.body(Var(name, e.shared.tag))
-
-    def let(env):
-        env[name] = fshared(env)
-        return fbody(env)
-
-    return let
+def _flat_let(e: Let, flat: tuple) -> Iterator[Expr]:
+    # the body is built once, over a fresh name that a step assigns
+    name = flat[0].fresh("x", e.shared.tag)
+    shared, _ = yield e.shared
+    flat[1].append(lo._store(name, shared))
+    return (yield e.body(Var(name, e.shared.tag)))
 
 
-def _compile_iter(e: Iter, scope: Scope) -> Iterator[Expr]:
-    # the step is built once, over a fresh name
-    name = scope.fresh("s", e.init.tag)
-    fcount = yield e.count
-    finit = yield e.init
-    fstep = yield e.step(Var(name, e.init.tag))
+def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
+    # the step is built once, over a fresh name, into steps run on every trip
+    name, steps = flat[0].fresh("s", e.init.tag), flat[1]
+    (count, _), (init, _) = (yield e.count), (yield e.init)
+    start = len(steps)
+    step, _ = yield e.step(Var(name, e.init.tag))
+    body, steps[start:] = steps[start:], []
 
     def iterate(env):
-        n = fcount(env)
-        env[name] = finit(env)
-        for _ in range(n):
-            env[name] = fstep(env)
-        return env[name]
+        env[name] = init(env)  # count reads no name that this assigns
+        for _ in range(count(env)):
+            for s in body:
+                s(env)
+            env[name] = step(env)
 
-    return iterate
+    steps.append(iterate)
+    return (lambda env: env[name]), 1
 
 
 lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})
-lo.COMPILE.update({Let: _compile_let, Iter: _compile_iter})
+lo.FLAT.update({Let: _flat_let, Iter: _flat_iter})
 
 LANG = lo.LANG

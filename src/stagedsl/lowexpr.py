@@ -6,7 +6,7 @@ understand, and also the core that the rich language (highexpr) extends
 with two more classes.  Each class names the fields holding its operands,
 and fold walks a tree bottom-up on an explicit stack, so neither operand
 depth nor binder nesting grows the Python stack.  A consumer is a table of
-rules, one per node class; this module holds closed evaluation and open
+rules, one per node class; this module holds closed evaluation and flat
 compilation, to which highexpr adds its two classes, and rendering, which
 knows only the six core classes and so rejects anything else.
 """
@@ -14,6 +14,7 @@ knows only the six core classes and so rejects anything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from .core import DslError, Language, Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
@@ -135,10 +136,10 @@ class Rules(dict):
 
 def fold(rules: Rules, e: Expr, context: Any = None) -> Any:
     """Fold an expression bottom-up on an explicit stack.  A leaf's rule
-    takes the node and the context; an operator's takes its operands'
-    results; a binder's takes the node and the context and is a generator
-    that yields each expression it instantiates, is sent its result, and
-    returns its own."""
+    takes the node and the context; an operator's takes the context and its
+    operands' results; a binder's takes the node and the context and is a
+    generator that yields each expression it instantiates, is sent its
+    result, and returns its own."""
     # per open node: a binder's generator, or an operator's (rule, node,
     # operand names, results so far)
     stack: list[Any] = []
@@ -163,7 +164,7 @@ def fold(rules: Rules, e: Expr, context: Any = None) -> Any:
                         break
                     results.append(node_rule(node, context))
                 else:
-                    parent, value = None, rule(*results)
+                    parent, value = None, rule(context, *results)
                 if parent is not None:
                     break
             if not stack:
@@ -187,32 +188,50 @@ def _unbound(e: Var, _context: Any) -> Any:
 EVAL = Rules("cannot evaluate", {
     Var: _unbound,
     Lit: lambda e, _: e.value,
-    Add: lambda a, b: wrap_i32(a + b),
-    Mul: lambda a, b: wrap_i32(a * b),
-    Not: lambda a: not a,
-    Eq: lambda a, b: a == b,
+    Add: lambda _, a, b: wrap_i32(a + b),
+    Mul: lambda _, a, b: wrap_i32(a * b),
+    Not: lambda _, a: not a,
+    Eq: lambda _, a, b: a == b,
 })
 
 
-def _compile_var(e: Var, scope: Scope) -> Compiled:
-    name = e.name
-    if name in scope:
-        return lambda env: env[name]
-    return lambda env: _unbound(e, scope)
+# FLAT's context is the scope and the list of steps that run, in order,
+# before the closures folded so far are read.  A rule gives a closure and how
+# deep closures nest in it; at _DEPTH a step stores the value instead.
+_DEPTH = 100
 
 
-def _compile_lit(e: Lit, _scope: Scope) -> Compiled:
-    value = e.value
-    return lambda env: value
+def _store(name: str, value: Compiled) -> Compiled:
+    def step(env):
+        env[name] = value(env)
+
+    return step
 
 
-COMPILE = Rules("cannot compile", {
-    Var: _compile_var,
-    Lit: _compile_lit,
-    Add: lambda fa, fb: lambda env: wrap_i32(fa(env) + fb(env)),
-    Mul: lambda fa, fb: lambda env: wrap_i32(fa(env) * fb(env)),
-    Not: lambda fa: lambda env: not fa(env),
-    Eq: lambda fa, fb: lambda env: fa(env) == fb(env),
+def _flat_var(e: Var, flat: tuple[Scope, list]) -> tuple[Compiled, int]:
+    if e.name not in flat[0]:  # raise in fold order, as eval_closed does
+        flat[1].append(lambda env: _unbound(e, flat))
+    return (lambda env, name=e.name: env[name]), 1
+
+
+def _op(tag: TypeTag, make: Callable[..., Compiled], flat, a, b=(None, 0)):
+    """An operator's rule, given its tag and its closure's maker."""
+    (fa, da), (fb, db) = a, b
+    value, depth = make(fa, fb), max(da, db) + 1
+    if depth < _DEPTH:
+        return value, depth
+    name = flat[0].fresh("t", tag)
+    flat[1].append(_store(name, value))
+    return (lambda env: env[name]), 1
+
+
+FLAT = Rules("cannot compile", {
+    Var: _flat_var,
+    Lit: lambda e, _: ((lambda env, value=e.value: value), 1),
+    Add: partial(_op, TypeTag.I32, lambda fa, fb: lambda env: wrap_i32(fa(env) + fb(env))),
+    Mul: partial(_op, TypeTag.I32, lambda fa, fb: lambda env: wrap_i32(fa(env) * fb(env))),
+    Not: partial(_op, TypeTag.BOOL, lambda fa, _: lambda env: not fa(env)),
+    Eq: partial(_op, TypeTag.BOOL, lambda fa, fb: lambda env: fa(env) == fb(env)),
 })
 
 
@@ -222,19 +241,30 @@ def eval_closed(e: Expr) -> Any:
 
 
 def compile_open(e: Expr, scope: Scope) -> Compiled:
-    """Compile an expression whose free variables may be names the scope
-    generated into a function of their values.  Whatever eval_closed would
-    reject, the function rejects the same way when it runs."""
-    return fold(COMPILE, e, scope)
+    """Compile an expression over names the scope generated into a function
+    of their values: steps, then a read, which fail where eval_closed would."""
+    if type(e) is Lit:  # most closed expressions a program runs
+        return FLAT[Lit](e, scope)[0]
+    steps: list = []
+    result, _ = fold(FLAT, e, (scope, steps))
+    if not steps:
+        return result
+
+    def run(env):
+        for step in steps:
+            step(env)
+        return result(env)
+
+    return run
 
 
 _TEXT = Rules("not a low expression", {
     Var: lambda e, _: e.name,
     Lit: lambda e, _: str(e.value),
-    Add: "({} + {})".format,
-    Mul: "({} * {})".format,
-    Not: "(not {})".format,
-    Eq: "({} == {})".format,
+    Add: lambda _, a, b: f"({a} + {b})",
+    Mul: lambda _, a, b: f"({a} * {b})",
+    Not: lambda _, a: f"(not {a})",
+    Eq: lambda _, a, b: f"({a} == {b})",
 })
 
 

@@ -5,18 +5,19 @@ tests can script a session; the CLI plugs in the process's stdio.
 
 The interpreter is one object, a back end of core.SymbolicWalk.
 Straight-line code is performed instruction by instruction with concrete
-values.  A loop body is staged instead: when a loop first runs, its body is
-walked once with a generated name for the counter, every instruction
-becomes a closure over an environment of generated names, and the closures
-run once per trip.  Every staged loop, outermost or nested, runs as one
-step that evaluates the bound, stages the body on the first trip that runs
-and repeats it; an outermost loop's bound is the value eval_closed gave.
-This relies on loop and binder bodies building the same program whatever
-value they are passed, which the C back end relies on too.  An error from
+values; each expression it holds is compiled, then run once.  A loop body
+is staged instead: when a loop first runs, its body is walked once with a
+generated name for the counter, every instruction becomes a step over an
+environment of generated names, and the steps run once per trip.  Every
+staged loop, outermost or nested, runs as one step that evaluates the
+bound, stages the body on the first trip that runs and repeats it.  This
+relies on loop and binder bodies building the same program whatever value
+they are passed, which the C back end relies on too.  An error from
 building a body, such as a TagError, can therefore surface before the first
 trip's output instead of during it; every error from running an instruction
 surfaces where it would without staging.  A language with no `compile` gets
-the reference behaviour: the body is rebuilt and interpreted on every trip.
+the reference behaviour: eval_closed evaluates every expression, and a loop
+body is rebuilt and interpreted on every trip.
 An input line is an optionally signed decimal of any length, wrapped into
 32 bits, padded only with the ASCII whitespace C's scanf skips.
 """
@@ -71,8 +72,9 @@ class _Runner(SymbolicWalk):
 
     def __init__(self, lang: Language, stdin: TextIO, stdout: TextIO):
         super().__init__()
-        self._eval = lang.eval_closed
-        self._compile = lang.compile
+        compile, scope = lang.compile, self.scope  # not self, which would make a cycle
+        self._expr = None if compile is None else lambda e: compile(e, scope)
+        self._eval = lang.eval_closed if compile is None else lambda e: compile(e, scope)({})
         self._stdin = stdin
         self.write = stdout.write
         self.reads = 0
@@ -114,21 +116,16 @@ class _Runner(SymbolicWalk):
                 self.write(text)
                 return None
             case ForLoop(count, body):
-                # evaluate the bound once, before any iteration runs
-                n = self._eval(count)
-                if self._compile is None:
-                    for k in range(n):
-                        core.interpret(self.perform, body(ConcreteVal(TypeTag.I32, k)))
-                else:
-                    self.loop_step(self.scope.fresh("v", TypeTag.I32), lambda env: n, body)({})
+                if self._expr is not None:  # either way the bound is evaluated once, first
+                    self.loop_step(self.scope.fresh("v", TypeTag.I32), self._expr(count), body)({})
+                    return None
+                for k in range(self._eval(count)):
+                    core.interpret(self.perform, body(ConcreteVal(TypeTag.I32, k)))
                 return None
         raise DslError(f"not an instruction: {cmd!r}")
 
     def emit(self, step: Step) -> None:
         self.statements.append(step)
-
-    def _expr(self, e) -> Callable[[Env], Any]:
-        return self._compile(e, self.scope)
 
     def reference(self, ref: Ref) -> Callable[[Env], ConcreteRef]:
         if isinstance(ref, ConcreteRef):

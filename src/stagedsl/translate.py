@@ -57,10 +57,10 @@ def _rebuild(cls: type) -> Callable[..., Program]:
     """An operator's rule: run its operands' programs in order, then yield
     the node over their results."""
 
-    def rule(*programs: Program, done: tuple = ()) -> Program:
+    def rule(_config, *programs: Program, done: tuple = ()) -> Program:
         if len(done) == len(programs):
             return Ret(cls(*done))
-        return programs[len(done)].bind(lambda x: rule(*programs, done=(*done, x)))
+        return programs[len(done)].bind(lambda x: rule(_config, *programs, done=(*done, x)))
 
     return rule
 

@@ -340,10 +340,14 @@ def test_the_package_api_the_benchmark_reads_stays():
         lo.LANG,
         eval_closed=lambda e: calls.append("eval") or 4,
         render=lambda e: calls.append("render") or "four",
+        compile=None,
     )
     prog = write_output(lo.lit(1))
     assert run_text(prog, lang)[1] == "4" and calls == ["eval"]
     assert render_program(prog, lang) == "    writeOutput four\n" and calls == ["eval", "render"]
+    # a staged run compiles its closed expressions instead
+    staged = dataclasses.replace(lang, compile=lo.LANG.compile)
+    assert run_text(prog, staged)[1] == "1" and calls == ["eval", "render"]
     gp = randprog.GeneratedProgram(prog, "5\n", 1)
     assert (gp.program, gp.input_text, gp.max_reads) == (prog, "5\n", 1)
 

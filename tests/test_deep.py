@@ -14,7 +14,9 @@ from c_differential import disagreement
 from stagedsl import highexpr as hi
 from stagedsl import lowexpr as lo
 from stagedsl.cgen import emit_c, have_c_compiler
-from stagedsl.core import DslError, Ret, Scope, TypeTag, get_ref, init_ref, ret, write_output
+from stagedsl.core import (
+    DslError, Ret, Scope, TypeTag, for_loop, get_ref, init_ref, print_str, ret, write_output,
+)
 from stagedsl.pseudo import render_program
 from stagedsl.runtime import run_text
 from stagedsl.translate import (
@@ -95,9 +97,23 @@ def test_deep_trees_compile_as_strict_c_that_matches_the_interpreter(shape, tmp_
 def test_compiled_deep_trees_agree_with_the_reference():
     deep = support.deep_tree(4, "let-shared", depth=300)
     assert hi.compile_open(deep.tree, Scope())({}) == deep.value
-    # compiling a 10^4-deep tree folds without recursion, though running
-    # the nested closures it gives still recurses
-    hi.compile_open(support.deep_tree(4, "let-body").tree, Scope())
+    # compiled closures nest only so deep, so a 10^4-deep tree runs too
+    deep = support.deep_tree(4, "let-body")
+    assert hi.compile_open(deep.tree, Scope())({}) == deep.value
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_deep_chain_in_a_loop_body_runs_as_in_the_reference(side):
+    def body(i):
+        e = i
+        for k in range(support.DEEP):
+            e = e + k if side == "left" else k + e
+        return write_output(e).then(print_str(";"))
+
+    prog = for_loop(hi.LANG, hi.lit(2), body)
+    want = run_text(prog, dataclasses.replace(hi.LANG, compile=None))
+    assert want == (None, "49995000;49995001;", 0)
+    assert run_text(prog, hi.LANG) == want
 
 
 def test_the_tag_of_a_deep_let_nest_is_read_without_recursion():

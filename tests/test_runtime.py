@@ -106,16 +106,22 @@ def test_print_str_is_verbatim():
 
 def test_loop_bound_is_evaluated_exactly_once():
     calls = []
+    out = io.StringIO()
 
-    def counting_eval(e):
-        calls.append(e)
-        return lo.eval_closed(e)
+    def counting_compile(e, scope):
+        compiled = lo.compile_open(e, scope)
 
-    lang = dataclasses.replace(lo.LANG, eval_closed=counting_eval)
+        def counted(env):
+            calls.append((e, out.getvalue()))
+            return compiled(env)
+
+        return counted
+
+    lang = dataclasses.replace(lo.LANG, compile=counting_compile)
     prog = for_loop(lang, lo.lit(5), lambda _i: print_str("."))
-    _, out, _ = run_text(prog, lang)
-    assert out == "....."
-    assert calls == [lo.lit(5)]
+    run(prog, lang, io.StringIO(), out)
+    assert out.getvalue() == "....."
+    assert calls == [(lo.lit(5), "")]  # once, before any trip
 
 
 def test_symbolic_values_cannot_reach_the_runtime():
@@ -228,6 +234,59 @@ def test_a_staged_loop_builds_its_body_and_binder_bodies_once():
         built.update(body=0, step=0)
         assert run_text(prog, lang) == (None, "0 81 162 243 324 ", 0)
         assert (built["body"], built["step"]) == counts
+
+
+def test_a_top_level_iter_builds_its_step_once_not_on_every_trip():
+    def step_calls(lang):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return x + 1
+
+        prog = write_output(hi.Iter(hi.lit(1000), hi.lit(1), step))
+        assert run_text(prog, lang) == (None, "1001", 0)
+        return len(calls)
+
+    # staged: the tag check and the compilation; reference: also every trip
+    assert step_calls(hi.LANG) <= 2
+    assert step_calls(_reference(hi.LANG)) >= 1001
+
+
+def _deepen(e, depth):
+    """e + 1 + 1 ..., deeper than compiled closures nest."""
+    for _ in range(depth):
+        e = e + 1
+    return e
+
+
+# where two unbound variables, a and b, sit: b always after a in fold order
+PLACES = {
+    "top": lambda a, b: a + b,
+    "let-shared": lambda a, b: hi.Let(a + b, lambda x: x * 2),
+    "let-body": lambda a, b: hi.Let(hi.lit(3), lambda x: x * (a + b)),
+    "let-both": lambda a, b: hi.Let(a, lambda x: x + b),
+    "iter-step": lambda a, b: hi.Iter(hi.lit(2), hi.lit(1), lambda s: s * (a + b)),
+    "iter-both": lambda a, b: hi.Iter(a, hi.lit(1), lambda s: s + b),
+}
+
+
+@pytest.mark.parametrize("place", PLACES)
+def test_of_two_unbound_variables_the_first_in_fold_order_raises(place):
+    def outcome(prog, lang):
+        out = io.StringIO()
+        with pytest.raises(UnboundVariableError) as err:
+            run(prog, lang, io.StringIO(), out)
+        return str(err.value), out.getvalue()
+
+    for depths in [(0, 0), (0, 300), (300, 0)]:
+        a, b = (_deepen(hi.Var(name, I32), d) for name, d in zip("ab", depths))
+        write = print_str("<").then(write_output(PLACES[place](a, b)))
+        for stmt in (write, for_loop(hi.LANG, hi.lit(2), lambda _i: write)):
+            prog = print_str("x").then(stmt)
+            want = outcome(prog, _reference(hi.LANG))
+            assert want == ("unbound variable a", "x<")
+            assert outcome(prog, hi.LANG) == want, (depths, stmt)
 
 
 @pytest.mark.parametrize("name", ["v0", "r1", "v2"])
