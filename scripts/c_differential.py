@@ -5,9 +5,11 @@ Generates random programs, lowers them, compiles the emitted C under strict
 flags, feeds both sides the same scripted stdin, and compares stdout bytes.
 Every bundled example is always included, lowered like the rest and fed
 one input script long enough for each of them.  Runs every case, prints one
-summary line, and exits 1 if any case mismatched, failed to compile, or
-made the interpreter raise (reported as a disagreement like the others).
-disagreement() is the one comparison; the tests that run emitted C call it.
+summary line, and exits 1 if any case mismatched, failed to compile, timed
+out, or made the interpreter raise (reported as a disagreement like the
+others).  outcome() is the one observation of an interpreter run, which the
+tests compare; disagreement() is the one comparison with C, which every test
+that runs emitted C calls.
 """
 
 import argparse
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from stagedsl import lowexpr as lo
 from stagedsl.cgen import c_compiler, compile_c, emit_c, have_c_compiler
-from stagedsl.core import DslError, Program
+from stagedsl.core import DslError, Language, Program
 from stagedsl.examples import EXAMPLES
 from stagedsl.randprog import corpus
 from stagedsl.runtime import run
@@ -29,30 +31,43 @@ from stagedsl.translate import lower_program
 EXAMPLE_INPUT = "3\n4\n5\n6\n"
 
 
+def outcome(prog: Program, lang: Language, text: str = "") -> tuple:
+    """What running prog on text observably did: (result, output, reads) as
+    run_text returns, or (error type name, message, output before it) when
+    the run raises a DslError."""
+    out = io.StringIO()
+    try:
+        result, reads = run(prog, lang, io.StringIO(text), out)
+    except DslError as err:
+        return type(err).__name__, str(err), out.getvalue()
+    return result, out.getvalue(), reads
+
+
 def disagreement(low: Program, stdin_text: str, workdir: Path, name: str = "prog") -> str | None:
     """Compile a low program's C in workdir and run it on stdin_text.  None
     when the interpreter runs without error and the binary exits 0 having
     printed the interpreter's output byte for byte; otherwise a short
-    report: the compile failure, or the interpreter's error if it raised,
+    report: the compile failure, a time-out, or the interpreter's error,
     both outputs (the interpreter's up to its error) and the exit status."""
     source = emit_c(low)
     try:
         exe = compile_c(source, workdir, name)
     except DslError as err:
         return f"{name}: compile FAILED: {err}"
-    proc = subprocess.run([str(exe)], input=stdin_text.encode(), capture_output=True, timeout=60)
-    out = io.StringIO()
     try:
-        run(low, lo.LANG, io.StringIO(stdin_text), out)
-    except DslError as err:
-        verdict = f"interpreter raised {type(err).__name__}: {err}"
-    else:
-        if proc.returncode == 0 and proc.stdout == out.getvalue().encode():
-            return None
-        verdict = "MISMATCH"
+        proc = subprocess.run([exe], input=stdin_text.encode(), capture_output=True, timeout=60)
+    except subprocess.TimeoutExpired as err:
+        return f"{name}: TIMED OUT after {err.timeout} s"
+    match outcome(low, lo.LANG, stdin_text):
+        case (_, printed, int()):  # ran to the end
+            if proc.returncode == 0 and proc.stdout == printed.encode():
+                return None
+            verdict = "MISMATCH"
+        case (error, message, printed):
+            verdict = f"interpreter raised {error}: {message}"
     return (
         f"{name}: {verdict}\n"
-        f"  interpreter: {out.getvalue().encode()!r}\n"
+        f"  interpreter: {printed.encode()!r}\n"
         f"  compiled:    {proc.stdout!r} (rc {proc.returncode})"
     )
 

@@ -187,7 +187,7 @@ class _Runner(SymbolicWalk):
                 # staging never nests: a nested loop's step only runs later
                 self.statements = []
                 core.interpret(self.handle, body(SymbolicVal(TypeTag.I32, counter)))
-                steps = self.statements
+                steps, self.statements = self.statements, []  # holding steps makes a cycle
             for k in range(n):
                 env[counter] = k
                 for s in steps:

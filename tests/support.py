@@ -3,15 +3,16 @@
 Everything here is deliberately independent of the interpretations it
 checks: the instruction counter walks trees directly, the step templates
 evaluate in plain Python, and the name scanner only looks at text.
+REFERENCE is the language every staged run is compared with.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from stagedsl import core, highexpr as hi
+from stagedsl import core, highexpr as hi, lowexpr as lo
 from stagedsl.core import (
     Bind,
     ForLoop,
@@ -27,6 +28,10 @@ from stagedsl.core import (
 )
 
 I32 = TypeTag.I32
+
+# no compile: eval_closed evaluates every expression and a loop body is
+# rebuilt and interpreted on every trip; hi.LANG is lo.LANG, so one suffices
+REFERENCE = replace(lo.LANG, compile=None)
 
 
 def _placeholder(cmd):

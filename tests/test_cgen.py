@@ -2,6 +2,7 @@
 
 import re
 import shutil
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -248,6 +249,20 @@ def test_print_strings_holding_nul_match_the_interpreter_byte_for_byte(tmp_path,
 def test_an_interpreter_error_is_reported_not_raised(tmp_path):
     report = disagreement(read_input(lo.LANG).bind(write_output), "", tmp_path, "short")
     assert report is not None and "InputError" in report
+
+
+@needs_cc
+def test_a_binary_that_runs_past_the_time_out_is_one_failed_case(tmp_path, monkeypatch):
+    real_run = subprocess.run
+
+    def run(command, *args, **kwargs):
+        if command == [tmp_path / "hangs"]:  # the binary, not the compiler
+            raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+        return real_run(command, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", run)
+    report = disagreement(print_str("a"), "", tmp_path, "hangs")
+    assert report == "hangs: TIMED OUT after 60 s"
 
 
 def test_only_strings_holding_nul_leave_printf():

@@ -65,7 +65,7 @@ def test_deep_trees_evaluate_render_lower_and_run(shape):
     prog = _program(deep.tree)
     for config, lang in [
         (None, hi.LANG),
-        (None, dataclasses.replace(hi.LANG, compile=None)),
+        (None, support.REFERENCE),
         *((config, lo.LANG) for config in CONFIGS),
     ]:
         low = prog if config is None else lower_program(prog, config)
@@ -111,7 +111,7 @@ def test_a_deep_chain_in_a_loop_body_runs_as_in_the_reference(side):
         return write_output(e).then(print_str(";"))
 
     prog = for_loop(hi.LANG, hi.lit(2), body)
-    want = run_text(prog, dataclasses.replace(hi.LANG, compile=None))
+    want = run_text(prog, support.REFERENCE)
     assert want == (None, "49995000;49995001;", 0)
     assert run_text(prog, hi.LANG) == want
 

@@ -134,8 +134,6 @@ def test_evaluators_and_language_record_are_the_low_languages_own():
 
 
 def test_staged_runs_of_low_programs_equal_the_reference():
-    import dataclasses
-
     from stagedsl import lowexpr as lo
     from stagedsl.examples import power_input, sum_input
     from stagedsl.randprog import corpus
@@ -145,7 +143,7 @@ def test_staged_runs_of_low_programs_equal_the_reference():
     cases = [(sum_input(), "1\n2\n3\n4\n"), (lower_program(power_input()), "3\n4\n")]
     cases += [(lower_program(gp.program), gp.input_text) for gp in corpus(seed=5, size=20)]
     for prog, text in cases:
-        reference = run_text(prog, dataclasses.replace(lo.LANG, compile=None), text)
+        reference = run_text(prog, support.REFERENCE, text)
         assert run_text(prog, lo.LANG, text) == reference
 
 

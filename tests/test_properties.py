@@ -5,12 +5,12 @@ corpus keeps the feedback loop quick while covering the same ground from a
 different seed.
 """
 
-import dataclasses
 import random
 
 import pytest
 
 import support
+from c_differential import outcome
 from stagedsl import highexpr as hi, lowexpr as lo
 from stagedsl.cgen import emit_c
 from stagedsl.core import Bind, Ret, TagError, interpret, ret, reexpress
@@ -29,35 +29,24 @@ CORPUS = corpus(seed=424242, size=60)
 ALL_CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
 
 
+@pytest.mark.parametrize("script", ["full", "prefixes"])
 @pytest.mark.parametrize("idx", range(len(CORPUS)))
-def test_staged_loops_match_the_per_trip_reference(idx):
+def test_every_interpretation_matches_the_direct_staged_run(idx, script):
+    # the direct program and its four lowerings, each staged and each under
+    # the per-trip reference
     gp = CORPUS[idx]
-    runs = [(gp.program, hi.LANG)]
-    runs += [(lower_program(gp.program, config), lo.LANG) for config in ALL_CONFIGS]
-    for prog, lang in runs:
-        reference = dataclasses.replace(lang, compile=None)
-        assert run_text(prog, lang, gp.input_text) == run_text(prog, reference, gp.input_text)
-
-
-@pytest.mark.parametrize("idx", range(len(CORPUS)))
-def test_lowering_preserves_behaviour(idx):
-    gp = CORPUS[idx]
-    direct = run_text(gp.program, hi.LANG, gp.input_text)
-    lowered = run_text(lower_program(gp.program), lo.LANG, gp.input_text)
-    assert direct == lowered
-
-
-def test_configurations_cannot_change_transcripts():
-    configs = [
-        TranslationConfig(let_strategy=LetStrategy.BY_NAME),
-        TranslationConfig(unroll=UnrollPolicy.EVEN_BY_2),
-        TranslationConfig(LetStrategy.BY_NAME, UnrollPolicy.EVEN_BY_2),
-    ]
-    for gp in CORPUS:
-        want = run_text(lower_program(gp.program), lo.LANG, gp.input_text)
-        for config in configs:
-            got = run_text(lower_program(gp.program, config), lo.LANG, gp.input_text)
-            assert got == want
+    progs = [gp.program] + [lower_program(gp.program, config) for config in ALL_CONFIGS]
+    # every prefix of 0 to max_reads lines, each also with a malformed last line
+    lines = gp.input_text.splitlines(keepends=True)
+    prefixes = ["".join(lines[:n]) + bad for n in range(gp.max_reads + 1) for bad in ("", "x\n")]
+    texts = [gp.input_text] if script == "full" else prefixes
+    for text in texts:
+        want = outcome(gp.program, hi.LANG, text)
+        if script == "full":
+            assert want == run_text(gp.program, hi.LANG, text)  # no run raises
+        for prog in progs:
+            for lang in (hi.LANG, support.REFERENCE):
+                assert outcome(prog, lang, text) == want, text
 
 
 def test_identity_reexpression_is_invisible():
