@@ -29,24 +29,45 @@ CORPUS = corpus(seed=424242, size=60)
 ALL_CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
 
 
-@pytest.mark.parametrize("script", ["full", "prefixes"])
-@pytest.mark.parametrize("idx", range(len(CORPUS)))
-def test_every_interpretation_matches_the_direct_staged_run(idx, script):
-    # the direct program and its four lowerings, each staged and each under
-    # the per-trip reference
-    gp = CORPUS[idx]
-    progs = [gp.program] + [lower_program(gp.program, config) for config in ALL_CONFIGS]
-    # every prefix of 0 to max_reads lines, each also with a malformed last line
+def _scripts(gp):
+    """The full input script, then every prefix of 0 to max_reads lines, each
+    also with a malformed last line."""
     lines = gp.input_text.splitlines(keepends=True)
     prefixes = ["".join(lines[:n]) + bad for n in range(gp.max_reads + 1) for bad in ("", "x\n")]
-    texts = [gp.input_text] if script == "full" else prefixes
-    for text in texts:
-        want = outcome(gp.program, hi.LANG, text)
-        if script == "full":
-            assert want == run_text(gp.program, hi.LANG, text)  # no run raises
-        for prog in progs:
-            for lang in (hi.LANG, support.REFERENCE):
-                assert outcome(prog, lang, text) == want, text
+    return [gp.input_text] + prefixes
+
+
+def _agree(gp, runs, want_prog, want_lang):
+    # each run's outcome is want_prog's under want_lang, on every script;
+    # on the full script no run raises
+    for i, text in enumerate(_scripts(gp)):
+        want = outcome(want_prog, want_lang, text)
+        if i == 0:
+            assert want == run_text(want_prog, want_lang, text)
+        for prog, lang in runs:
+            assert outcome(prog, lang, text) == want, text
+
+
+# The three tests below are one differential of ten interpretations: the
+# direct program and its four lowerings, each staged and each under the
+# per-trip reference, all equal to the direct staged run.
+@pytest.mark.parametrize("idx", range(len(CORPUS)))
+def test_staged_loops_match_the_per_trip_reference(idx):
+    gp = CORPUS[idx]
+    for prog in [gp.program] + [lower_program(gp.program, config) for config in ALL_CONFIGS]:
+        _agree(gp, [(prog, support.REFERENCE)], prog, hi.LANG)
+
+
+@pytest.mark.parametrize("idx", range(len(CORPUS)))
+def test_lowering_preserves_behaviour(idx):
+    gp = CORPUS[idx]
+    _agree(gp, [(lower_program(gp.program), lo.LANG)], gp.program, hi.LANG)
+
+
+def test_configurations_cannot_change_transcripts():
+    for gp in CORPUS:
+        runs = [(lower_program(gp.program, config), lo.LANG) for config in ALL_CONFIGS]
+        _agree(gp, runs, lower_program(gp.program), lo.LANG)
 
 
 def test_identity_reexpression_is_invisible():
