@@ -1,10 +1,10 @@
 """Emit C99 from programs over the minimal expression language.
 
 Everything lives in one main().  The walk over the program is
-core.SymbolicWalk, shared with the pseudo-code back end, so variables get
-the same names there and here.  This module supplies the C text of each
-statement; the declarations, all hoisted to the top of main, are the names
-on the walk's Scope.
+core.listing, shared with the pseudo-code back end, so variables get the
+same names there and here.  This module prints each entry of the listing
+as C; the declarations, all hoisted to the top of main, are the names on
+the listing's Scope.
 An expression's text is a table of rules for lowexpr.fold, which has no
 rule for Let or Iter.  Arithmetic goes through unsigned casts so 32-bit
 wraparound is defined behaviour rather than a compiler mood.
@@ -18,9 +18,11 @@ import shutil
 import subprocess
 from pathlib import Path
 
-from . import core
-from .core import STRING_ESCAPES, DslError, Program, SymbolicWalk, TypeTag
-from .lowexpr import Add, Eq, Expr, Lit, Mul, Not, Rules, Var, _unbound, fold
+from .core import (
+    STRING_ESCAPES, DslError, ForLoop, GetRef, InitRef, PrintStr, Program, ReadInput, Scope,
+    SetRef, TypeTag, WriteOutput, generated, listing,
+)
+from .lowexpr import Add, Eq, Lit, Mul, Not, Rules, Var, _unbound, fold
 
 _C_TYPE = {TypeTag.I32: "int32_t", TypeTag.BOOL: "int"}
 
@@ -64,47 +66,41 @@ _TEXT = Rules("cannot emit C for", {
 })
 
 
-class _C(SymbolicWalk):
-    """Statement text for the shared symbolic walk, whose scope holds the
-    names to declare."""
-
-    loop_end = "}"
-
-    def expr(self, e: Expr) -> str:
-        return fold(_TEXT, e, self.scope)
-
-    def init_ref(self, name: str, init) -> str:
-        return f"{name} = {self.expr(init)};"
-
-    def get_ref(self, name: str, ref: str) -> str:
-        return f"{name} = {ref};"
-
-    def set_ref(self, ref: str, value) -> str:
-        return f"{ref} = {self.expr(value)};"
-
-    def read_input(self, name: str) -> str:
-        return f'if (scanf("%d", &{name}) != 1) {{ return 1; }}'
-
-    def write_output(self, value) -> str:
-        return f'printf("%d", {self.expr(value)});'
-
-    def print_str(self, text: str) -> str | None:
-        if "\0" in text:
-            # printf would stop at the NUL, so write the bytes with a length
-            literal = text.translate(_C_STRING)
-            return f'fwrite("{literal}", 1, {len(text.encode())}, stdout);'
-        return f'printf("{c_escape(text)}");' if text else None
-
-    def for_loop(self, name: str, count) -> str:
-        return f"for ({name} = 0; {name} < {self.expr(count)}; {name}++) {{"
+def _statement(cmd, name, scope: Scope) -> str | None:
+    match cmd:
+        case GetRef():
+            return f"{name} = {generated(cmd.ref, scope)};"
+        case SetRef():
+            return f"{generated(cmd.ref, scope)} = {fold(_TEXT, cmd.value, scope)};"
+        case InitRef():
+            return f"{name} = {fold(_TEXT, cmd.init, scope)};"
+        case ForLoop():
+            return f"for ({name} = 0; {name} < {fold(_TEXT, cmd.count, scope)}; {name}++) {{"
+        case None:
+            return "}"
+        case WriteOutput():
+            return f'printf("%d", {fold(_TEXT, cmd.value, scope)});'
+        case ReadInput():
+            return f'if (scanf("%d", &{name}) != 1) {{ return 1; }}'
+        case PrintStr():
+            text = cmd.text
+            if "\0" in text:
+                # printf would stop at the NUL, so write the bytes with a length
+                literal = text.translate(_C_STRING)
+                return f'fwrite("{literal}", 1, {len(text.encode())}, stdout);'
+            return f'printf("{c_escape(text)}");' if text else None
 
 
 def emit_c(prog: Program) -> str:
     """Emit a complete C translation unit for a program over the minimal
     expression language."""
-    em = _C()
-    core.interpret(em.handle, prog)
-    decls = em.scope.names
+    scope = Scope()
+    statements = [
+        "    " * depth + text
+        for depth, cmd, name in listing(prog, scope)
+        if (text := _statement(cmd, name, scope)) is not None
+    ]
+    decls = scope.names
     lines = [
         "#include <stdint.h>",
         "#include <stdio.h>",
@@ -114,9 +110,9 @@ def emit_c(prog: Program) -> str:
     ]
     for name, tag in decls:
         lines.append(f"    {_C_TYPE[tag]} {name} = 0;")
-    if decls and em.statements:
+    if decls and statements:
         lines.append("")
-    lines.extend(em.statements)
+    lines.extend(statements)
     # a declared name may never be read (a write-only cell, an unused input
     # or counter); keep the strict compile quiet about every one of them
     for name, _ in decls:

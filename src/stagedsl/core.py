@@ -290,74 +290,71 @@ STRING_ESCAPES = {c: f"\\{c:03o}" for c in [*range(32), 127]} | {
 }
 
 
-class SymbolicWalk:
-    """The symbolic interpretation that every code generator shares.
+def symbolic(cmd: Instr, scope: Scope) -> tuple[str | None, Any]:
+    """The one naming rule of the symbolic walks: the name of cmd's result in
+    scope, "r" for a reference and "v" for a value or a loop counter, with
+    the symbolic result its continuation receives (None for a loop).  Names
+    share the scope's counter, so suffixes count 0, 1, 2, ... in order."""
+    # patterns without captures: CPython 3.11 matches them about 3x faster
+    match cmd:
+        case GetRef():
+            name = scope.fresh("v", cmd.ref.tag)
+            return name, SymbolicVal(cmd.ref.tag, name)
+        case SetRef() | WriteOutput() | PrintStr():
+            return None, None
+        case InitRef():
+            name = scope.fresh("r", cmd.init.tag)
+            return name, SymbolicRef(cmd.init.tag, name)
+        case ForLoop():
+            return scope.fresh("v", TypeTag.I32), None
+        case ReadInput():
+            name = scope.fresh("v", TypeTag.I32)
+            return name, SymbolicVal(TypeTag.I32, name)
+    raise DslError(f"not an instruction: {cmd!r}")
 
-    As an interpret() handler it names each instruction's result through
-    its scope, so value ("v") and reference ("r") names share a counter and
-    their suffixes count 0, 1, 2, ... in order of appearance; a back end
-    that needs the names reads them there.  It indents each statement by
-    loop depth, refuses references it did not generate, and walks each
-    loop body once, instantiated with its counter's name.
 
-    A back end subclasses it and supplies only its statements, one method
-    per instruction kind (init_ref, get_ref, set_ref, read_input,
-    write_output, print_str, for_loop), each given the names the walk chose
-    and returning the statement's text, or None for no statement, plus
-    loop_end, the text that closes a loop.  The runtime's interpreter is a
-    back end too: its statements are steps, and it overrides emit, reference
-    and loop.
+def listing(prog: Program, scope: Scope) -> list[tuple[int, Instr | None, str | None]]:
+    """Every statement of a program in order, as (depth, instruction, name):
+    depth 1 at top level and one more inside each loop body, which
+    (depth, None, None) closes.  Each body is instantiated once, with its
+    counter's name.  This is interpret's fold over the Bind spine with one
+    list of pending continuations per open body, so it never recurses.
     """
+    entries = []
+    bodies: list[list[Callable[[Any], Program]]] = [[]]
+    current = prog
+    while True:
+        if isinstance(current, Bind):
+            bodies[-1].append(current.rest)
+            current = current.first
+            continue
+        if isinstance(current, Instr):
+            name, result = symbolic(current, scope)
+            entries.append((len(bodies), current, name))
+            if isinstance(current, ForLoop):
+                bodies.append([])
+                current = current.body(SymbolicVal(TypeTag.I32, name))
+                continue
+        elif isinstance(current, Ret):
+            result = current.value
+        else:
+            raise DslError(f"not a program node: {current!r}")
+        pending = bodies[-1]
+        while not pending:  # the innermost body ended, and its loop yields None
+            bodies.pop()
+            if not bodies:
+                return entries
+            entries.append((len(bodies), None, None))
+            pending, result = bodies[-1], None
+        current = pending.pop()(result)
 
-    def __init__(self) -> None:
-        self.scope = Scope()
-        self.statements: list[Any] = []
-        self.depth = 1
 
-    def emit(self, text: str | None) -> None:
-        if text is not None:
-            self.statements.append("    " * self.depth + text)
-
-    def reference(self, ref: Ref) -> Any:
-        """What a statement refers to a reference by: its name, which this
-        walk must have generated."""
-        if isinstance(ref, SymbolicRef) and ref.name in self.scope:
-            return ref.name
-        raise StageError(f"reference {ref!r} was not generated by this walk")
-
-    def handle(self, cmd: Instr):
-        match cmd:
-            case InitRef(init):
-                name = self.scope.fresh("r", init.tag)
-                self.emit(self.init_ref(name, init))
-                return SymbolicRef(init.tag, name)
-            case GetRef(ref):
-                source = self.reference(ref)
-                name = self.scope.fresh("v", ref.tag)
-                self.emit(self.get_ref(name, source))
-                return SymbolicVal(ref.tag, name)
-            case SetRef(ref, value):
-                self.emit(self.set_ref(self.reference(ref), value))
-            case ReadInput():
-                name = self.scope.fresh("v", TypeTag.I32)
-                self.emit(self.read_input(name))
-                return SymbolicVal(TypeTag.I32, name)
-            case WriteOutput(value):
-                self.emit(self.write_output(value))
-            case PrintStr(text):
-                self.emit(self.print_str(text))
-            case ForLoop(count, body):
-                self.loop(self.scope.fresh("v", TypeTag.I32), count, body)
-            case _:
-                raise DslError(f"not an instruction: {cmd!r}")
-        return None
-
-    def loop(self, counter: str, count: Any, body: Callable[[Val], Program]) -> None:
-        self.emit(self.for_loop(counter, count))
-        self.depth += 1
-        interpret(self.handle, body(SymbolicVal(TypeTag.I32, counter)))
-        self.depth -= 1
-        self.emit(self.loop_end)
+def generated(ref: Ref, scope: Scope) -> str:
+    """The name a statement refers to a reference by, which a symbolic walk
+    over scope must have generated."""
+    if isinstance(ref, SymbolicRef) and ref.name in scope:
+        return ref.name
+    raise StageError(f"reference {ref!r} was not generated by this walk")
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,17 @@
 
 One statement per instruction, each on one line, loops as for/end-for
 blocks, the whole program indented one level.  The walk itself, with its
-fresh names, indentation and loop recursion, is core.SymbolicWalk, shared
-with the C back end; this module supplies only the text of each statement.
+fresh names and loop nesting, is core.listing, shared with the C back end;
+this module prints each entry of the listing.
 """
 
 from __future__ import annotations
 
 from . import lowexpr
-from .core import STRING_ESCAPES, Language, Program, SymbolicWalk, interpret
+from .core import (
+    STRING_ESCAPES, ForLoop, GetRef, InitRef, Language, PrintStr, Program, ReadInput, Scope,
+    SetRef, WriteOutput, generated, listing,
+)
 
 
 def quote_string(s: str) -> str:
@@ -18,39 +21,30 @@ def quote_string(s: str) -> str:
     return '"' + s.translate(STRING_ESCAPES) + '"'
 
 
-class _Pseudo(SymbolicWalk):
-    """Statement text for the shared symbolic walk."""
-
-    loop_end = "end for"
-
-    def __init__(self, render) -> None:
-        super().__init__()
-        self.expr = render
-
-    def init_ref(self, name: str, init) -> str:
-        return f"{name} <- initRef {self.expr(init)}"
-
-    def get_ref(self, name: str, ref: str) -> str:
-        return f"{name} <- getRef {ref}"
-
-    def set_ref(self, ref: str, value) -> str:
-        return f"setRef {ref} {self.expr(value)}"
-
-    def read_input(self, name: str) -> str:
-        return f"{name} <- readInput"
-
-    def write_output(self, value) -> str:
-        return f"writeOutput {self.expr(value)}"
-
-    def print_str(self, text: str) -> str:
-        return f"printStr {quote_string(text)}"
-
-    def for_loop(self, name: str, count) -> str:
-        return f"for {name} < {self.expr(count)}"
+def _statement(cmd, name, expr, scope: Scope) -> str:
+    match cmd:
+        case GetRef():
+            return f"{name} <- getRef {generated(cmd.ref, scope)}"
+        case SetRef():
+            return f"setRef {generated(cmd.ref, scope)} {expr(cmd.value)}"
+        case InitRef():
+            return f"{name} <- initRef {expr(cmd.init)}"
+        case ForLoop():
+            return f"for {name} < {expr(cmd.count)}"
+        case None:
+            return "end for"
+        case WriteOutput():
+            return f"writeOutput {expr(cmd.value)}"
+        case ReadInput():
+            return f"{name} <- readInput"
+        case PrintStr():
+            return f"printStr {quote_string(cmd.text)}"
 
 
 def render_program(prog: Program, lang: Language = lowexpr.LANG) -> str:
     """Emit a whole program.  The empty program renders as empty text."""
-    walk = _Pseudo(lang.render)
-    interpret(walk.handle, prog)
-    return "".join(line + "\n" for line in walk.statements)
+    scope, expr = Scope(), lang.render
+    return "".join(
+        "    " * depth + _statement(cmd, name, expr, scope) + "\n"
+        for depth, cmd, name in listing(prog, scope)
+    )

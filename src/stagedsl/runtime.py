@@ -3,7 +3,7 @@
 Generic in the expression Language.  Input and output are injectable, so
 tests can script a session; the CLI plugs in the process's stdio.
 
-The interpreter is one object, a back end of core.SymbolicWalk.
+The interpreter is one object, which names results by core.symbolic.
 Straight-line code is performed instruction by instruction with concrete
 values; each expression it holds is compiled, then run once.  A loop body
 is staged instead: when a loop first runs, its body is walked once with a
@@ -18,6 +18,10 @@ trip's output instead of during it; every error from running an instruction
 surfaces where it would without staging.  A language with no `compile` gets
 the reference behaviour: eval_closed evaluates every expression, and a loop
 body is rebuilt and interpreted on every trip.
+A staged loop's step calls the step of the loop nested in it, so nesting
+costs a Python frame per level: under the default recursion limit of
+1,000, a staged run handles about 985 nested loops and the reference path
+about 490.  The printers, which walk core.listing, have no such limit.
 An input line is an optionally signed decimal of any length, wrapped into
 32 bits, padded only with the ASCII whitespace C's scanf skips.
 """
@@ -42,11 +46,11 @@ from .core import (
     Program,
     ReadInput,
     Ref,
+    Scope,
     SetRef,
     StageError,
     SymbolicRef,
     SymbolicVal,
-    SymbolicWalk,
     TypeTag,
     WriteOutput,
     wrap_i32,
@@ -63,7 +67,7 @@ Env = dict[str, Any]
 Step = Callable[[Env], None]
 
 
-class _Runner(SymbolicWalk):
+class _Runner:
     """The concrete interpret() handler, perform, and the walk that stages
     loop bodies: each instruction becomes a step that performs it through
     the same read, write and cell and binds its generated result name in
@@ -71,7 +75,7 @@ class _Runner(SymbolicWalk):
     or directly for a live cell."""
 
     def __init__(self, lang: Language, stdin: TextIO, stdout: TextIO):
-        super().__init__()
+        self.scope = Scope()
         compile, scope = lang.compile, self.scope  # not self, which would make a cycle
         self._expr = None if compile is None else lambda e: compile(e, scope)
         self._eval = lang.eval_closed if compile is None else lambda e: compile(e, scope)({})
@@ -117,15 +121,12 @@ class _Runner(SymbolicWalk):
                 return None
             case ForLoop(count, body):
                 if self._expr is not None:  # either way the bound is evaluated once, first
-                    self.loop_step(self.scope.fresh("v", TypeTag.I32), self._expr(count), body)({})
+                    self.loop_step(core.symbolic(cmd, self.scope)[0], self._expr(count), body)({})
                     return None
                 for k in range(self._eval(count)):
                     core.interpret(self.perform, body(ConcreteVal(TypeTag.I32, k)))
                 return None
         raise DslError(f"not an instruction: {cmd!r}")
-
-    def emit(self, step: Step) -> None:
-        self.statements.append(step)
 
     def reference(self, ref: Ref) -> Callable[[Env], ConcreteRef]:
         if isinstance(ref, ConcreteRef):
@@ -136,43 +137,57 @@ class _Runner(SymbolicWalk):
         # not a cell this run can reach: fail when the instruction runs
         return lambda env: self.cell(ref)
 
-    def init_ref(self, name: str, init) -> Step:
-        tag, value = init.tag, self._expr(init)
+    def step(self, cmd: Instr, name: str | None) -> Step:
+        """The step that performs cmd on an environment and binds its result
+        to name there."""
+        match cmd:
+            case GetRef():
+                cell = self.reference(cmd.ref)
 
-        def step(env):
-            env[name] = ConcreteRef(tag, value(env))
+                def step(env):
+                    env[name] = cell(env).value
 
+            case SetRef():
+                cell, value = self.reference(cmd.ref), self._expr(cmd.value)
+
+                def step(env):
+                    cell(env).value = value(env)
+
+            case InitRef():
+                tag, value = cmd.init.tag, self._expr(cmd.init)
+
+                def step(env):
+                    env[name] = ConcreteRef(tag, value(env))
+
+            case ForLoop():
+                return self.loop_step(name, self._expr(cmd.count), cmd.body)
+            case WriteOutput():
+                write, value = self.write, self._expr(cmd.value)
+                return lambda env: write(str(value(env)))
+            case ReadInput():
+                read = self.read
+
+                def step(env):
+                    env[name] = read()
+
+            case PrintStr():
+                write, text = self.write, cmd.text
+                return lambda env: write(text)
         return step
 
-    def get_ref(self, name: str, cell) -> Step:
-        def step(env):
-            env[name] = cell(env).value
+    def stage(self, body: Program) -> list[Step]:
+        """A loop body's steps: the body walked once, each result named by
+        core.symbolic, each instruction made a step."""
+        steps: list[Step] = []
+        scope, step = self.scope, self.step
 
-        return step
+        def staged(cmd: Instr):
+            name, result = core.symbolic(cmd, scope)
+            steps.append(step(cmd, name))
+            return result
 
-    def set_ref(self, cell, value) -> Step:
-        new = self._expr(value)
-
-        def step(env):
-            cell(env).value = new(env)
-
-        return step
-
-    def read_input(self, name: str) -> Step:
-        read = self.read
-
-        def step(env):
-            env[name] = read()
-
-        return step
-
-    def write_output(self, value) -> Step:
-        write, out = self.write, self._expr(value)
-        return lambda env: write(str(out(env)))
-
-    def print_str(self, text: str) -> Step:
-        write = self.write
-        return lambda env: write(text)
+        core.interpret(staged, body)
+        return steps
 
     def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
         """The step that runs a staged loop: it evaluates the bound, stages
@@ -185,18 +200,13 @@ class _Runner(SymbolicWalk):
             n = bound(env)
             if n > 0 and steps is None:
                 # staging never nests: a nested loop's step only runs later
-                self.statements = []
-                core.interpret(self.handle, body(SymbolicVal(TypeTag.I32, counter)))
-                steps, self.statements = self.statements, []  # holding steps makes a cycle
+                steps = self.stage(body(SymbolicVal(TypeTag.I32, counter)))
             for k in range(n):
                 env[counter] = k
                 for s in steps:
                     s(env)
 
         return step
-
-    def loop(self, counter: str, count, body) -> None:
-        self.emit(self.loop_step(counter, self._expr(count), body))
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

@@ -2,7 +2,8 @@
 
 The trees come from support.deep_tree, whose oracle and printer are loops,
 and are checked against evaluation, rendering, all four lowerings, direct
-runs with and without staging, pseudo-code and strict C.
+runs with and without staging, pseudo-code and strict C.  Loop nests are
+listed and printed without recursion too.
 """
 
 import dataclasses
@@ -15,7 +16,8 @@ from stagedsl import highexpr as hi
 from stagedsl import lowexpr as lo
 from stagedsl.cgen import emit_c, have_c_compiler
 from stagedsl.core import (
-    DslError, Ret, Scope, TypeTag, for_loop, get_ref, init_ref, print_str, ret, write_output,
+    DslError, Ret, Scope, TypeTag, for_loop, get_ref, init_ref, listing, print_str, ret,
+    write_output,
 )
 from stagedsl.pseudo import render_program
 from stagedsl.runtime import run_text
@@ -163,3 +165,36 @@ def test_a_deep_iter_nest_in_init_position_builds_evaluates_and_lowers():
     prog = write_output(e)
     assert run_text(prog, hi.LANG)[1] == str(support.DEEP + 1)
     assert run_text(lower_program(prog), lo.LANG)[1] == str(support.DEEP + 1)
+
+
+def _loop_nest(depth):
+    prog = print_str("x")
+    for _ in range(depth):
+        prog = for_loop(lo.LANG, lo.lit(1), lambda _i, body=prog: body)
+    return prog
+
+
+def test_a_deep_loop_nest_is_listed_and_printed_without_recursion():
+    # the listing at 10^4 levels; the printed texts grow as the square of
+    # the depth, by their indentation (400 MB each at 10^4 levels), so they
+    # are checked at three times the default recursion limit
+    kinds = [(k + 1, "ForLoop", f"v{k}") for k in range(support.DEEP)]
+    kinds += [(support.DEEP + 1, "PrintStr", None)]
+    kinds += [(k, None, None) for k in range(support.DEEP, 0, -1)]
+    entries = listing(_loop_nest(support.DEEP), Scope())
+    assert [(d, cmd and type(cmd).__name__, name) for d, cmd, name in entries] == kinds
+
+    depth = 3_000
+    pad = ["    " * (k + 1) for k in range(depth + 1)]
+    pseudo = [f"{pad[k]}for v{k} < 1" for k in range(depth)] + [f'{pad[depth]}printStr "x"']
+    pseudo += [f"{pad[k]}end for" for k in reversed(range(depth))]
+    names = [f"v{k}" for k in range(depth)]
+    c = ["#include <stdint.h>", "#include <stdio.h>", "", "int main(void)", "{"]
+    c += [f"    int32_t {v} = 0;" for v in names] + [""]
+    c += [f"{pad[k]}for ({v} = 0; {v} < 1; {v}++) {{" for k, v in enumerate(names)]
+    c += [f'{pad[depth]}printf("x");'] + [f"{pad[k]}}}" for k in reversed(range(depth))]
+    c += [f"    (void){v};" for v in names] + ["    return 0;", "}"]
+    prog = _loop_nest(depth)
+    for printed in (prog, lower_program(prog)):
+        assert render_program(printed) == "".join(line + "\n" for line in pseudo)
+        assert emit_c(printed) == "\n".join(c) + "\n"
