@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 
 class TypeTag(Enum):
@@ -313,40 +313,50 @@ def symbolic(cmd: Instr, scope: Scope) -> tuple[str | None, Any]:
     raise DslError(f"not an instruction: {cmd!r}")
 
 
-def listing(prog: Program, scope: Scope) -> list[tuple[int, Instr | None, str | None]]:
-    """Every statement of a program in order, as (depth, instruction, name):
-    depth 1 at top level and one more inside each loop body, which
-    (depth, None, None) closes.  Each body is instantiated once, with its
-    counter's name.  This is interpret's fold over the Bind spine with one
-    list of pending continuations per open body, so it never recurses.
-    """
-    entries = []
-    bodies: list[list[Callable[[Any], Program]]] = [[]]
+def statements(prog: Program, scope: Scope) -> Iterator[tuple[Instr, str | None]]:
+    """The statements of one body in order, as (instruction, name), each
+    name given by symbolic: interpret's fold with symbolic and a yield for the
+    handler.  It never enters a loop's body, and it pauses after each
+    statement, so a caller can walk that body, or leave it unbuilt, before
+    anything after the loop gets a name."""
+    pending: list[Callable[[Any], Program]] = []
     current = prog
     while True:
         if isinstance(current, Bind):
-            bodies[-1].append(current.rest)
+            pending.append(current.rest)
             current = current.first
             continue
         if isinstance(current, Instr):
             name, result = symbolic(current, scope)
-            entries.append((len(bodies), current, name))
-            if isinstance(current, ForLoop):
-                bodies.append([])
-                current = current.body(SymbolicVal(TypeTag.I32, name))
-                continue
+            yield current, name
         elif isinstance(current, Ret):
             result = current.value
         else:
             raise DslError(f"not a program node: {current!r}")
-        pending = bodies[-1]
-        while not pending:  # the innermost body ended, and its loop yields None
-            bodies.pop()
-            if not bodies:
-                return entries
-            entries.append((len(bodies), None, None))
-            pending, result = bodies[-1], None
+        if not pending:
+            return
         current = pending.pop()(result)
+
+
+def listing(prog: Program, scope: Scope) -> list[tuple[int, Instr | None, str | None]]:
+    """Every statement of a program in order, as (depth, instruction, name):
+    depth 1 at top level and one more inside each loop body, which
+    (depth, None, None) closes.  Each body is instantiated once, with its
+    counter's name, and open bodies are a stack of statements walks, so it
+    never recurses."""
+    entries = []
+    walks = [statements(prog, scope)]
+    while walks:
+        for cmd, name in walks[-1]:
+            entries.append((len(walks), cmd, name))
+            if isinstance(cmd, ForLoop):
+                walks.append(statements(cmd.body(SymbolicVal(TypeTag.I32, name)), scope))
+                break
+        else:  # the innermost body ended
+            walks.pop()
+            if walks:
+                entries.append((len(walks), None, None))
+    return entries
 
 
 def generated(ref: Ref, scope: Scope) -> str:
@@ -424,16 +434,16 @@ def reexpress(translate_expr: Callable[[Any], Program], prog: Program) -> Progra
 
 
 def reexpress_cmd(translate_expr: Callable[[Any], Program], cmd: Instr) -> Program:
-    match cmd:
-        case InitRef(init):
-            return translate_expr(init).bind(InitRef)
-        case SetRef(ref, value):
-            return translate_expr(value).bind(lambda e: SetRef(ref, e))
-        case WriteOutput(value):
-            return translate_expr(value).bind(WriteOutput)
-        case ForLoop(count, body):
-            return translate_expr(count).bind(
-                lambda c: ForLoop(c, lambda val: reexpress(translate_expr, body(val)))
+    match cmd:  # patterns without captures, as in symbolic
+        case InitRef():
+            return translate_expr(cmd.init).bind(InitRef)
+        case SetRef():
+            return translate_expr(cmd.value).bind(lambda e: SetRef(cmd.ref, e))
+        case WriteOutput():
+            return translate_expr(cmd.value).bind(WriteOutput)
+        case ForLoop():
+            return translate_expr(cmd.count).bind(
+                lambda c: ForLoop(c, lambda val: reexpress(translate_expr, cmd.body(val)))
             )
         case GetRef() | ReadInput() | PrintStr():
             return cmd

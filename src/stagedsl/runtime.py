@@ -3,13 +3,13 @@
 Generic in the expression Language.  Input and output are injectable, so
 tests can script a session; the CLI plugs in the process's stdio.
 
-The interpreter is one object, which names results by core.symbolic.
-Straight-line code is performed instruction by instruction with concrete
-values; each expression it holds is compiled, then run once.  A loop body
-is staged instead: when a loop first runs, its body is walked once with a
-generated name for the counter, every instruction becomes a step over an
-environment of generated names, and the steps run once per trip.  Every
-staged loop, outermost or nested, runs as one step that evaluates the
+The interpreter is one object.  Straight-line code is performed
+instruction by instruction with concrete values; each expression it holds is
+compiled, then run once.  A loop body is staged instead: when a loop first
+runs, its body is walked once by core.statements, the walk core.listing is
+built from, with a generated name for the counter; every instruction becomes
+a step over an environment of generated names, and the steps run once per
+trip.  Every staged loop, outermost or nested, runs as one step that evaluates the
 bound, stages the body on the first trip that runs and repeats it.  This
 relies on loop and binder bodies building the same program whatever value
 they are passed, which the C back end relies on too.  An error from
@@ -20,8 +20,8 @@ the reference behaviour: eval_closed evaluates every expression, and a loop
 body is rebuilt and interpreted on every trip.
 A staged loop's step calls the step of the loop nested in it, so nesting
 costs a Python frame per level: under the default recursion limit of
-1,000, a staged run handles about 985 nested loops and the reference path
-about 490.  The printers, which walk core.listing, have no such limit.
+1,000, a staged run handles about 989 nested loops and the reference path
+about 494.  The printers, which walk core.listing, have no such limit.
 An input line is an optionally signed decimal of any length, wrapped into
 32 bits, padded only with the ASCII whitespace C's scanf skips.
 """
@@ -102,29 +102,30 @@ class _Runner:
         return wrap_i32(-value if text[0] == "-" else value)
 
     def perform(self, cmd: Instr):
-        match cmd:
-            case InitRef(init):
-                return ConcreteRef(init.tag, self._eval(init))
-            case GetRef(ref):
-                cell = self.cell(ref)
+        match cmd:  # patterns without captures, as in core.symbolic
+            case InitRef():
+                return ConcreteRef(cmd.init.tag, self._eval(cmd.init))
+            case GetRef():
+                cell = self.cell(cmd.ref)
                 return ConcreteVal(cell.tag, cell.value)
-            case SetRef(ref, value):
-                self.cell(ref).value = self._eval(value)
+            case SetRef():
+                self.cell(cmd.ref).value = self._eval(cmd.value)
                 return None
             case ReadInput():
                 return ConcreteVal(TypeTag.I32, self.read())
-            case WriteOutput(value):
-                self.write(str(self._eval(value)))
+            case WriteOutput():
+                self.write(str(self._eval(cmd.value)))
                 return None
-            case PrintStr(text):
-                self.write(text)
+            case PrintStr():
+                self.write(cmd.text)
                 return None
-            case ForLoop(count, body):
+            case ForLoop():
                 if self._expr is not None:  # either way the bound is evaluated once, first
-                    self.loop_step(core.symbolic(cmd, self.scope)[0], self._expr(count), body)({})
+                    counter = core.symbolic(cmd, self.scope)[0]
+                    self.loop_step(counter, self._expr(cmd.count), cmd.body)({})
                     return None
-                for k in range(self._eval(count)):
-                    core.interpret(self.perform, body(ConcreteVal(TypeTag.I32, k)))
+                for k in range(self._eval(cmd.count)):
+                    core.interpret(self.perform, cmd.body(ConcreteVal(TypeTag.I32, k)))
                 return None
         raise DslError(f"not an instruction: {cmd!r}")
 
@@ -175,20 +176,6 @@ class _Runner:
                 return lambda env: write(text)
         return step
 
-    def stage(self, body: Program) -> list[Step]:
-        """A loop body's steps: the body walked once, each result named by
-        core.symbolic, each instruction made a step."""
-        steps: list[Step] = []
-        scope, step = self.scope, self.step
-
-        def staged(cmd: Instr):
-            name, result = core.symbolic(cmd, scope)
-            steps.append(step(cmd, name))
-            return result
-
-        core.interpret(staged, body)
-        return steps
-
     def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
         """The step that runs a staged loop: it evaluates the bound, stages
         the body over its counter's name on the first trip that runs, as
@@ -200,7 +187,8 @@ class _Runner:
             n = bound(env)
             if n > 0 and steps is None:
                 # staging never nests: a nested loop's step only runs later
-                steps = self.stage(body(SymbolicVal(TypeTag.I32, counter)))
+                walk = core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope)
+                steps = [self.step(cmd, name) for cmd, name in walk]
             for k in range(n):
                 env[counter] = k
                 for s in steps:

@@ -26,12 +26,16 @@ from stagedsl.core import (
     TypeTag,
     wrap_i32,
 )
+from stagedsl.translate import LetStrategy, TranslationConfig, UnrollPolicy
 
 I32 = TypeTag.I32
 
 # no compile: eval_closed evaluates every expression and a loop body is
 # rebuilt and interpreted on every trip; hi.LANG is lo.LANG, so one suffices
 REFERENCE = replace(lo.LANG, compile=None)
+
+# the four lowering configs, every LetStrategy with every UnrollPolicy
+CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
 
 
 def _placeholder(cmd):

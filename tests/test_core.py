@@ -40,7 +40,7 @@ from stagedsl.core import (
 from stagedsl.examples import EXAMPLES
 from stagedsl.pseudo import render_program
 from stagedsl.runtime import run_text
-from stagedsl.translate import LetStrategy, TranslationConfig, UnrollPolicy, lower_program
+from stagedsl.translate import lower_program
 
 
 def test_ret_produces_its_value_without_effects():
@@ -235,6 +235,35 @@ def test_interpret_hands_the_handler_the_instruction_node_itself():
         assert len(seen) == 1 and seen[0] is node
 
 
+def test_statements_names_results_in_order_and_never_enters_a_loop_body():
+    def body(_counter):
+        raise AssertionError("body built")
+
+    got = []  # what each continuation is passed
+
+    def then(make):
+        return lambda result: got.append(result) or make(result)
+
+    prog = core.InitRef(lo.lit(True)).bind(then(GetRef))
+    prog = prog.bind(then(lambda _v: ForLoop(lo.lit(2), body)))
+    prog = prog.bind(then(lambda _none: core.ReadInput())).bind(then(lambda _v: print_str("a")))
+    prog = prog.bind(then(Ret))
+    scope = Scope()
+    walk = core.statements(prog, scope)
+    first = [next(walk) for _ in range(3)]
+    assert [(type(cmd), name) for cmd, name in first] == [
+        (core.InitRef, "r0"), (GetRef, "v1"), (ForLoop, "v2"),
+    ]
+    # the walk pauses at the loop, before its continuation is called
+    assert got == [SymbolicRef(TypeTag.BOOL, "r0"), SymbolicVal(TypeTag.BOOL, "v1")]
+    rest = [(type(cmd), name) for cmd, name in walk]
+    assert rest == [(core.ReadInput, "v3"), (core.PrintStr, None)]
+    assert got[2:] == [None, SymbolicVal(TypeTag.I32, "v3"), None]
+    assert scope.names == [
+        ("r0", TypeTag.BOOL), ("v1", TypeTag.BOOL), ("v2", TypeTag.I32), ("v3", TypeTag.I32),
+    ]
+
+
 def test_constructors_that_only_construct_are_the_node_classes():
     r = SymbolicRef(TypeTag.I32, "r0")
     cases = [
@@ -367,13 +396,12 @@ def test_no_interpretation_changes_a_shared_example():
             yield record
             todo += [v for v in field_values(record) if isinstance(v, (core.Program, lo.Expr))]
 
-    configs = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
     stdin = "3\n4\n5\n6\n"  # enough for every example
     for name, prog in EXAMPLES.items():
         before = [(record, field_values(record)) for record in records(prog)]
         assert len(before) > 2, name
         run_text(prog, hi.LANG, stdin)
-        for config in configs:
+        for config in support.CONFIGS:
             low = lower_program(prog, config)
             run_text(low, lo.LANG, stdin)
             render_program(low)

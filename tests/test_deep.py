@@ -21,11 +21,7 @@ from stagedsl.core import (
 )
 from stagedsl.pseudo import render_program
 from stagedsl.runtime import run_text
-from stagedsl.translate import (
-    LetStrategy, TranslationConfig, UnrollPolicy, lower_expr, lower_program,
-)
-
-CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
+from stagedsl.translate import lower_expr, lower_program
 
 
 def _program(tree):
@@ -68,7 +64,7 @@ def test_deep_trees_evaluate_render_lower_and_run(shape):
     for config, lang in [
         (None, hi.LANG),
         (None, support.REFERENCE),
-        *((config, lo.LANG) for config in CONFIGS),
+        *((config, lo.LANG) for config in support.CONFIGS),
     ]:
         low = prog if config is None else lower_program(prog, config)
         result, out, reads = run_text(low, lang)
@@ -85,7 +81,7 @@ def test_deep_trees_compile_as_strict_c_that_matches_the_interpreter(shape, tmp_
     deep = support.deep_tree(2, shape)
     prog = _program(deep.tree)
     compiled = set()
-    for cfg in CONFIGS:
+    for cfg in support.CONFIGS:
         low = lower_program(prog, cfg)
         source = emit_c(low)
         if source in compiled:

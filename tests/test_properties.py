@@ -17,16 +17,9 @@ from stagedsl.core import Bind, Ret, TagError, interpret, ret, reexpress
 from stagedsl.pseudo import render_program
 from stagedsl.randprog import GenConfig, corpus, random_program
 from stagedsl.runtime import run_text
-from stagedsl.translate import (
-    LetStrategy,
-    TranslationConfig,
-    UnrollPolicy,
-    lower_expr,
-    lower_program,
-)
+from stagedsl.translate import lower_expr, lower_program
 
 CORPUS = corpus(seed=424242, size=60)
-ALL_CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
 
 
 def _scripts(gp):
@@ -54,7 +47,7 @@ def _agree(gp, runs, want_prog, want_lang):
 @pytest.mark.parametrize("idx", range(len(CORPUS)))
 def test_staged_loops_match_the_per_trip_reference(idx):
     gp = CORPUS[idx]
-    for prog in [gp.program] + [lower_program(gp.program, config) for config in ALL_CONFIGS]:
+    for prog in [gp.program] + [lower_program(gp.program, config) for config in support.CONFIGS]:
         _agree(gp, [(prog, support.REFERENCE)], prog, hi.LANG)
 
 
@@ -66,7 +59,7 @@ def test_lowering_preserves_behaviour(idx):
 
 def test_configurations_cannot_change_transcripts():
     for gp in CORPUS:
-        runs = [(lower_program(gp.program, config), lo.LANG) for config in ALL_CONFIGS]
+        runs = [(lower_program(gp.program, config), lo.LANG) for config in support.CONFIGS]
         _agree(gp, runs, lower_program(gp.program), lo.LANG)
 
 
@@ -90,7 +83,7 @@ def test_right_nesting_changes_nothing_observable():
 
 def test_lowering_binds_no_returned_value():
     for gp in CORPUS:
-        for config in ALL_CONFIGS:
+        for config in support.CONFIGS:
             nodes = support.reached_nodes(lower_program(gp.program, config))
             assert not [n for n in nodes if isinstance(n, Bind) and isinstance(n.first, Ret)]
 

@@ -150,13 +150,10 @@ def test_unrolled_and_plain_translations_agree(k):
     assert plain == unrolled
 
 
-ALL_CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]
-
-
 def _doubled_count_transcripts(k: int) -> list:
     prog = write_output(hi.Iter(hi.Mul(hi.lit(k), hi.lit(2)), hi.lit(0), lambda x: x + 1))
     direct = run_text(prog, hi.LANG)
-    return [direct] + [run_text(lower_program(prog, c), lo.LANG) for c in ALL_CONFIGS]
+    return [direct] + [run_text(lower_program(prog, c), lo.LANG) for c in support.CONFIGS]
 
 
 def test_unrolling_leaves_a_wrapping_doubled_count_alone():
@@ -171,7 +168,7 @@ def test_unrolling_leaves_a_wrapping_doubled_count_alone():
     prog = read_input(hi.LANG).bind(
         lambda n: write_output(hi.Iter(hi.Mul(n, hi.lit(2)), hi.lit(0), lambda x: x + 1))
     )
-    for config in ALL_CONFIGS:
+    for config in support.CONFIGS:
         assert run_text(lower_program(prog, config), lo.LANG, f"{k}\n") == (None, "2", 1)
 
 
