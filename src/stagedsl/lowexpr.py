@@ -7,8 +7,9 @@ with two more classes.  Each class names the fields holding its operands,
 and fold walks a tree bottom-up on an explicit stack, so neither operand
 depth nor binder nesting grows the Python stack.  A consumer is a table of
 rules, one per node class; this module holds closed evaluation and flat
-compilation, to which highexpr adds its two classes, and rendering, which
-knows only the six core classes and so rejects anything else.
+compilation, to which highexpr adds its two classes, and rendering and the
+Python text of the runtime's hot loops, which know only the six core
+classes and so reject anything else.
 """
 
 from __future__ import annotations
@@ -272,6 +273,66 @@ def render(e: Expr) -> str:
     """Print an expression.  Every operator application gets parentheses,
     so distinct trees read distinctly."""
     return fold(_TEXT, e)
+
+
+# PYTHON's context is a Source.  A rule gives Python text and how deep
+# operators nest in it; at _NEST a line stores the value in a fresh local
+# instead, since CPython refuses text nested 200 parentheses deep.
+_NEST = 40
+_WRAP = "(({} + 2**31) % 2**32 - 2**31)"  # wrap_i32 as Python text
+
+
+class Source:
+    """Python source over a scope's names, for the runtime's hot loop
+    bodies: its lines in order, among them the temporaries that the text
+    folded so far reads, the namespace constants they name and the
+    generated names they read.  Only the repr() of an int or bool literal
+    becomes text."""
+
+    def __init__(self, scope: Scope) -> None:
+        self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
+
+    def const(self, value: Any) -> str:
+        name = f"_c{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def expr(self, e: Expr) -> str:
+        """The text of e, or DslError for an expression that only compile
+        handles: a binder or a variable the scope did not generate."""
+        return fold(PYTHON, e, self)[0]
+
+
+def _source_var(e: Var, source: Source) -> tuple[str, int]:
+    if e.name not in source.scope:
+        _unbound(e, source)
+    source.reads.add(e.name)
+    return e.name, 0
+
+
+def _source_lit(e: Lit, source: Source) -> tuple[str, int]:
+    text = repr(e.value) if type(e.value) in (int, bool) else source.const(e.value)
+    return text, 0
+
+
+def _source_op(tag: TypeTag, form: str, source: Source, a, b=(None, 0)) -> tuple[str, int]:
+    (ta, da), (tb, db) = a, b
+    text, depth = form.format(ta, tb), max(da, db) + 1
+    if depth < _NEST:
+        return text, depth
+    name = source.scope.fresh("t", tag)
+    source.lines.append(f"{name} = {text}")
+    return name, 0
+
+
+PYTHON = Rules("cannot generate Python for", {
+    Var: _source_var,
+    Lit: _source_lit,
+    Add: partial(_source_op, TypeTag.I32, _WRAP.format("{} + {}")),
+    Mul: partial(_source_op, TypeTag.I32, _WRAP.format("{} * {}")),
+    Not: partial(_source_op, TypeTag.BOOL, "(not {})"),
+    Eq: partial(_source_op, TypeTag.BOOL, "({} == {})"),
+})
 
 
 LANG = Language(

@@ -18,6 +18,16 @@ trip's output instead of during it; every error from running an instruction
 surfaces where it would without staging.  A language with no `compile` gets
 the reference behaviour: eval_closed evaluates every expression, and a loop
 body is rebuilt and interpreted on every trip.
+A hot loop goes one tier further.  Once a staged loop's trips, summed over
+all of its runs, reach _HOT, its body runs as one generated Python function,
+built from the same staged statements: a `for` over the counter with one
+line per instruction, generated names as locals and expressions as
+lowexpr.PYTHON's text.  Print strings, live cells and tags are constants of
+the function's namespace; program text never becomes source.  A body stays
+on the steps if it holds a nested loop, a Let or Iter, or a variable or
+reference the scope did not generate, or if the language's compile is not
+lowexpr.compile_open, which then sees every expression.  So only leaf loops
+tier up, and errors surface after the same output either way.
 A staged loop's step calls the step of the loop nested in it, so nesting
 costs a Python frame per level: under the default recursion limit of
 1,000, a staged run handles about 989 nested loops and the reference path
@@ -32,7 +42,7 @@ import io
 import re
 from typing import Any, Callable, TextIO
 
-from . import core
+from . import core, lowexpr
 from .core import (
     ConcreteRef,
     ConcreteVal,
@@ -66,6 +76,12 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 Env = dict[str, Any]
 Step = Callable[[Env], None]
 
+# A staged loop's trips, summed over its runs, at which its body becomes
+# generated source.  Generating powerInput's loop body costs about 115 us,
+# and each trip then saves about 0.9 us, so it pays from about 130 trips; the
+# default randprog corpus has not been seen to sum past 144.
+_HOT = 256
+
 
 class _Runner:
     """The concrete interpret() handler, perform, and the walk that stages
@@ -78,6 +94,10 @@ class _Runner:
         self.scope = Scope()
         compile, scope = lang.compile, self.scope  # not self, which would make a cycle
         self._expr = None if compile is None else lambda e: compile(e, scope)
+        # only compile_open's expressions go to source, so any other compile sees
+        # every expression; LANG's field, which perfbench/tracing.py leaves as
+        # it is, unlike the module's function
+        self._tier = compile is lowexpr.LANG.compile
         self._eval = lang.eval_closed if compile is None else lambda e: compile(e, scope)({})
         self._stdin = stdin
         self.write = stdout.write
@@ -179,22 +199,87 @@ class _Runner:
     def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
         """The step that runs a staged loop: it evaluates the bound, stages
         the body over its counter's name on the first trip that runs, as
-        without staging, then runs the body's steps once per trip."""
+        without staging, then runs the body's steps once per trip, or, once
+        the loop's trips summed over its runs reach _HOT, its source."""
+        staged: list[tuple[Instr, str | None]] = []
         steps: list[Step] | None = None
+        trips, source = 0, None  # source: None until tried, then a function or False
 
         def step(env):
-            nonlocal steps
+            nonlocal steps, trips, source
             n = bound(env)
-            if n > 0 and steps is None:
+            if n <= 0:
+                return
+            if steps is None:
                 # staging never nests: a nested loop's step only runs later
-                walk = core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope)
-                steps = [self.step(cmd, name) for cmd, name in walk]
+                staged.extend(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
+                steps = [self.step(cmd, name) for cmd, name in staged]
+            trips += n
+            if trips >= _HOT:
+                if source is None:
+                    source = self.generate(counter, staged) or False
+                if source:
+                    return source(env, n)
             for k in range(n):
                 env[counter] = k
                 for s in steps:
                     s(env)
 
         return step
+
+    def generate(
+        self, counter: str, staged: list[tuple[Instr, str | None]]
+    ) -> Callable[[Env, int], None] | None:
+        """A staged body's n trips as one generated Python function of env
+        and n: a line per statement, generated names as locals, outer names
+        loaded from env once and the body's own names stored back after the
+        last trip, as the steps leave them.  None for a body that stays on
+        the steps: under a language whose compile is not compile_open, or
+        with a nested loop, a binder or a name the scope did not generate."""
+        if not self._tier:
+            return None
+        src = lowexpr.Source(self.scope)
+        write, read, cell = src.const(self.write), src.const(self.read), src.const(ConcreteRef)
+        for cmd, name in staged:
+            try:
+                match cmd:  # patterns without captures, as in core.symbolic
+                    case GetRef():
+                        line = f"{name} = {self.ref_text(src, cmd.ref)}.value"
+                    case SetRef():
+                        value = src.expr(cmd.value)
+                        line = f"{self.ref_text(src, cmd.ref)}.value = {value}"
+                    case InitRef():
+                        line = f"{name} = {cell}({src.const(cmd.init.tag)}, {src.expr(cmd.init)})"
+                    case WriteOutput():
+                        line = f"{write}(str({src.expr(cmd.value)}))"
+                    case ReadInput():
+                        line = f"{name} = {read}()"
+                    case PrintStr():
+                        line = f"{write}({src.const(cmd.text)})"
+                    case _:  # a nested loop
+                        return None
+            except DslError:
+                return None
+            src.lines.append(line)
+        own = [counter, *(name for _, name in staged if name is not None)]
+        outer = sorted(src.reads.difference(own))
+        text = "\n".join([
+            "def loop(env, n):",
+            *(f"    {name} = env[{name!r}]" for name in outer),
+            f"    for {counter} in range(n):",
+            *(f"        {line}" for line in src.lines or ["pass"]),
+            *(f"    env[{name!r}] = {name}" for name in own),
+        ])
+        exec(compile(text, "<staged loop>", "exec"), src.consts)
+        return src.consts.pop("loop")  # which holds the namespace: no cycle
+
+    def ref_text(self, src: lowexpr.Source, ref: Ref) -> str:
+        """The text naming a reference: a constant for a live cell, or a
+        generated name; DslError for any other, whose steps fail when run."""
+        if isinstance(ref, ConcreteRef):
+            return src.const(ref)
+        src.reads.add(core.generated(ref, self.scope))
+        return ref.name
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

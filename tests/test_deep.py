@@ -14,6 +14,7 @@ import support
 from c_differential import disagreement
 from stagedsl import highexpr as hi
 from stagedsl import lowexpr as lo
+from stagedsl import runtime
 from stagedsl.cgen import emit_c, have_c_compiler
 from stagedsl.core import (
     DslError, Ret, Scope, TypeTag, for_loop, get_ref, init_ref, listing, print_str, ret,
@@ -112,6 +113,23 @@ def test_a_deep_chain_in_a_loop_body_runs_as_in_the_reference(side):
     want = run_text(prog, support.REFERENCE)
     assert want == (None, "49995000;49995001;", 0)
     assert run_text(prog, hi.LANG) == want
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_deep_chain_in_a_hot_loop_body_runs_as_generated_source(side, sources):
+    # as above, but for _HOT trips, so the body runs as generated source,
+    # whose text must stay within CPython's nesting limits; the reference,
+    # which rebuilds the chain on every trip, is left to the test above
+    def body(i):
+        e = i
+        for k in range(support.DEEP):
+            e = e + k if side == "left" else k + e
+        return write_output(e).then(print_str(";"))
+
+    prog = for_loop(hi.LANG, hi.lit(runtime._HOT), body)
+    want = "".join(f"{49995000 + i};" for i in range(runtime._HOT))
+    assert run_text(prog, hi.LANG) == (None, want, 0)
+    assert len(sources) == 1
 
 
 def test_the_tag_of_a_deep_let_nest_is_read_without_recursion():

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import io
+import math
 
 import pytest
 
@@ -33,7 +34,9 @@ from stagedsl.core import (
 )
 from stagedsl.examples import power_input, sum_input
 from stagedsl.pseudo import render_program
+from stagedsl.randprog import corpus
 from stagedsl.runtime import InputError, run, run_text
+from stagedsl.translate import lower_program
 
 
 def test_sum_example_full_transcript():
@@ -149,6 +152,9 @@ def test_a_staged_run_leaves_no_reference_cycle():
     gc.disable()
     try:
         run_text(sum_input(), hi.LANG, "1\n2\n3\n4\n")
+        # a hot loop's generated function holds its namespace, which must
+        # not hold the function
+        run_text(lower_program(power_input()), lo.LANG, f"3\n{runtime._HOT}\n")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -352,3 +358,174 @@ def test_a_later_top_level_loop_never_resolves_a_name_an_earlier_one_generated(n
     )
     want = ("UnboundVariableError", f"unbound variable {name}", "01b")
     assert _both(seq(first, second), lo.LANG) == want
+
+
+# --------------------------------------------------------------------------
+# The source tier: a staged loop whose trips, summed over its runs, reach
+# _HOT runs its body as generated Python source.  The differential tests run
+# each body just below, at and just above that count.
+
+HOT = runtime._HOT
+AROUND_HOT = [HOT - 1, HOT, HOT + 1]
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+@pytest.mark.parametrize("m", [2**31 - 1, -(2**31)])
+def test_a_hot_product_wraps_as_in_the_reference(m, trips, sources):
+    # every trip writes the product: a value read later wraps anyway
+    def body(acc, m, i):
+        return modify_ref(lo.LANG, acc, lambda x: x * m + i).then(
+            get_ref(lo.LANG, acc).bind(write_output).then(print_str(","))
+        )
+
+    prog = read_input(lo.LANG).bind(
+        lambda m: init_ref(lo.lit(1)).bind(
+            lambda acc: for_loop(lo.LANG, lo.lit(trips), lambda i: body(acc, m, i))
+        )
+    )
+    want, acc = "", 1
+    for i in range(trips):
+        acc = wrap_i32(acc * m + i)
+        want += f"{acc},"
+    assert _both(prog, lo.LANG, f"{m}\n") == (None, want, 1)
+    assert len(sources) == (trips >= HOT)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_hot_boolean_body_matches_the_reference(trips, sources):
+    # flag becomes not (flag == (i * i == i)), which tells 0 and 1 apart
+    def loop(flag):
+        def body(i):
+            return init_ref(lo.Eq(i * i, i)).bind(
+                lambda r: get_ref(lo.LANG, r).bind(
+                    lambda square: modify_ref(lo.LANG, flag, lambda f: lo.Not(lo.Eq(f, square)))
+                )
+            )
+
+        return seq(for_loop(lo.LANG, lo.lit(trips), body), get_ref(lo.LANG, flag))
+
+    want = False
+    for i in range(trips):
+        want = not (want == (i * i == i))
+    prog = init_ref(lo.lit(False)).bind(loop)
+    assert _both(prog, lo.LANG) == (lo.Lit(want, TypeTag.BOOL), "", 0)
+    assert len(sources) == (trips >= HOT)
+
+
+TRICKY = "\"'''\\\0{}'"
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_hot_print_string_never_becomes_source_text(trips, sources):
+    prog = for_loop(lo.LANG, lo.lit(trips), lambda i: print_str(TRICKY).then(write_output(i)))
+    want = "".join(f"{TRICKY}{k}" for k in range(trips))
+    assert _both(prog, lo.LANG) == (None, want, 0)
+    assert len(sources) == (trips >= HOT)
+    assert all("'''" not in text and "{}" not in text for text in sources)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+@pytest.mark.parametrize("last", ["", "x\n"])
+def test_hot_reads_fail_mid_loop_as_in_the_reference(trips, last, sources):
+    def body(i):
+        return read_input(lo.LANG).bind(lambda x: write_output(x + i)).then(print_str(","))
+
+    prog = for_loop(lo.LANG, lo.lit(trips), body)
+    lines = trips - 5
+    error = "input exhausted" if last == "" else "not a decimal integer: 'x'"
+    want = ("InputError", error, "".join(f"{k + 1}," for k in range(lines)))
+    assert _both(prog, lo.LANG, "1\n" * lines + last) == want
+    assert len(sources) == (trips >= HOT)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_programs_own_variable_keeps_a_hot_body_on_the_steps(trips, sources):
+    # v0 is also the name staging gives the counter
+    prog = for_loop(
+        lo.LANG, lo.lit(trips), lambda _i: print_str("a").then(write_output(lo.Var("v0", I32)))
+    )
+    assert _both(prog, lo.LANG) == ("UnboundVariableError", "unbound variable v0", "a")
+    assert sources == []
+
+
+def test_a_hot_loop_generates_its_source_once(sources):
+    prog = lower_program(power_input())
+    out = run_text(prog, lo.LANG, f"3\n{3 * HOT}\n")[1]
+    assert out.endswith(f"3^{3 * HOT} = {wrap_i32(pow(3, 3 * HOT, 2**32))}.\n")
+    # _c0 to _c2 are write, read and ConcreteRef; the live cell is a
+    # constant each time it is named
+    assert sources == [
+        "def loop(env, n):\n"
+        "    for v0 in range(n):\n"
+        "        v1 = _c3.value\n"
+        "        _c4.value = ((v1 * 3 + 2**31) % 2**32 - 2**31)\n"
+        "    env['v0'] = v0\n"
+        "    env['v1'] = v1"
+    ]
+
+
+def test_cold_loops_and_the_default_corpus_never_generate_source(sources):
+    run_text(lower_program(power_input()), lo.LANG, f"3\n{HOT - 1}\n")
+    for gp in corpus(seed=1, size=200):
+        for prog in [gp.program, *(lower_program(gp.program, cfg) for cfg in support.CONFIGS)]:
+            outcome(prog, lo.LANG, gp.input_text)
+    assert sources == []
+
+
+def test_a_nested_leaf_loop_tiers_up_once_its_summed_trips_reach_hot(monkeypatch):
+    out, seen = io.StringIO(), []
+
+    def counted(text, *args):
+        seen.append((text, out.getvalue()))
+        return compile(text, *args)
+
+    monkeypatch.setattr(runtime, "compile", counted, raising=False)
+    inner = 16
+    runs = math.ceil(HOT / inner)  # the leaf loop's run that reaches HOT
+    body = lambda i: for_loop(lo.LANG, lo.lit(inner), lambda j: write_output(i + j))
+    prog = for_loop(lo.LANG, lo.lit(runs + 2), lambda i: body(i).then(print_str("|")))
+    want = outcome(prog, support.REFERENCE)
+    assert run(prog, lo.LANG, io.StringIO(), out) == (None, 0)
+    assert out.getvalue() == want[1]
+    [(text, before)] = seen
+    assert before.count("|") == runs - 1
+    # the outer body holds a loop, so it stays on the steps
+    assert text.count(" for ") == 1
+    assert "    v0 = env['v0']\n" in text  # the outer counter, read once per run
+
+
+def test_a_swapped_in_compile_sees_every_trip_of_a_hot_loop(sources):
+    evaluated = []
+
+    def counting_compile(e, scope):
+        compiled = lo.compile_open(e, scope)
+
+        def counted(env):
+            evaluated.append(e)
+            return compiled(env)
+
+        return counted
+
+    lang = dataclasses.replace(lo.LANG, compile=counting_compile)
+    prog = for_loop(lang, lo.lit(HOT), write_output)
+    assert run_text(prog, lang)[1] == "".join(map(str, range(HOT)))
+    assert len(evaluated) == HOT + 1  # the bound, then the counter on every trip
+    assert sources == []
+
+
+def test_a_hot_body_leaves_its_names_as_the_steps_do(sources):
+    # the first loop's body hands its counter to the second's, which is
+    # built after the first has run
+    leaked = []
+
+    def first(i):
+        leaked.append(i)
+        return print_str(".")
+
+    def outer(_o):
+        second = for_loop(lo.LANG, lo.lit(1), lambda _j: write_output(leaked[-1]))
+        return for_loop(lo.LANG, lo.lit(HOT), first).then(second)
+
+    prog = for_loop(lo.LANG, lo.lit(1), outer)
+    assert _both(prog, lo.LANG) == (None, "." * HOT + str(HOT - 1), 0)
+    assert len(sources) == 1
