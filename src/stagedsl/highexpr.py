@@ -14,7 +14,11 @@ reaches it.  Evaluation of closed expressions is the reference semantics:
 it instantiates binder bodies with literal nodes on every use.  Compilation,
 which the runtime uses for every expression, instantiates each binder body
 once with a generated variable instead: a Let becomes a step assigning it,
-an Iter one step that runs the step's own steps on every trip.
+an Iter one step that runs the step's own steps on every trip.  An Iter
+whose trips, summed over its runs, reach lowexpr.HOT runs that same
+instantiated step as generated Python source instead, the way a hot loop
+body does, unless lowexpr.PYTHON refuses it: a step holding a Let or Iter,
+or a variable the scope did not generate, stays on the steps.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterator
 
 from . import lowexpr as lo
-from .core import TagError, TypeTag
+from .core import DslError, Scope, TagError, TypeTag
 from .lowexpr import (  # noqa: F401  (re-exported)
     Add, Compiled, Eq, Expr, Lit, Mul, Not, Var, compile_open, eval_closed, lit,
 )
@@ -92,22 +96,48 @@ def _flat_let(e: Let, flat: tuple) -> Iterator[Expr]:
 
 
 def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
-    # the step is built once, over a fresh name, into steps run on every trip
-    name, steps = flat[0].fresh("s", e.init.tag), flat[1]
+    # the step is built once, over a fresh name, into steps run on every
+    # trip, or, once the trips summed over all runs reach HOT, into source
+    scope, steps = flat
+    name = scope.fresh("s", e.init.tag)
     (count, _), (init, _) = (yield e.count), (yield e.init)
     start = len(steps)
-    step, _ = yield e.step(Var(name, e.init.tag))
+    stepped = e.step(Var(name, e.init.tag))
+    step, _ = yield stepped
     body, steps[start:] = steps[start:], []
+    trips, source = 0, None  # source: None until tried, then a function or False
 
     def iterate(env):
+        nonlocal trips, source
         env[name] = init(env)  # count reads no name that this assigns
-        for _ in range(count(env)):
+        n = count(env)
+        if n <= 0:
+            return
+        trips += n
+        if trips >= lo.HOT:
+            if source is None:
+                source = _source(scope, name, stepped) or False
+            if source:
+                return source(env, n)
+        for _ in range(n):
             for s in body:
                 s(env)
             env[name] = step(env)
 
     steps.append(iterate)
     return (lambda env: env[name]), 1
+
+
+def _source(scope: Scope, name: str, stepped: Expr) -> Callable[[dict, int], None] | None:
+    """An Iter's n trips as one generated function of env and n, which
+    loads the names the step reads from env once and stores the state back;
+    None for a step that PYTHON refuses, which stays on the steps."""
+    src = lo.Source(scope)
+    try:
+        src.lines.append(f"{name} = {src.expr(stepped)}")
+    except DslError:
+        return None
+    return src.function("_", sorted(src.reads), [name])
 
 
 lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})

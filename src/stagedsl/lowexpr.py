@@ -8,8 +8,10 @@ and fold walks a tree bottom-up on an explicit stack, so neither operand
 depth nor binder nesting grows the Python stack.  A consumer is a table of
 rules, one per node class; this module holds closed evaluation and flat
 compilation, to which highexpr adds its two classes, and rendering and the
-Python text of the runtime's hot loops, which know only the six core
-classes and so reject anything else.
+Python text of hot loop bodies and Iter steps, which know only the six core
+classes and so reject anything else.  Source assembles that text into the
+one kind of generated function both hot tiers run, and HOT is the count of
+trips at which both switch to it.
 """
 
 from __future__ import annotations
@@ -275,17 +277,24 @@ def render(e: Expr) -> str:
     return fold(_TEXT, e)
 
 
+# A staged loop's or an Iter's trips, summed over its runs, at which it
+# runs as generated source.  Generating powerInput's loop body costs about
+# 115 us, and each trip then saves about 0.9 us, so it pays from about 130
+# trips; the default randprog corpus has not been seen to sum past 144.
+HOT = 256
+
 # PYTHON's context is a Source.  A rule gives Python text and how deep
 # operators nest in it; at _NEST a line stores the value in a fresh local
 # instead, since CPython refuses text nested 200 parentheses deep.
 _NEST = 40
-_WRAP = "(({} + 2**31) % 2**32 - 2**31)"  # wrap_i32 as Python text
+# wrap_i32 as Python text: a mask runs faster than % 2**32
+_WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
 
 
 class Source:
-    """Python source over a scope's names, for the runtime's hot loop
-    bodies: its lines in order, among them the temporaries that the text
-    folded so far reads, the namespace constants they name and the
+    """Python source over a scope's names, for the hot loop bodies and
+    Iter steps: its lines in order, among them the temporaries that the
+    text folded so far reads, the namespace constants they name and the
     generated names they read.  Only the repr() of an int or bool literal
     becomes text."""
 
@@ -301,6 +310,24 @@ class Source:
         """The text of e, or DslError for an expression that only compile
         handles: a binder or a variable the scope did not generate."""
         return fold(PYTHON, e, self)[0]
+
+    def function(
+        self, counter: str, load: list[str], store: list[str]
+    ) -> Callable[[dict[str, Any], int], None]:
+        """The lines as one function, loop(env, n): it loads the names in
+        load from env once, runs the lines under `for counter in range(n):`
+        and stores the names in store back to env after the last trip, so n
+        must be positive.  The function holds the namespace of constants,
+        which does not hold it."""
+        text = "\n".join([
+            "def loop(env, n):",
+            *(f"    {name} = env[{name!r}]" for name in load),
+            f"    for {counter} in range(n):",
+            *(f"        {line}" for line in self.lines or ["pass"]),
+            *(f"    env[{name!r}] = {name}" for name in store),
+        ])
+        exec(compile(text, "<staged loop>", "exec"), self.consts)
+        return self.consts.pop("loop")
 
 
 def _source_var(e: Var, source: Source) -> tuple[str, int]:

@@ -5,7 +5,9 @@ tests can script a session; the CLI plugs in the process's stdio.
 
 The interpreter is one object.  Straight-line code is performed
 instruction by instruction with concrete values; each expression it holds is
-compiled, then run once.  A loop body is staged instead: when a loop first
+compiled, then run once, over the run's one environment of generated names,
+so a name a program keeps from a loop's body reads after the loop as its
+last trip left it.  A loop body is staged instead: when a loop first
 runs, its body is walked once by core.statements, the walk core.listing is
 built from, with a generated name for the counter; every instruction becomes
 a step over an environment of generated names, and the steps run once per
@@ -19,15 +21,17 @@ surfaces where it would without staging.  A language with no `compile` gets
 the reference behaviour: eval_closed evaluates every expression, and a loop
 body is rebuilt and interpreted on every trip.
 A hot loop goes one tier further.  Once a staged loop's trips, summed over
-all of its runs, reach _HOT, its body runs as one generated Python function,
-built from the same staged statements: a `for` over the counter with one
-line per instruction, generated names as locals and expressions as
+all of its runs, reach lowexpr.HOT, its body runs as one generated Python
+function, built from the same staged statements and assembled by
+lowexpr.Source.function, as a hot Iter's step is: a `for` over the counter
+with one line per instruction, generated names as locals and expressions as
 lowexpr.PYTHON's text.  Print strings, live cells and tags are constants of
 the function's namespace; program text never becomes source.  A body stays
 on the steps if it holds a nested loop, a Let or Iter, or a variable or
 reference the scope did not generate, or if the language's compile is not
 lowexpr.compile_open, which then sees every expression.  So only leaf loops
-tier up, and errors surface after the same output either way.
+tier up, though an Iter in a body that stays tiers up on its own, and
+errors surface after the same output either way.
 A staged loop's step calls the step of the loop nested in it, so nesting
 costs a Python frame per level: under the default recursion limit of
 1,000, a staged run handles about 989 nested loops and the reference path
@@ -76,29 +80,24 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 Env = dict[str, Any]
 Step = Callable[[Env], None]
 
-# A staged loop's trips, summed over its runs, at which its body becomes
-# generated source.  Generating powerInput's loop body costs about 115 us,
-# and each trip then saves about 0.9 us, so it pays from about 130 trips; the
-# default randprog corpus has not been seen to sum past 144.
-_HOT = 256
-
 
 class _Runner:
     """The concrete interpret() handler, perform, and the walk that stages
     loop bodies: each instruction becomes a step that performs it through
     the same read, write and cell and binds its generated result name in
-    the environment.  A step reaches a reference through the environment,
-    or directly for a live cell."""
+    the environment, the run's one env.  A step reaches a reference through
+    the environment, or directly for a live cell."""
 
     def __init__(self, lang: Language, stdin: TextIO, stdout: TextIO):
-        self.scope = Scope()
-        compile, scope = lang.compile, self.scope  # not self, which would make a cycle
+        self.scope, self.env = Scope(), {}
+        # not self, which would make a cycle
+        compile, scope, env = lang.compile, self.scope, self.env
         self._expr = None if compile is None else lambda e: compile(e, scope)
         # only compile_open's expressions go to source, so any other compile sees
         # every expression; LANG's field, which perfbench/tracing.py leaves as
         # it is, unlike the module's function
         self._tier = compile is lowexpr.LANG.compile
-        self._eval = lang.eval_closed if compile is None else lambda e: compile(e, scope)({})
+        self._eval = lang.eval_closed if compile is None else lambda e: compile(e, scope)(env)
         self._stdin = stdin
         self.write = stdout.write
         self.reads = 0
@@ -142,7 +141,7 @@ class _Runner:
             case ForLoop():
                 if self._expr is not None:  # either way the bound is evaluated once, first
                     counter = core.symbolic(cmd, self.scope)[0]
-                    self.loop_step(counter, self._expr(cmd.count), cmd.body)({})
+                    self.loop_step(counter, self._expr(cmd.count), cmd.body)(self.env)
                     return None
                 for k in range(self._eval(cmd.count)):
                     core.interpret(self.perform, cmd.body(ConcreteVal(TypeTag.I32, k)))
@@ -200,7 +199,7 @@ class _Runner:
         """The step that runs a staged loop: it evaluates the bound, stages
         the body over its counter's name on the first trip that runs, as
         without staging, then runs the body's steps once per trip, or, once
-        the loop's trips summed over its runs reach _HOT, its source."""
+        the loop's trips summed over its runs reach lowexpr.HOT, its source."""
         staged: list[tuple[Instr, str | None]] = []
         steps: list[Step] | None = None
         trips, source = 0, None  # source: None until tried, then a function or False
@@ -215,7 +214,7 @@ class _Runner:
                 staged.extend(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
                 steps = [self.step(cmd, name) for cmd, name in staged]
             trips += n
-            if trips >= _HOT:
+            if trips >= lowexpr.HOT:
                 if source is None:
                     source = self.generate(counter, staged) or False
                 if source:
@@ -262,16 +261,7 @@ class _Runner:
                 return None
             src.lines.append(line)
         own = [counter, *(name for _, name in staged if name is not None)]
-        outer = sorted(src.reads.difference(own))
-        text = "\n".join([
-            "def loop(env, n):",
-            *(f"    {name} = env[{name!r}]" for name in outer),
-            f"    for {counter} in range(n):",
-            *(f"        {line}" for line in src.lines or ["pass"]),
-            *(f"    env[{name!r}] = {name}" for name in own),
-        ])
-        exec(compile(text, "<staged loop>", "exec"), src.consts)
-        return src.consts.pop("loop")  # which holds the namespace: no cycle
+        return src.function(counter, sorted(src.reads.difference(own)), own)
 
     def ref_text(self, src: lowexpr.Source, ref: Ref) -> str:
         """The text naming a reference: a constant for a live cell, or a

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from stagedsl import runtime
+from stagedsl import lowexpr
 
 # sandboxed CI boxes jitter too much for per-example deadlines
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -10,12 +10,13 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def sources(monkeypatch):
-    """The texts the runtime compiles into hot loops' functions, in order."""
+    """The texts compiled into the functions of hot loops and Iters, in
+    order: every text goes through lowexpr.Source.function."""
     texts = []
 
     def counted(text, *args):
         texts.append(text)
         return compile(text, *args)
 
-    monkeypatch.setattr(runtime, "compile", counted, raising=False)
+    monkeypatch.setattr(lowexpr, "compile", counted, raising=False)
     return texts

@@ -14,7 +14,6 @@ import support
 from c_differential import disagreement
 from stagedsl import highexpr as hi
 from stagedsl import lowexpr as lo
-from stagedsl import runtime
 from stagedsl.cgen import emit_c, have_c_compiler
 from stagedsl.core import (
     DslError, Ret, Scope, TypeTag, for_loop, get_ref, init_ref, listing, print_str, ret,
@@ -126,8 +125,8 @@ def test_a_deep_chain_in_a_hot_loop_body_runs_as_generated_source(side, sources)
             e = e + k if side == "left" else k + e
         return write_output(e).then(print_str(";"))
 
-    prog = for_loop(hi.LANG, hi.lit(runtime._HOT), body)
-    want = "".join(f"{49995000 + i};" for i in range(runtime._HOT))
+    prog = for_loop(hi.LANG, hi.lit(lo.HOT), body)
+    want = "".join(f"{49995000 + i};" for i in range(lo.HOT))
     assert run_text(prog, hi.LANG) == (None, want, 0)
     assert len(sources) == 1
 

@@ -1,7 +1,7 @@
 """The minimal expression language: evaluation, rendering, tag checks."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stagedsl import lowexpr as lo
@@ -214,3 +214,14 @@ def test_compiled_free_variables_fail_when_evaluated_not_when_compiled():
     compiled = lo.compile_open(e, scope)
     with pytest.raises(UnboundVariableError, match="a0"):
         compiled({bound: 1})
+
+
+@given(st.integers(-(2**70), 2**70))
+@example(2**31)
+@example(-(2**31))
+@example(2**32)
+@example(-(2**32))
+@example(0)
+@example(-1)
+def test_the_wrap_text_of_hot_source_is_wrap_i32(n):
+    assert eval(lo._WRAP.format(n)) == wrap_i32(n)

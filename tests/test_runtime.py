@@ -154,7 +154,9 @@ def test_a_staged_run_leaves_no_reference_cycle():
         run_text(sum_input(), hi.LANG, "1\n2\n3\n4\n")
         # a hot loop's generated function holds its namespace, which must
         # not hold the function
-        run_text(lower_program(power_input()), lo.LANG, f"3\n{runtime._HOT}\n")
+        run_text(lower_program(power_input()), lo.LANG, f"3\n{lo.HOT}\n")
+        # and so must a hot Iter's
+        run_text(power_input(), hi.LANG, f"3\n{lo.HOT}\n")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -362,10 +364,10 @@ def test_a_later_top_level_loop_never_resolves_a_name_an_earlier_one_generated(n
 
 # --------------------------------------------------------------------------
 # The source tier: a staged loop whose trips, summed over its runs, reach
-# _HOT runs its body as generated Python source.  The differential tests run
+# HOT runs its body as generated Python source.  The differential tests run
 # each body just below, at and just above that count.
 
-HOT = runtime._HOT
+HOT = lo.HOT
 AROUND_HOT = [HOT - 1, HOT, HOT + 1]
 
 
@@ -458,7 +460,7 @@ def test_a_hot_loop_generates_its_source_once(sources):
         "def loop(env, n):\n"
         "    for v0 in range(n):\n"
         "        v1 = _c3.value\n"
-        "        _c4.value = ((v1 * 3 + 2**31) % 2**32 - 2**31)\n"
+        "        _c4.value = (((v1 * 3 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)\n"
         "    env['v0'] = v0\n"
         "    env['v1'] = v1"
     ]
@@ -479,7 +481,7 @@ def test_a_nested_leaf_loop_tiers_up_once_its_summed_trips_reach_hot(monkeypatch
         seen.append((text, out.getvalue()))
         return compile(text, *args)
 
-    monkeypatch.setattr(runtime, "compile", counted, raising=False)
+    monkeypatch.setattr(lo, "compile", counted, raising=False)
     inner = 16
     runs = math.ceil(HOT / inner)  # the leaf loop's run that reaches HOT
     body = lambda i: for_loop(lo.LANG, lo.lit(inner), lambda j: write_output(i + j))
@@ -529,3 +531,126 @@ def test_a_hot_body_leaves_its_names_as_the_steps_do(sources):
     prog = for_loop(lo.LANG, lo.lit(1), outer)
     assert _both(prog, lo.LANG) == (None, "." * HOT + str(HOT - 1), 0)
     assert len(sources) == 1
+
+
+@pytest.mark.parametrize("trips", [2, HOT])
+def test_a_name_kept_from_a_top_level_loop_reads_as_its_last_trip_left_it(trips, sources):
+    # the run's instructions share one environment, so the counter the body
+    # handed out is still bound after the loop
+    leaked = []
+
+    def body(i):
+        leaked.append(i)
+        return print_str(".")
+
+    prog = for_loop(lo.LANG, lo.lit(trips), body).bind(lambda _: write_output(leaked[-1]))
+    assert _both(prog, lo.LANG) == (None, "." * trips + str(trips - 1), 0)
+    assert len(sources) == (trips >= HOT)
+
+
+# --------------------------------------------------------------------------
+# The Iter tier: an Iter whose trips, summed over its runs, reach HOT runs
+# its step as generated source, through the same assembler as a hot loop.
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+@pytest.mark.parametrize("m", [2**31 - 1, -(2**31), 3])
+def test_a_hot_iter_wraps_as_in_the_reference(m, trips, sources):
+    power = wrap_i32(pow(m, trips, 2**32))
+    want = f"Please enter two numbers\n >  > Here's a fact: {m}^{trips} = {power}.\n"
+    assert _both(power_input(), hi.LANG, f"{m}\n{trips}\n") == (None, want, 2)
+    assert len(sources) == (trips >= HOT)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_hot_boolean_iter_matches_the_reference(trips, sources):
+    flag = hi.Iter(hi.lit(trips), hi.lit(True), lambda b: hi.Not(b))
+    prog = init_ref(flag).bind(lambda r: get_ref(hi.LANG, r))
+    assert _both(prog, hi.LANG) == (lo.Lit(trips % 2 == 0, TypeTag.BOOL), "", 0)
+    assert len(sources) == (trips >= HOT)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_an_iter_in_a_cold_loop_tiers_up_mid_loop(trips, monkeypatch):
+    # the loop's four runs of the Iter take c, c + d, c + 2d and c + 3d
+    # trips, the first two summing to trips; the step reads the counter
+    c = trips // 2 - 10
+    d = trips - 2 * c
+
+    def body(i):
+        iterate = hi.Iter(i * d + c, hi.lit(1), lambda s: s * 3 + i)
+        return write_output(iterate).then(print_str(","))
+
+    want = ""
+    for i in range(4):
+        s = 1
+        for _ in range(c + i * d):
+            s = wrap_i32(s * 3 + i)
+        want += f"{s},"
+    prog = for_loop(hi.LANG, hi.lit(4), body)
+    assert outcome(prog, support.REFERENCE) == (None, want, 0)
+    out, seen = io.StringIO(), []
+
+    def counted(text, *args):
+        seen.append((text, out.getvalue().count(",")))
+        return compile(text, *args)
+
+    monkeypatch.setattr(lo, "compile", counted, raising=False)
+    assert run(prog, hi.LANG, io.StringIO(), out) == (None, 0)
+    assert out.getvalue() == want
+    [(text, runs_before)] = seen
+    assert runs_before == (1 if trips >= HOT else 2)
+    assert "    v0 = env['v0']\n" in text  # the counter, read once per run
+
+
+STEPS = {
+    "let": lambda s: hi.Let(s + 1, lambda x: x * x),
+    "iter": lambda s: hi.Iter(hi.lit(2), s, lambda t: t * 3 + 1),
+    # s0 is also the name staging gives the state
+    "own-var": lambda s: s + hi.Var("s0", I32),
+}
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+@pytest.mark.parametrize("kind", STEPS)
+def test_a_step_python_refuses_keeps_a_hot_iter_on_the_steps(kind, trips, sources):
+    prog = print_str("a").then(write_output(hi.Iter(hi.lit(trips), hi.lit(1), STEPS[kind])))
+    want = outcome(prog, support.REFERENCE)
+    assert _both(prog, hi.LANG) == want
+    if kind == "own-var":
+        assert want == ("UnboundVariableError", "unbound variable s0", "a")
+    # only a nested Iter, of two trips per outer trip, tiers up on its own
+    assert len(sources) == (kind == "iter")
+    assert all("for _ in range(n):\n        s0 = " not in text for text in sources)
+
+
+def test_a_hot_step_that_ignores_the_state_still_sets_it(sources):
+    prog = write_output(hi.Iter(hi.lit(HOT), hi.lit(1), lambda _s: hi.lit(5)))
+    assert _both(prog, hi.LANG) == (None, "5", 0)
+    assert len(sources) == 1
+
+
+@pytest.mark.parametrize("count", [0, -5])
+@pytest.mark.parametrize("hot_first", [False, True])
+def test_an_iter_of_no_trips_yields_its_init(count, hot_first, sources):
+    # with hot_first the loop's first run makes the Iter hot and its second
+    # takes count trips; otherwise the one run takes count trips
+    runs, first = (2, HOT) if hot_first else (1, count)
+    iterate = lambda i: hi.Iter(i * (count - first) + first, hi.lit(7), lambda s: s * 3)
+    prog = for_loop(hi.LANG, hi.lit(runs), lambda i: write_output(iterate(i)).then(print_str(",")))
+    want = f"{wrap_i32(7 * pow(3, HOT, 2**32))},7," if hot_first else "7,"
+    assert _both(prog, hi.LANG) == (None, want, 0)
+    assert len(sources) == hot_first
+
+
+def test_a_hot_iter_generates_its_source_once(sources):
+    out = run_text(power_input(), hi.LANG, f"3\n{3 * HOT}\n")[1]
+    assert out.endswith(f"3^{3 * HOT} = {wrap_i32(pow(3, 3 * HOT, 2**32))}.\n")
+    # the state is loaded once and stored back once; the base is a literal
+    assert sources == [
+        "def loop(env, n):\n"
+        "    s0 = env['s0']\n"
+        "    for _ in range(n):\n"
+        "        s0 = (((s0 * 3 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)\n"
+        "    env['s0'] = s0"
+    ]
