@@ -1,10 +1,10 @@
 """Emit C99 from programs over the minimal expression language.
 
 Everything lives in one main().  The walk over the program is
-core.listing, shared with the pseudo-code back end, so variables get the
-same names there and here.  This module prints each entry of the listing
-as C; the declarations, all hoisted to the top of main, are the names on
-the listing's Scope.
+core.listing, which core.listed keeps on the program value for the
+pseudo-code back end too, so variables get the same names there and here.
+This module prints each entry of the listing as C; the declarations, all
+hoisted to the top of main, are the names on the listing's Scope.
 An expression's text is a table of rules for lowexpr.fold, which has no
 rule for Let or Iter.  Arithmetic goes through unsigned casts so 32-bit
 wraparound is defined behaviour rather than a compiler mood.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .core import (
     STRING_ESCAPES, DslError, ForLoop, GetRef, InitRef, PrintStr, Program, ReadInput, Scope,
-    SetRef, TypeTag, WriteOutput, generated, listing,
+    SetRef, TypeTag, WriteOutput, generated, listed,
 )
 from .lowexpr import Add, Eq, Lit, Mul, Not, Rules, Var, _unbound, fold
 
@@ -94,31 +94,22 @@ def _statement(cmd, name, scope: Scope) -> str | None:
 def emit_c(prog: Program) -> str:
     """Emit a complete C translation unit for a program over the minimal
     expression language."""
-    scope = Scope()
+    entries, scope = listed(prog)
     statements = [
         "    " * depth + text
-        for depth, cmd, name in listing(prog, scope)
+        for depth, cmd, name in entries
         if (text := _statement(cmd, name, scope)) is not None
     ]
     decls = scope.names
-    lines = [
-        "#include <stdint.h>",
-        "#include <stdio.h>",
-        "",
-        "int main(void)",
-        "{",
-    ]
-    for name, tag in decls:
-        lines.append(f"    {_C_TYPE[tag]} {name} = 0;")
+    lines = ["#include <stdint.h>", "#include <stdio.h>", "", "int main(void)", "{"]
+    lines += [f"    {_C_TYPE[tag]} {name} = 0;" for name, tag in decls]
     if decls and statements:
         lines.append("")
-    lines.extend(statements)
+    lines += statements
     # a declared name may never be read (a write-only cell, an unused input
     # or counter); keep the strict compile quiet about every one of them
-    for name, _ in decls:
-        lines.append(f"    (void){name};")
-    lines.append("    return 0;")
-    lines.append("}")
+    lines += [f"    (void){name};" for name, _ in decls]
+    lines += ["    return 0;", "}"]
     return "\n".join(lines) + "\n"
 
 

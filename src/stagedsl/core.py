@@ -126,6 +126,12 @@ class Bind(Program):
     first: Program
     rest: Callable[[Any], Program]
 
+    @functools.cached_property
+    def listed(self) -> tuple[list[tuple[int, Instr | None, str | None]], Scope]:
+        """listing(self, Scope()) and that Scope, kept for the next printer."""
+        scope = Scope()
+        return listing(self, scope), scope
+
 
 class Instr(Program):
     """Base class of the seven instructions, each a program node itself."""
@@ -343,7 +349,7 @@ def listing(prog: Program, scope: Scope) -> list[tuple[int, Instr | None, str | 
     depth 1 at top level and one more inside each loop body, which
     (depth, None, None) closes.  Each body is instantiated once, with its
     counter's name, and open bodies are a stack of statements walks, so it
-    never recurses."""
+    never recurses.  The printers print it through listed."""
     entries = []
     walks = [statements(prog, scope)]
     while walks:
@@ -357,6 +363,13 @@ def listing(prog: Program, scope: Scope) -> list[tuple[int, Instr | None, str | 
             if walks:
                 entries.append((len(walks), None, None))
     return entries
+
+
+def listed(prog: Program) -> tuple[list[tuple[int, Instr | None, str | None]], Scope]:
+    """What both printers print, walked once per program value: a Bind root's
+    own Bind.listed, or that of a throwaway Bind around any other root, whose
+    listing holds the root itself and, kept on it, would be a reference cycle."""
+    return (prog if isinstance(prog, Bind) else Bind(prog, Ret)).listed
 
 
 def generated(ref: Ref, scope: Scope) -> str:

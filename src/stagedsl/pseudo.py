@@ -2,8 +2,8 @@
 
 One statement per instruction, each on one line, loops as for/end-for
 blocks, the whole program indented one level.  The walk itself, with its
-fresh names and loop nesting, is core.listing, shared with the C back end;
-this module prints each entry of the listing.
+fresh names and loop nesting, is core.listing, which core.listed keeps on
+the program value for the C back end too; this module prints each entry.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import lowexpr
 from .core import (
     STRING_ESCAPES, ForLoop, GetRef, InitRef, Language, PrintStr, Program, ReadInput, Scope,
-    SetRef, WriteOutput, generated, listing,
+    SetRef, WriteOutput, generated, listed,
 )
 
 
@@ -43,8 +43,8 @@ def _statement(cmd, name, expr, scope: Scope) -> str:
 
 def render_program(prog: Program, lang: Language = lowexpr.LANG) -> str:
     """Emit a whole program.  The empty program renders as empty text."""
-    scope, expr = Scope(), lang.render
+    (entries, scope), expr = listed(prog), lang.render
     return "".join(
         "    " * depth + _statement(cmd, name, expr, scope) + "\n"
-        for depth, cmd, name in listing(prog, scope)
+        for depth, cmd, name in entries
     )

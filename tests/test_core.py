@@ -1,6 +1,7 @@
 """Program trees, the generic fold, the front end, and operand translation."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -37,7 +38,7 @@ from stagedsl.core import (
     val_to_exp,
     write_output,
 )
-from stagedsl.examples import EXAMPLES
+from stagedsl.examples import EXAMPLES, power_input
 from stagedsl.pseudo import render_program
 from stagedsl.runtime import run_text
 from stagedsl.translate import lower_program
@@ -264,6 +265,54 @@ def test_statements_names_results_in_order_and_never_enters_a_loop_body():
     ]
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["pseudo-first", "c-first"])
+def test_both_printers_print_one_walk_of_a_program_value(order):
+    printers = [render_program, emit_c][::order]
+    builds = []
+
+    def program():
+        def body(i):
+            builds.append(i)
+            return write_output(hi.Let(i, lambda x: x + 1))
+
+        return lower_program(print_str("n").then(for_loop(hi.LANG, hi.lit(2), body)))
+
+    prog = program()
+    texts = [printer(prog) for printer in printers]
+    assert [printer(prog) for printer in printers] == texts
+    assert len(builds) == 1
+    # byte-equal to the texts of an identical program that was never printed
+    assert [printer(program()) for printer in printers] == texts
+
+
+def test_a_walk_that_raises_raises_from_every_printer():
+    prog = print_str("n").then(for_loop(lo.LANG, lo.lit(2), lambda i: write_output(lo.Eq(i, i))))
+    for printer in [render_program, emit_c, render_program]:
+        with pytest.raises(TagError):
+            printer(prog)
+
+
+def test_printing_leaves_no_reference_cycle():
+    # a Bind root keeps its listing; an instruction root, which its own
+    # listing holds, must not, or root and listing would hold each other
+    roots = [
+        lambda: write_output(lo.lit(1)),
+        lambda: for_loop(lo.LANG, lo.lit(2), write_output),
+        lambda: lower_program(power_input()),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for make in roots:
+            prog = make()
+            render_program(prog)
+            emit_c(prog)
+            del prog
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_constructors_that_only_construct_are_the_node_classes():
     r = SymbolicRef(TypeTag.I32, "r0")
     cases = [
@@ -292,6 +341,12 @@ def test_reexpress_passes_operandless_instructions_through_as_they_are():
 def test_interpret_refuses_a_non_program_node():
     with pytest.raises(DslError, match="not a program node"):
         interpret(lambda _cmd: None, print_str("a").then("nope"))
+
+
+@pytest.mark.parametrize("printer", [render_program, emit_c])
+def test_the_printers_refuse_a_non_program_node(printer):
+    with pytest.raises(DslError, match="not a program node"):
+        printer("nope")
 
 
 def test_val_to_exp_refuses_a_non_value():
