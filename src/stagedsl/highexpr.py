@@ -14,10 +14,10 @@ reaches it.  Evaluation of closed expressions is the reference semantics:
 it instantiates binder bodies with literal nodes on every use.  Compilation,
 which the runtime uses for every expression, instantiates each binder body
 once with a generated variable instead: a Let becomes a step assigning it,
-an Iter one step that runs the step's own steps on every trip.  An Iter
-whose trips, summed over its runs, reach lowexpr.HOT runs that same
-instantiated step as generated Python source instead, the way a hot loop
-body does, unless lowexpr.PYTHON refuses it: a step holding a Let or Iter,
+an Iter a step storing the init and then lowexpr.loop's step, whose body
+is the step's own steps and a store of the new state.  Once that step finds
+the Iter hot, it runs the same instantiated step as generated Python source
+instead, unless lowexpr.PYTHON refuses it: a step holding a Let or Iter,
 or a variable the scope did not generate, stays on the steps.
 """
 
@@ -96,39 +96,21 @@ def _flat_let(e: Let, flat: tuple) -> Iterator[Expr]:
 
 
 def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
-    # the step is built once, over a fresh name, into steps run on every
-    # trip, or, once the trips summed over all runs reach HOT, into source
+    # the step is built once, over a fresh name, into steps that end by
+    # storing the new state; no step reads the counter, named _ in source
     scope, steps = flat
     name = scope.fresh("s", e.init.tag)
     (count, _), (init, _) = (yield e.count), (yield e.init)
     start = len(steps)
     stepped = e.step(Var(name, e.init.tag))
     step, _ = yield stepped
-    body, steps[start:] = steps[start:], []
-    trips, source = 0, None  # source: None until tried, then a function or False
-
-    def iterate(env):
-        nonlocal trips, source
-        env[name] = init(env)  # count reads no name that this assigns
-        n = count(env)
-        if n <= 0:
-            return
-        trips += n
-        if trips >= lo.HOT:
-            if source is None:
-                source = _source(scope, name, stepped) or False
-            if source:
-                return source(env, n)
-        for _ in range(n):
-            for s in body:
-                s(env)
-            env[name] = step(env)
-
-    steps.append(iterate)
+    body = [*steps[start:], lo._store(name, step)]
+    iterate = lo.loop("_", count, lambda: body, lambda: _source(scope, name, stepped))
+    steps[start:] = [lo._store(name, init), iterate]  # count reads no name this store sets
     return (lambda env: env[name]), 1
 
 
-def _source(scope: Scope, name: str, stepped: Expr) -> Callable[[dict, int], None] | None:
+def _source(scope: Scope, name: str, stepped: Expr) -> lo.Generated | None:
     """An Iter's n trips as one generated function of env and n, which
     loads the names the step reads from env once and stores the state back;
     None for a step that PYTHON refuses, which stays on the steps."""

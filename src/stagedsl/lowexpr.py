@@ -10,8 +10,9 @@ rules, one per node class; this module holds closed evaluation and flat
 compilation, to which highexpr adds its two classes, and rendering and the
 Python text of hot loop bodies and Iter steps, which know only the six core
 classes and so reject anything else.  Source assembles that text into the
-one kind of generated function both hot tiers run, and HOT is the count of
-trips at which both switch to it.
+one kind of generated function both hot tiers run, and loop builds the one
+step that runs a staged loop or an Iter: it alone decides when a body runs
+as that function, once its trips, summed over its runs, reach HOT.
 """
 
 from __future__ import annotations
@@ -20,9 +21,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
-from .core import DslError, Language, Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
+from .core import (
+    ConcreteRef, DslError, Language, Scope, TagError, TypeTag, UnboundVariableError, generated,
+    wrap_i32,
+)
 
 Compiled = Callable[[dict[str, Any]], Any]
+Generated = Callable[[dict[str, Any], int], None]  # n trips of a hot body, see Source
 
 
 class Expr:
@@ -311,9 +316,15 @@ class Source:
         handles: a binder or a variable the scope did not generate."""
         return fold(PYTHON, e, self)[0]
 
-    def function(
-        self, counter: str, load: list[str], store: list[str]
-    ) -> Callable[[dict[str, Any], int], None]:
+    def ref(self, ref: Any) -> str:
+        """The text naming a reference: a constant for a live cell, or a
+        generated name; StageError for any other, whose steps fail when run."""
+        if isinstance(ref, ConcreteRef):
+            return self.const(ref)
+        self.reads.add(generated(ref, self.scope))
+        return ref.name
+
+    def function(self, counter: str, load: list[str], store: list[str]) -> Generated:
         """The lines as one function, loop(env, n): it loads the names in
         load from env once, runs the lines under `for counter in range(n):`
         and stores the names in store back to env after the last trip, so n
@@ -328,6 +339,37 @@ class Source:
         ])
         exec(compile(text, "<staged loop>", "exec"), self.consts)
         return self.consts.pop("loop")
+
+
+def loop(counter: str, count: Compiled, stage: Callable, generate: Callable) -> Compiled:
+    """The step that runs a staged loop body or an Iter's step: it evaluates
+    the count, stages the body's steps on the first trip that runs, then
+    runs them once per trip with the trip's number bound to counter.  Once
+    the trips summed over all its runs reach HOT it runs generate()'s
+    function instead, trying generate once; None keeps the steps.  The step
+    is this closure itself, so a nested loop's step costs one Python frame."""
+    steps: list[Compiled] | None = None
+    trips, source = 0, None  # source: None until tried, then a function or False
+
+    def step(env):
+        nonlocal steps, trips, source
+        n = count(env)
+        if n <= 0:
+            return
+        if steps is None:
+            steps = stage()
+        trips += n
+        if trips >= HOT:
+            if source is None:
+                source = generate() or False
+            if source:
+                return source(env, n)
+        for k in range(n):
+            env[counter] = k
+            for s in steps:
+                s(env)
+
+    return step
 
 
 def _source_var(e: Var, source: Source) -> tuple[str, int]:

@@ -11,8 +11,9 @@ last trip left it.  A loop body is staged instead: when a loop first
 runs, its body is walked once by core.statements, the walk core.listing is
 built from, with a generated name for the counter; every instruction becomes
 a step over an environment of generated names, and the steps run once per
-trip.  Every staged loop, outermost or nested, runs as one step that evaluates the
-bound, stages the body on the first trip that runs and repeats it.  This
+trip.  Every staged loop, outermost or nested, runs as the step
+lowexpr.loop builds, as a compiled Iter does: it evaluates the bound,
+stages the body on the first trip that runs and repeats it.  This
 relies on loop and binder bodies building the same program whatever value
 they are passed, which the C back end relies on too.  An error from
 building a body, such as a TagError, can therefore surface before the first
@@ -20,18 +21,15 @@ trip's output instead of during it; every error from running an instruction
 surfaces where it would without staging.  A language with no `compile` gets
 the reference behaviour: eval_closed evaluates every expression, and a loop
 body is rebuilt and interpreted on every trip.
-A hot loop goes one tier further.  Once a staged loop's trips, summed over
-all of its runs, reach lowexpr.HOT, its body runs as one generated Python
-function, built from the same staged statements and assembled by
-lowexpr.Source.function, as a hot Iter's step is: a `for` over the counter
-with one line per instruction, generated names as locals and expressions as
-lowexpr.PYTHON's text.  Print strings, live cells and tags are constants of
-the function's namespace; program text never becomes source.  A body stays
-on the steps if it holds a nested loop, a Let or Iter, or a variable or
-reference the scope did not generate, or if the language's compile is not
-lowexpr.compile_open, which then sees every expression.  So only leaf loops
-tier up, though an Iter in a body that stays tiers up on its own, and
-errors surface after the same output either way.
+Once that step finds a loop hot, generate prints its staged statements as
+one Python function through lowexpr.Source: a line per instruction,
+generated names as locals.  Print strings, live cells and tags are
+constants of the function's namespace; program text never becomes source.
+A body stays on the steps if it holds a nested loop, a Let or Iter, or a
+variable or reference the scope did not generate, or if the language's
+compile is not lowexpr.compile_open, which then sees every expression.  So
+only leaf loops tier up, though an Iter in a body that stays tiers up on its
+own, and errors surface after the same output either way.
 A staged loop's step calls the step of the loop nested in it, so nesting
 costs a Python frame per level: under the default recursion limit of
 1,000, a staged run handles about 989 nested loops and the reference path
@@ -196,39 +194,21 @@ class _Runner:
         return step
 
     def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
-        """The step that runs a staged loop: it evaluates the bound, stages
-        the body over its counter's name on the first trip that runs, as
-        without staging, then runs the body's steps once per trip, or, once
-        the loop's trips summed over its runs reach lowexpr.HOT, its source."""
+        """The step that runs a staged loop, lowexpr.loop's: the body is
+        staged over its counter's name from one core.statements walk, whose
+        statements are also what generate prints once the loop is hot."""
         staged: list[tuple[Instr, str | None]] = []
-        steps: list[Step] | None = None
-        trips, source = 0, None  # source: None until tried, then a function or False
 
-        def step(env):
-            nonlocal steps, trips, source
-            n = bound(env)
-            if n <= 0:
-                return
-            if steps is None:
-                # staging never nests: a nested loop's step only runs later
-                staged.extend(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
-                steps = [self.step(cmd, name) for cmd, name in staged]
-            trips += n
-            if trips >= lowexpr.HOT:
-                if source is None:
-                    source = self.generate(counter, staged) or False
-                if source:
-                    return source(env, n)
-            for k in range(n):
-                env[counter] = k
-                for s in steps:
-                    s(env)
+        def stage():
+            # staging never nests: a nested loop's step only runs later
+            staged.extend(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
+            return [self.step(cmd, name) for cmd, name in staged]
 
-        return step
+        return lowexpr.loop(counter, bound, stage, lambda: self.generate(counter, staged))
 
     def generate(
         self, counter: str, staged: list[tuple[Instr, str | None]]
-    ) -> Callable[[Env, int], None] | None:
+    ) -> lowexpr.Generated | None:
         """A staged body's n trips as one generated Python function of env
         and n: a line per statement, generated names as locals, outer names
         loaded from env once and the body's own names stored back after the
@@ -239,14 +219,14 @@ class _Runner:
             return None
         src = lowexpr.Source(self.scope)
         write, read, cell = src.const(self.write), src.const(self.read), src.const(ConcreteRef)
-        for cmd, name in staged:
-            try:
+        try:
+            for cmd, name in staged:
                 match cmd:  # patterns without captures, as in core.symbolic
                     case GetRef():
-                        line = f"{name} = {self.ref_text(src, cmd.ref)}.value"
+                        line = f"{name} = {src.ref(cmd.ref)}.value"
                     case SetRef():
                         value = src.expr(cmd.value)
-                        line = f"{self.ref_text(src, cmd.ref)}.value = {value}"
+                        line = f"{src.ref(cmd.ref)}.value = {value}"
                     case InitRef():
                         line = f"{name} = {cell}({src.const(cmd.init.tag)}, {src.expr(cmd.init)})"
                     case WriteOutput():
@@ -257,19 +237,11 @@ class _Runner:
                         line = f"{write}({src.const(cmd.text)})"
                     case _:  # a nested loop
                         return None
-            except DslError:
-                return None
-            src.lines.append(line)
+                src.lines.append(line)  # after any temporaries its text reads
+        except DslError:
+            return None
         own = [counter, *(name for _, name in staged if name is not None)]
         return src.function(counter, sorted(src.reads.difference(own)), own)
-
-    def ref_text(self, src: lowexpr.Source, ref: Ref) -> str:
-        """The text naming a reference: a constant for a live cell, or a
-        generated name; DslError for any other, whose steps fail when run."""
-        if isinstance(ref, ConcreteRef):
-            return src.const(ref)
-        src.reads.add(core.generated(ref, self.scope))
-        return ref.name
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

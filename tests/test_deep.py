@@ -3,10 +3,12 @@
 The trees come from support.deep_tree, whose oracle and printer are loops,
 and are checked against evaluation, rendering, all four lowerings, direct
 runs with and without staging, pseudo-code and strict C.  Loop nests are
-listed and printed without recursion too.
+listed and printed without recursion too; a staged run nests loops one
+Python frame a level.
 """
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -211,3 +213,15 @@ def test_a_deep_loop_nest_is_listed_and_printed_without_recursion():
     for printed in (prog, lower_program(prog)):
         assert render_program(printed) == "".join(line + "\n" for line in pseudo)
         assert emit_c(printed) == "\n".join(c) + "\n"
+
+
+def test_a_staged_run_nests_800_loops_under_the_default_recursion_limit():
+    # a staged loop's step calls the step of the loop nested in it, so each
+    # level costs one Python frame, which leaves room for about 989 levels;
+    # a second frame a level would halve that
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        assert run_text(_loop_nest(800), lo.LANG) == (None, "x", 0)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -277,6 +277,8 @@ PLACES = {
     "let-both": lambda a, b: hi.Let(a, lambda x: x + b),
     "iter-step": lambda a, b: hi.Iter(hi.lit(2), hi.lit(1), lambda s: s * (a + b)),
     "iter-both": lambda a, b: hi.Iter(a, hi.lit(1), lambda s: s + b),
+    "iter-count-init": lambda a, b: hi.Iter(a, b, lambda s: s),
+    "iter-init-step": lambda a, b: hi.Iter(hi.lit(2), a, lambda s: s + b),
 }
 
 
@@ -654,3 +656,25 @@ def test_a_hot_iter_generates_its_source_once(sources):
         "        s0 = (((s0 * 3 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)\n"
         "    env['s0'] = s0"
     ]
+
+
+def test_a_body_or_step_python_refuses_is_tried_once(monkeypatch, sources):
+    # 3 * HOT one-trip runs of a loop whose body holds an Iter whose step
+    # holds a Let, all in one run of an outer loop
+    built = []
+
+    class Counted(lo.Source):
+        def __init__(self, scope):
+            super().__init__(scope)
+            built.append(self)
+
+    monkeypatch.setattr(lo, "Source", Counted)
+    iterate = lambda i: hi.Iter(hi.lit(1), i, lambda s: hi.Let(s + 1, lambda x: x * 3))
+    body = lambda i: for_loop(hi.LANG, hi.lit(1), lambda _j: write_output(iterate(i)))
+    prog = for_loop(hi.LANG, hi.lit(3 * HOT), body)
+    want = "".join(str(3 * (i + 1)) for i in range(3 * HOT))
+    assert _both(prog, hi.LANG) == (None, want, 0)
+    # one Source each: the outer loop's, refused by the nested loop; the
+    # loop's, refused by the Iter in its body; the Iter's, refused by the Let
+    assert len(built) == 3
+    assert sources == []
