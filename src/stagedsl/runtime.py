@@ -7,29 +7,29 @@ The interpreter is one object.  Straight-line code is performed
 instruction by instruction with concrete values; each expression it holds is
 compiled, then run once, over the run's one environment of generated names,
 so a name a program keeps from a loop's body reads after the loop as its
-last trip left it.  A loop body is staged instead: when a loop first
-runs, its body is walked once by core.statements, the walk core.listing is
-built from, with a generated name for the counter; every instruction becomes
-a step over an environment of generated names, and the steps run once per
-trip.  Every staged loop, outermost or nested, runs as the step
-lowexpr.loop builds, as a compiled Iter does: it evaluates the bound,
-stages the body on the first trip that runs and repeats it.  This
-relies on loop and binder bodies building the same program whatever value
-they are passed, which the C back end relies on too.  An error from
-building a body, such as a TagError, can therefore surface before the first
-trip's output instead of during it; every error from running an instruction
-surfaces where it would without staging.  A language with no `compile` gets
-the reference behaviour: eval_closed evaluates every expression, and a loop
-body is rebuilt and interpreted on every trip.
-Once that step finds a loop hot, generate prints its staged statements as
-one Python function through lowexpr.Source: a line per instruction,
-generated names as locals.  Print strings, live cells and tags are
-constants of the function's namespace; program text never becomes source.
-A body stays on the steps if it holds a nested loop, a Let or Iter, or a
-variable or reference the scope did not generate, or if the language's
-compile is not lowexpr.compile_open, which then sees every expression.  So
-only leaf loops tier up, though an Iter in a body that stays tiers up on its
-own, and errors surface after the same output either way.
+last trip left it.  A loop body is staged instead: on a loop's first trip
+that runs, its body is walked once by core.statements, the walk core.listing
+is built from, with a generated name for the counter; for a run that is not
+hot, every instruction becomes a step over an environment of generated
+names, and the steps run once per trip.  Every staged loop, outermost or
+nested, runs as the step lowexpr.loop builds, as a compiled Iter does: it
+evaluates the bound, walks the body on the first trip that runs and repeats
+it.  This relies on loop and binder bodies building the same program
+whatever value they are passed, which the C back end relies on too.  An
+error from building a body, such as a TagError, can therefore surface
+before the first trip's output instead of during it; every error from
+running an instruction surfaces where it would without staging.  A language
+with no `compile` gets the reference behaviour: eval_closed evaluates every
+expression, and a loop body is rebuilt and interpreted on every trip.
+Once that step finds a loop hot, generate prints the walked statements as
+one Python function through lowexpr.Source, which compiles a text once per
+process: a line per instruction, generated names as locals.  Print strings,
+live cells and tags are constants of the function's namespace; program text
+never becomes source.  A body stays on the steps if it holds a nested loop,
+a Let or Iter, or a variable or reference the scope did not generate, or if
+the language's compile is not lowexpr.compile_open, which then sees every
+expression.  So only leaf loops tier up, though an Iter in a body that stays
+tiers up on its own, and errors surface after the same output either way.
 A staged loop's step calls the step of the loop nested in it, so nesting
 costs a Python frame per level: under the default recursion limit of
 1,000, a staged run handles about 989 nested loops and the reference path
@@ -194,17 +194,21 @@ class _Runner:
         return step
 
     def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
-        """The step that runs a staged loop, lowexpr.loop's: the body is
-        staged over its counter's name from one core.statements walk, whose
-        statements are also what generate prints once the loop is hot."""
-        staged: list[tuple[Instr, str | None]] = []
+        """The step that runs a staged loop, lowexpr.loop's: one walk of the
+        body over its counter's name, on the first trip that runs, is what
+        generate prints once the loop is hot and steps are built from if not."""
+        staged: list[tuple[Instr, str | None]] | None = None
 
-        def stage():
-            # staging never nests: a nested loop's step only runs later
-            staged.extend(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
-            return [self.step(cmd, name) for cmd, name in staged]
+        def walk() -> list[tuple[Instr, str | None]]:
+            nonlocal staged
+            if staged is None:  # staging never nests: a nested loop's step only runs later
+                staged = list(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
+            return staged
 
-        return lowexpr.loop(counter, bound, stage, lambda: self.generate(counter, staged))
+        def stage() -> list[Step]:
+            return [self.step(cmd, name) for cmd, name in walk()]
+
+        return lowexpr.loop(counter, bound, stage, lambda: self.generate(counter, walk()))
 
     def generate(
         self, counter: str, staged: list[tuple[Instr, str | None]]

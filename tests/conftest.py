@@ -11,7 +11,8 @@ settings.load_profile("suite")
 @pytest.fixture
 def sources(monkeypatch):
     """The texts compiled into the functions of hot loops and Iters, in
-    order: every text goes through lowexpr.Source.function."""
+    order: every text goes through lowexpr.Source.function, which compiles
+    a text once per process, so the cache starts empty."""
     texts = []
 
     def counted(text, *args):
@@ -19,4 +20,5 @@ def sources(monkeypatch):
         return compile(text, *args)
 
     monkeypatch.setattr(lowexpr, "compile", counted, raising=False)
+    lowexpr._code.cache_clear()
     return texts

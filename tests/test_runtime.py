@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import io
 import math
+from functools import partial
 
 import pytest
 
@@ -14,6 +15,7 @@ from stagedsl.cgen import emit_c
 from stagedsl.core import (
     ConcreteRef,
     DslError,
+    Scope,
     StageError,
     SymbolicRef,
     TypeTag,
@@ -484,6 +486,7 @@ def test_a_nested_leaf_loop_tiers_up_once_its_summed_trips_reach_hot(monkeypatch
         return compile(text, *args)
 
     monkeypatch.setattr(lo, "compile", counted, raising=False)
+    lo._code.cache_clear()  # so that a text an earlier test compiled is compiled again
     inner = 16
     runs = math.ceil(HOT / inner)  # the leaf loop's run that reaches HOT
     body = lambda i: for_loop(lo.LANG, lo.lit(inner), lambda j: write_output(i + j))
@@ -551,6 +554,122 @@ def test_a_name_kept_from_a_top_level_loop_reads_as_its_last_trip_left_it(trips,
 
 
 # --------------------------------------------------------------------------
+# What a hot run sets up: a text is compiled once per process, and a loop
+# builds steps only for a run that is not hot.
+
+
+def test_a_hot_text_is_compiled_once_per_process(sources):
+    prog = lower_program(power_input())
+    for n in [HOT, HOT + 1]:
+        out = run_text(prog, lo.LANG, f"3\n{n}\n")[1]
+        assert out.endswith(f"3^{n} = {wrap_i32(pow(3, n, 2**32))}.\n")
+    assert len(sources) == 1
+
+
+def test_equal_hot_texts_keep_their_own_constants(sources):
+    # the bodies print as one text: the print string and the cell are
+    # constants that each run's function holds in its own namespace
+    def prog(text, init):
+        body = lambda acc, _i: print_str(text).then(modify_ref(lo.LANG, acc, lambda x: x * 3))
+        return init_ref(lo.lit(init)).bind(
+            lambda acc: for_loop(lo.LANG, lo.lit(HOT), partial(body, acc)).then(
+                get_ref(lo.LANG, acc).bind(write_output)
+            )
+        )
+
+    power = pow(3, HOT, 2**32)
+    for text, init in [("a", 1), ("b", 2), ("a", 1)]:
+        want = text * HOT + str(wrap_i32(init * power))
+        assert run_text(prog(text, init), lo.LANG) == (None, want, 0)
+    assert len(sources) == 1
+
+
+def test_the_code_cache_holds_at_most_its_bound(sources):
+    bound = lo._code.cache_info().maxsize
+    for k in range(bound + 3):
+        src, env = lo.Source(Scope()), {}
+        src.lines.append(f"v0 = {k}")
+        src.function("_", [], ["v0"])(env, 1)
+        assert env == {"v0": k}
+    assert len(sources) == bound + 3
+    assert lo._code.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("trips,steps", [(HOT - 1, 2), (HOT, 0)])
+def test_a_loop_hot_on_its_first_run_builds_no_steps(trips, steps, monkeypatch, sources):
+    built = []
+    step = runtime._Runner.step
+
+    def counted(self, cmd, name):
+        built.append(cmd)
+        return step(self, cmd, name)
+
+    monkeypatch.setattr(runtime._Runner, "step", counted)
+    prog = for_loop(lo.LANG, lo.lit(trips), lambda i: print_str(".").then(write_output(i)))
+    assert run_text(prog, lo.LANG)[1] == "".join(f".{k}" for k in range(trips))
+    assert len(built) == steps
+    assert len(sources) == (trips >= HOT)
+
+
+def _recording_scopes(monkeypatch):
+    scopes = []
+
+    class Recorded(Scope):
+        def __init__(self):
+            super().__init__()
+            scopes.append(self)
+
+    monkeypatch.setattr(runtime, "Scope", Recorded)
+    return scopes
+
+
+def test_a_refused_hot_body_is_walked_once(monkeypatch, sources):
+    # the nested loop keeps the body on the steps, built from the one walk
+    scopes, walks = _recording_scopes(monkeypatch), []
+
+    def body(i):
+        walks.append(i.name)
+        inner = lambda r: for_loop(
+            lo.LANG, lo.lit(1), lambda j: get_ref(lo.LANG, r).bind(lambda v: write_output(v + j))
+        )
+        return init_ref(i * 2).bind(inner)
+
+    prog = for_loop(lo.LANG, lo.lit(HOT), body)
+    assert run_text(prog, lo.LANG) == (None, "".join(str(2 * k) for k in range(HOT)), 0)
+    assert walks == ["v0"]
+    assert [name for name, _ in scopes[0].names] == ["v0", "r1", "v2", "v3"]
+    [text] = sources  # the nested leaf loop's, hot once its one-trip runs sum to HOT
+    assert "    for v2 in range(n):\n" in text
+
+
+def test_a_loop_hot_on_a_later_run_keeps_the_names_of_its_cold_walk(monkeypatch, sources):
+    # the leaf loop runs HOT - 1 trips cold, then goes hot on its second run
+    scopes, walks = _recording_scopes(monkeypatch), []
+
+    def leaf(acc):
+        def body(j):
+            if isinstance(j, lo.Var):  # not the reference's literal
+                walks.append(j.name)
+            return modify_ref(lo.LANG, acc, lambda x: x * 3 + j)
+
+        return lambda _o: for_loop(lo.LANG, lo.lit(HOT - 1), body)
+
+    prog = init_ref(lo.lit(1)).bind(
+        lambda acc: for_loop(lo.LANG, lo.lit(2), leaf(acc)).then(
+            get_ref(lo.LANG, acc).bind(write_output)
+        )
+    )
+    acc = 1
+    for j in [*range(HOT - 1)] * 2:
+        acc = wrap_i32(acc * 3 + j)
+    assert _both(prog, lo.LANG) == (None, str(acc), 0)
+    assert walks == ["v1"]
+    assert [name for name, _ in scopes[0].names] == ["v0", "v1", "v2"]
+    [text] = sources
+    assert "    for v1 in range(n):\n        v2 = _c3.value\n" in text
+
+
+# --------------------------------------------------------------------------
 # The Iter tier: an Iter whose trips, summed over its runs, reach HOT runs
 # its step as generated source, through the same assembler as a hot loop.
 
@@ -598,6 +717,7 @@ def test_an_iter_in_a_cold_loop_tiers_up_mid_loop(trips, monkeypatch):
         return compile(text, *args)
 
     monkeypatch.setattr(lo, "compile", counted, raising=False)
+    lo._code.cache_clear()  # so that a text an earlier test compiled is compiled again
     assert run(prog, hi.LANG, io.StringIO(), out) == (None, 0)
     assert out.getvalue() == want
     [(text, runs_before)] = seen
