@@ -9,26 +9,28 @@ compilation rule tables; LANG is lowexpr's LANG itself, whose text table
 has no rule for Let or Iter, so a program prints only once its
 expressions are low.
 
-Both classes are binders: their rules instantiate the body when the fold
-reaches it.  Evaluation of closed expressions is the reference semantics:
-it instantiates binder bodies with literal nodes on every use.  Compilation,
-which the runtime uses for every expression, instantiates each binder body
-once with a generated variable instead: a Let becomes a step assigning it,
-an Iter a step storing the init and then lowexpr.loop's step, whose body
-is the step's own steps and a store of the new state.  Once that step finds
-the Iter hot, it runs the same instantiated step as generated Python source
-instead, unless lowexpr.PYTHON refuses it: a step holding a Let or Iter,
-or a variable the scope did not generate, stays on the steps.
+Both classes are binders.  Evaluation of closed expressions is the
+reference semantics: it instantiates binder bodies with literal nodes on
+every use.  Compilation, which the runtime uses for every expression,
+instantiates each binder body at most once, with a generated variable
+instead: a Let's body when the fold reaches it, with a step assigning the
+variable; an Iter's step through lowexpr.loop, which instantiates it on the
+Iter's first run that takes a trip, so an Iter of no trips builds it only
+for its tag check, as evaluation does.  An Iter becomes a step storing the
+init and then loop's step, whose body is a store of the compiled step's new
+state or, once the Iter is hot, the same instantiated step as generated
+Python source.  A refusal is a DslError from lowexpr.PYTHON: a step holding
+a Let or Iter, or a variable the scope did not generate, stays on the steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Iterator
 
 from . import lowexpr as lo
-from .core import DslError, Scope, TagError, TypeTag
+from .core import Scope, TagError, TypeTag
 from .lowexpr import (  # noqa: F401  (re-exported)
     Add, Compiled, Eq, Expr, Lit, Mul, Not, Var, compile_open, eval_closed, lit,
 )
@@ -96,29 +98,23 @@ def _flat_let(e: Let, flat: tuple) -> Iterator[Expr]:
 
 
 def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
-    # the step is built once, over a fresh name, into steps that end by
-    # storing the new state; no step reads the counter, named _ in source
+    # the step is built by lowexpr.loop, over a fresh name; no step reads the
+    # counter, named _ in source
     scope, steps = flat
-    name = scope.fresh("s", e.init.tag)
+    name = scope.fresh("s", e.tag)
     (count, _), (init, _) = (yield e.count), (yield e.init)
-    start = len(steps)
-    stepped = e.step(Var(name, e.init.tag))
-    step, _ = yield stepped
-    body = [*steps[start:], lo._store(name, step)]
-    iterate = lo.loop("_", count, lambda: body, lambda: _source(scope, name, stepped))
-    steps[start:] = [lo._store(name, init), iterate]  # count reads no name this store sets
+    step = lambda: e.step(Var(name, e.tag))
+    stage = lambda stepped: [lo._store(name, compile_open(stepped, scope))]
+    iterate = lo.loop("_", count, step, stage, partial(_source, scope, name))
+    steps += [lo._store(name, init), iterate]  # count reads no name this store sets
     return (lambda env: env[name]), 1
 
 
-def _source(scope: Scope, name: str, stepped: Expr) -> lo.Generated | None:
-    """An Iter's n trips as one generated function of env and n, which
-    loads the names the step reads from env once and stores the state back;
-    None for a step that PYTHON refuses, which stays on the steps."""
+def _source(scope: Scope, name: str, stepped: Expr) -> lo.Generated:
+    """An Iter's n trips as one function of env and n, which loads the
+    names the step reads from env once and stores the state back."""
     src = lo.Source(scope)
-    try:
-        src.lines.append(f"{name} = {src.expr(stepped)}")
-    except DslError:
-        return None
+    src.lines.append(f"{name} = {src.expr(stepped)}")
     return src.function("_", sorted(src.reads), [name])
 
 

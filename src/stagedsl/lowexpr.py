@@ -11,8 +11,9 @@ compilation, to which highexpr adds its two classes, and rendering and the
 Python text of hot loop bodies and Iter steps, which know only the six core
 classes and so reject anything else.  Source assembles that text into the
 one kind of generated function both hot tiers run, and loop builds the one
-step that runs a staged loop or an Iter: it alone decides when a body runs
-as that function, once its trips, summed over its runs, reach HOT.
+step that runs a staged loop or an Iter: it alone keeps a body, and decides
+when the body runs as that function, once its trips, summed over its runs,
+reach HOT.
 """
 
 from __future__ import annotations
@@ -350,29 +351,37 @@ def _code(text: str) -> CodeType:
     return compile(text, "<staged loop>", "exec")
 
 
-def loop(counter: str, count: Compiled, stage: Callable, generate: Callable) -> Compiled:
-    """The step that runs a staged loop body or an Iter's step: it evaluates
-    the count and runs the trips as generate()'s function once the trips,
-    summed over its runs, reach HOT, trying generate once; else, or on None,
-    as stage()'s steps, built on the first run that needs them, with the
-    trip's number bound to counter.  So a first trip calls generate, stage or
-    both, in that order.  A nested loop's step, this closure, is one frame."""
-    steps: list[Compiled] | None = None
-    trips, source = 0, None  # source: None until tried, then a function or False
+def loop(
+    counter: str, count: Compiled, instantiate: Callable, stage: Callable, generate: Callable
+) -> Compiled:
+    """The step that runs a staged loop body or an Iter's step.  It evaluates
+    the count; on its first run that takes a trip it calls instantiate() once
+    and keeps the body.  Once the trips, summed over its runs, reach HOT, it
+    runs them as generate(body)'s function, trying generate once; a DslError
+    from generate is a refusal.  Else the trips run stage(body)'s steps, built
+    on the first run that needs them, with the trip's number bound to counter.
+    A nested loop's step, this closure, is one frame."""
+    body = steps = source = None  # source: None until tried, then a function or False
+    trips = 0
 
     def step(env):
-        nonlocal steps, trips, source
+        nonlocal body, steps, trips, source
         n = count(env)
         if n <= 0:
             return
+        if body is None:
+            body = instantiate()
         trips += n
         if trips >= HOT:
             if source is None:
-                source = generate() or False
+                try:
+                    source = generate(body)
+                except DslError:
+                    source = False
             if source:
                 return source(env, n)
         if steps is None:
-            steps = stage()
+            steps = stage(body)
         for k in range(n):
             env[counter] = k
             for s in steps:

@@ -8,15 +8,26 @@ settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
 
 
+class Sources(list):
+    """The texts compiled, in order.  `seen` pairs each text with what
+    `probe()` returned as it was compiled, such as the output so far."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+        self.probe = lambda: None
+
+
 @pytest.fixture
 def sources(monkeypatch):
     """The texts compiled into the functions of hot loops and Iters, in
     order: every text goes through lowexpr.Source.function, which compiles
     a text once per process, so the cache starts empty."""
-    texts = []
+    texts = Sources()
 
     def counted(text, *args):
         texts.append(text)
+        texts.seen.append((text, texts.probe()))
         return compile(text, *args)
 
     monkeypatch.setattr(lowexpr, "compile", counted, raising=False)

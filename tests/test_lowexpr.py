@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stagedsl import lowexpr as lo
-from stagedsl.core import Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
+from stagedsl.core import DslError, Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
 
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
 
@@ -225,3 +225,53 @@ def test_compiled_free_variables_fail_when_evaluated_not_when_compiled():
 @example(-1)
 def test_the_wrap_text_of_hot_source_is_wrap_i32(n):
     assert eval(lo._WRAP.format(n)) == wrap_i32(n)
+
+
+HOT = lo.HOT
+# a loop's runs, then what it calls, in order, when generate accepts and
+# when it refuses: the first run at HOT goes hot at once, and HOT one-trip
+# runs sum to HOT on the last of them
+COLD_FIRST = ["instantiate", "stage", "generate"]
+RUNS = {
+    "hot-first": ([HOT, 2], ["instantiate", "generate"], ["instantiate", "generate", "stage"]),
+    "hot-later": ([HOT - 1, 0, 1, 2], COLD_FIRST, COLD_FIRST),
+    "summed": ([1] * HOT + [3], COLD_FIRST, COLD_FIRST),
+}
+
+
+@pytest.mark.parametrize("refuse", [False, True])
+@pytest.mark.parametrize("kind", RUNS)
+def test_loop_instantiates_once_and_tries_generate_once(kind, refuse):
+    runs, *wants = RUNS[kind]
+    calls, trips = [], []
+
+    def instantiate():
+        calls.append("instantiate")
+        return "body"
+
+    def stage(body):
+        calls.append("stage")
+        assert body == "body"
+        return [lambda env: trips.append(env["k"])]
+
+    def generate(body):
+        calls.append("generate")
+        assert body == "body"
+        if refuse:
+            raise DslError("refused")
+        return lambda env, n: trips.append(f"{n} generated")
+
+    step = lo.loop("k", lambda env: env["n"], instantiate, stage, generate)
+    for n in [0, -3]:
+        step({"n": n})
+    assert calls == trips == []  # a run of no trips instantiates nothing
+    summed = 0
+    for n in runs:
+        step({"n": n})
+        summed += n
+        if summed >= HOT and not refuse:
+            assert trips[-1] == f"{n} generated"
+        elif n > 0:
+            assert trips[-n:] == list(range(n))
+    # a refused body falls back to the steps, built once
+    assert calls == wants[refuse]

@@ -247,21 +247,30 @@ def test_a_staged_loop_builds_its_body_and_binder_bodies_once():
         assert (built["body"], built["step"]) == counts
 
 
+def _step_calls(lang, count):
+    """How often a top-level Iter of count trips builds its step."""
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return x + 1
+
+    prog = write_output(hi.Iter(hi.lit(count), hi.lit(1), step))
+    assert run_text(prog, lang) == (None, str(1 + max(count, 0)), 0)
+    return len(calls)
+
+
 def test_a_top_level_iter_builds_its_step_once_not_on_every_trip():
-    def step_calls(lang):
-        calls = []
-
-        def step(x):
-            calls.append(x)
-            return x + 1
-
-        prog = write_output(hi.Iter(hi.lit(1000), hi.lit(1), step))
-        assert run_text(prog, lang) == (None, "1001", 0)
-        return len(calls)
-
     # staged: the tag check and the compilation; reference: also every trip
-    assert step_calls(hi.LANG) <= 2
-    assert step_calls(support.REFERENCE) >= 1001
+    assert _step_calls(hi.LANG, 1000) <= 2
+    assert _step_calls(support.REFERENCE, 1000) >= 1001
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_an_iter_of_no_trips_builds_its_step_as_the_reference_does(count):
+    # only the tag check at construction: a staged step is built on the
+    # first run that takes a trip
+    assert _step_calls(hi.LANG, count) == _step_calls(support.REFERENCE, count) == 1
 
 
 def _deepen(e, depth):
@@ -478,15 +487,9 @@ def test_cold_loops_and_the_default_corpus_never_generate_source(sources):
     assert sources == []
 
 
-def test_a_nested_leaf_loop_tiers_up_once_its_summed_trips_reach_hot(monkeypatch):
-    out, seen = io.StringIO(), []
-
-    def counted(text, *args):
-        seen.append((text, out.getvalue()))
-        return compile(text, *args)
-
-    monkeypatch.setattr(lo, "compile", counted, raising=False)
-    lo._code.cache_clear()  # so that a text an earlier test compiled is compiled again
+def test_a_nested_leaf_loop_tiers_up_once_its_summed_trips_reach_hot(sources):
+    out = io.StringIO()
+    sources.probe = out.getvalue
     inner = 16
     runs = math.ceil(HOT / inner)  # the leaf loop's run that reaches HOT
     body = lambda i: for_loop(lo.LANG, lo.lit(inner), lambda j: write_output(i + j))
@@ -494,7 +497,7 @@ def test_a_nested_leaf_loop_tiers_up_once_its_summed_trips_reach_hot(monkeypatch
     want = outcome(prog, support.REFERENCE)
     assert run(prog, lo.LANG, io.StringIO(), out) == (None, 0)
     assert out.getvalue() == want[1]
-    [(text, before)] = seen
+    [(text, before)] = sources.seen
     assert before.count("|") == runs - 1
     # the outer body holds a loop, so it stays on the steps
     assert text.count(" for ") == 1
@@ -692,7 +695,7 @@ def test_a_hot_boolean_iter_matches_the_reference(trips, sources):
 
 
 @pytest.mark.parametrize("trips", AROUND_HOT)
-def test_an_iter_in_a_cold_loop_tiers_up_mid_loop(trips, monkeypatch):
+def test_an_iter_in_a_cold_loop_tiers_up_mid_loop(trips, sources):
     # the loop's four runs of the Iter take c, c + d, c + 2d and c + 3d
     # trips, the first two summing to trips; the step reads the counter
     c = trips // 2 - 10
@@ -710,17 +713,11 @@ def test_an_iter_in_a_cold_loop_tiers_up_mid_loop(trips, monkeypatch):
         want += f"{s},"
     prog = for_loop(hi.LANG, hi.lit(4), body)
     assert outcome(prog, support.REFERENCE) == (None, want, 0)
-    out, seen = io.StringIO(), []
-
-    def counted(text, *args):
-        seen.append((text, out.getvalue().count(",")))
-        return compile(text, *args)
-
-    monkeypatch.setattr(lo, "compile", counted, raising=False)
-    lo._code.cache_clear()  # so that a text an earlier test compiled is compiled again
+    out = io.StringIO()
+    sources.probe = lambda: out.getvalue().count(",")
     assert run(prog, hi.LANG, io.StringIO(), out) == (None, 0)
     assert out.getvalue() == want
-    [(text, runs_before)] = seen
+    [(text, runs_before)] = sources.seen
     assert runs_before == (1 if trips >= HOT else 2)
     assert "    v0 = env['v0']\n" in text  # the counter, read once per run
 
@@ -776,6 +773,22 @@ def test_a_hot_iter_generates_its_source_once(sources):
         "        s0 = (((s0 * 3 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)\n"
         "    env['s0'] = s0"
     ]
+
+
+@pytest.mark.parametrize("trips,folds", [(HOT - 1, 1), (HOT, 0)])
+def test_an_iter_hot_on_its_first_run_builds_no_closures(trips, folds, monkeypatch, sources):
+    folded = []
+    mul = lo.FLAT[lo.Mul]
+
+    def counted(*args):
+        folded.append(args)
+        return mul(*args)
+
+    monkeypatch.setitem(lo.FLAT, lo.Mul, counted)
+    prog = write_output(hi.Iter(hi.lit(trips), hi.lit(1), lambda s: s * 3))
+    assert run_text(prog, hi.LANG)[1] == str(wrap_i32(pow(3, trips, 2**32)))
+    assert len(folded) == folds
+    assert len(sources) == (trips >= HOT)
 
 
 def test_a_body_or_step_python_refuses_is_tried_once(monkeypatch, sources):
