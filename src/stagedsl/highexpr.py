@@ -98,24 +98,26 @@ def _flat_let(e: Let, flat: tuple) -> Iterator[Expr]:
 
 
 def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
-    # the step is built by lowexpr.loop, over a fresh name; no step reads the
-    # counter, named _ in source
+    # the step is built by lowexpr.loop, over a fresh name; no step reads a
+    # counter, so there is none
     scope, steps = flat
     name = scope.fresh("s", e.tag)
     (count, _), (init, _) = (yield e.count), (yield e.init)
     step = lambda: e.step(Var(name, e.tag))
     stage = lambda stepped: [lo._store(name, compile_open(stepped, scope))]
-    iterate = lo.loop("_", count, step, stage, partial(_source, scope, name))
+    iterate = lo.loop(None, count, step, stage, partial(_source, scope, name))
     steps += [lo._store(name, init), iterate]  # count reads no name this store sets
     return (lambda env: env[name]), 1
 
 
 def _source(scope: Scope, name: str, stepped: Expr) -> lo.Generated:
     """An Iter's n trips as one function of env and n, which loads the
-    names the step reads from env once and stores the state back."""
+    names the step reads from env once and stores the state back: an i32
+    state is a residue between trips, made canonical once, at that store."""
     src = lo.Source(scope)
+    src.residue(name, stepped.tag)
     src.lines.append(f"{name} = {src.expr(stepped)}")
-    return src.function("_", sorted(src.reads), [name])
+    return src.function(None, sorted(src.reads), [name])
 
 
 lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})

@@ -9,11 +9,14 @@ depth nor binder nesting grows the Python stack.  A consumer is a table of
 rules, one per node class; this module holds closed evaluation and flat
 compilation, to which highexpr adds its two classes, and rendering and the
 Python text of hot loop bodies and Iter steps, which know only the six core
-classes and so reject anything else.  Source assembles that text into the
-one kind of generated function both hot tiers run, and loop builds the one
-step that runs a staged loop or an Iter: it alone keeps a body, and decides
-when the body runs as that function, once its trips, summed over its runs,
-reach HOT.
+classes and so reject anything else.  That text computes an i32 as a
+residue mod 2**32, masking each + and * and making a value canonical only
+where it is observed, as the C back end computes in unsigned arithmetic.
+Source assembles it into the one kind of generated function both hot tiers
+run, which keeps each live cell it reaches in a local, and loop builds the
+one step that runs a staged loop or an Iter: it alone keeps a body, and
+decides when the body runs as that function, once its trips, summed over
+its runs, reach HOT.
 """
 
 from __future__ import annotations
@@ -285,30 +288,45 @@ def render(e: Expr) -> str:
 
 
 # A staged loop's or an Iter's trips, summed over its runs, at which it
-# runs as generated source.  powerInput's loop body costs about 60 us more
-# to generate than to stage, nearly all compile(), paid once per text per
-# process (_code); each trip then saves 0.4 us.  HOT stays 256 as a text's
-# first run pays only from about 150 trips, which the default randprog
+# runs as generated source.  powerInput's loop body costs about 100 us more
+# to generate than to stage, most of it compile(), paid once per text per
+# process (_code); each trip then saves 0.5 us.  HOT stays 256 as a text's
+# first run pays only from about 200 trips, which the default randprog
 # corpus has not been seen to reach: its loops sum to at most 144.
 HOT = 256
 
-# PYTHON's context is a Source.  A rule gives Python text and how deep
-# operators nest in it; at _NEST a line stores the value in a fresh local
-# instead, since CPython refuses text nested 200 parentheses deep.
+# PYTHON's context is a Source.  A rule gives Python text, how deep
+# operators nest in it, and how to make the text canonical (see Source): None
+# if it is, else the text _WRAP takes, an operator's unmasked `a op b` or a
+# residue's name.  At _NEST a line stores the value in a fresh local instead,
+# since CPython refuses text nested 200 parentheses deep.
 _NEST = 40
-# wrap_i32 as Python text: a mask runs faster than % 2**32
+# wrap_i32 of any integer as Python text: a mask runs faster than % 2**32
 _WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
 
 
 class Source:
     """Python source over a scope's names, for the hot loop bodies and
     Iter steps: its lines in order, among them the temporaries that the
-    text folded so far reads, the namespace constants they name and the
-    generated names they read.  Only the repr() of an int or bool literal
-    becomes text."""
+    text folded so far reads, the namespace constants they name, the
+    generated names they read and the live cells they reach.  Only the
+    repr() of an int or bool literal becomes text.
+
+    An i32 is a residue in the text: an integer congruent to its value mod
+    2**32, in [-2**31, 2**32).  An operator's result is only masked into
+    [0, 2**32); literals, names loaded from env, read()'s results, the
+    counter and the values of cells reached through env are canonical, that
+    is signed.  A value is made canonical only where it is observed: by
+    value(), for output, a new cell and a write through env; by an Eq, which
+    compares masked operands once either is a residue; and at the stores of
+    function.  A live cell, a ConcreteRef, is a local of the function;
+    residues holds it, if an i32, as it holds each generated name that may
+    hold a residue."""
 
     def __init__(self, scope: Scope) -> None:
         self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
+        self.residues: set[str] = set()
+        self.cells: dict[int, tuple[str, str]] = {}  # by id: its local and its constant
 
     def const(self, value: Any) -> str:
         name = f"_c{len(self.consts)}"
@@ -316,30 +334,78 @@ class Source:
         return name
 
     def expr(self, e: Expr) -> str:
-        """The text of e, or DslError for an expression that only compile
-        handles: a binder or a variable the scope did not generate."""
+        """The text of e, a residue if an i32, or DslError for an expression
+        that only compile handles: a binder or a variable the scope did not
+        generate."""
         return fold(PYTHON, e, self)[0]
 
-    def ref(self, ref: Any) -> str:
-        """The text naming a reference: a constant for a live cell, or a
-        generated name; StageError for any other, whose steps fail when run."""
+    def value(self, e: Expr) -> str:
+        """The canonical text of e; an operator's gets _WRAP, not a mask."""
+        text, _, raw = fold(PYTHON, e, self)
+        return text if raw is None else _WRAP.format(raw)
+
+    def residue(self, name: str, tag: TypeTag) -> None:
+        """Let the generated name hold an i32 as a residue."""
+        if tag is TypeTag.I32:
+            self.residues.add(name)
+
+    def get(self, name: str, ref: Any) -> str:
+        """The line binding name to a reference's value."""
         if isinstance(ref, ConcreteRef):
-            return self.const(ref)
+            self.residue(name, ref.tag)
+            return f"{name} = {self._cell(ref)}"
+        return f"{name} = {self._generated(ref)}.value"
+
+    def set(self, ref: Any, e: Expr) -> str:
+        """The line writing e's value to a reference."""
+        if isinstance(ref, ConcreteRef):
+            return f"{self._cell(ref)} = {self.expr(e)}"
+        value = self.value(e)
+        return f"{self._generated(ref)}.value = {value}"
+
+    def _cell(self, ref: ConcreteRef) -> str:
+        # one local per cell: the walk gives each use a reference of its own
+        if id(ref) not in self.cells:
+            local = f"_r{len(self.cells)}"
+            self.residue(local, ref.tag)
+            self.cells[id(ref)] = local, self.const(ref)
+        return self.cells[id(ref)][0]
+
+    def _generated(self, ref: Any) -> str:
+        # StageError for a reference the scope did not generate, whose steps fail when run
         self.reads.add(generated(ref, self.scope))
         return ref.name
 
-    def function(self, counter: str, load: list[str], store: list[str]) -> Generated:
+    def _canonical(self, name: str) -> str:
+        return _WRAP.format(name) if name in self.residues else name
+
+    def function(self, counter: str | None, load: list[str], store: list[str]) -> Generated:
         """The lines as one function, loop(env, n): it loads the names in
-        load from env once, runs the lines under `for counter in range(n):`
-        and stores the names in store back to env after the last trip, so n
-        must be positive.  The function holds the namespace of constants,
+        load from env and each live cell into its local once, runs the lines
+        under `for counter in range(n):`, `for _` for a counter of None,
+        stores each cell back in a finally, so that after a return or a raise
+        it holds what the steps would leave, and stores the names in store
+        back to env after the last trip, so n must be positive.  Each stored
+        i32 is canonical.  The function holds the namespace of constants,
         which does not hold it; the text is compiled once per process."""
+        body = [
+            f"for {counter or '_'} in range(n):",
+            *(f"    {line}" for line in self.lines or ["pass"]),
+        ]
+        if self.cells:
+            cells = self.cells.values()
+            body = [
+                *(f"{local} = {const}.value" for local, const in cells),
+                "try:",
+                *(f"    {line}" for line in body),
+                "finally:",
+                *(f"    {const}.value = {self._canonical(local)}" for local, const in cells),
+            ]
         text = "\n".join([
             "def loop(env, n):",
             *(f"    {name} = env[{name!r}]" for name in load),
-            f"    for {counter} in range(n):",
-            *(f"        {line}" for line in self.lines or ["pass"]),
-            *(f"    env[{name!r}] = {name}" for name in store),
+            *(f"    {line}" for line in body),
+            *(f"    env[{name!r}] = {self._canonical(name)}" for name in store),
         ])
         exec(_code(text), self.consts)
         return self.consts.pop("loop")
@@ -352,15 +418,16 @@ def _code(text: str) -> CodeType:
 
 
 def loop(
-    counter: str, count: Compiled, instantiate: Callable, stage: Callable, generate: Callable
+    counter: str | None, count: Compiled, instantiate: Callable, stage: Callable, generate: Callable
 ) -> Compiled:
     """The step that runs a staged loop body or an Iter's step.  It evaluates
     the count; on its first run that takes a trip it calls instantiate() once
     and keeps the body.  Once the trips, summed over its runs, reach HOT, it
     runs them as generate(body)'s function, trying generate once; a DslError
     from generate is a refusal.  Else the trips run stage(body)'s steps, built
-    on the first run that needs them, with the trip's number bound to counter.
-    A nested loop's step, this closure, is one frame."""
+    on the first run that needs them, with the trip's number bound to counter
+    unless it is None, as for an Iter, whose step reads no counter.  A nested
+    loop's step, this closure, is one frame."""
     body = steps = source = None  # source: None until tried, then a function or False
     trips = 0
 
@@ -382,6 +449,11 @@ def loop(
                 return source(env, n)
         if steps is None:
             steps = stage(body)
+        if counter is None:
+            for _ in range(n):
+                for s in steps:
+                    s(env)
+            return
         for k in range(n):
             env[counter] = k
             for s in steps:
@@ -390,35 +462,52 @@ def loop(
     return step
 
 
-def _source_var(e: Var, source: Source) -> tuple[str, int]:
+def _source_var(e: Var, source: Source) -> tuple[str, int, str | None]:
     if e.name not in source.scope:
         _unbound(e, source)
     source.reads.add(e.name)
-    return e.name, 0
+    return e.name, 0, (e.name if e.name in source.residues else None)
 
 
-def _source_lit(e: Lit, source: Source) -> tuple[str, int]:
+def _source_lit(e: Lit, source: Source) -> tuple[str, int, None]:
     text = repr(e.value) if type(e.value) in (int, bool) else source.const(e.value)
-    return text, 0
+    return text, 0, None
 
 
-def _source_op(tag: TypeTag, form: str, source: Source, a, b=(None, 0)) -> tuple[str, int]:
-    (ta, da), (tb, db) = a, b
-    text, depth = form.format(ta, tb), max(da, db) + 1
+def _nested(source: Source, tag: TypeTag, text: str, depth: int, raw: str | None):
     if depth < _NEST:
-        return text, depth
+        return text, depth, raw
     name = source.scope.fresh("t", tag)
     source.lines.append(f"{name} = {text}")
-    return name, 0
+    source.residue(name, tag)
+    return name, 0, None if raw is None else name
+
+
+def _source_arithmetic(op: str, source: Source, a, b) -> tuple[str, int, str]:
+    (ta, da, _), (tb, db, _) = a, b
+    raw = f"{ta} {op} {tb}"
+    return _nested(source, TypeTag.I32, f"(({raw}) & 0xFFFFFFFF)", max(da, db) + 1, raw)
+
+
+def _masked(text: str, raw: str | None) -> str:
+    # an operator's text is masked already; a name or a canonical text is not
+    return text if raw not in (None, text) else f"({text} & 0xFFFFFFFF)"
+
+
+def _source_eq(source: Source, a, b) -> tuple[str, int, None]:
+    (ta, da, ra), (tb, db, rb) = a, b
+    if ra is not None or rb is not None:  # i32 operands, one a residue
+        ta, tb = _masked(ta, ra), _masked(tb, rb)
+    return _nested(source, TypeTag.BOOL, f"({ta} == {tb})", max(da, db) + 1, None)
 
 
 PYTHON = Rules("cannot generate Python for", {
     Var: _source_var,
     Lit: _source_lit,
-    Add: partial(_source_op, TypeTag.I32, _WRAP.format("{} + {}")),
-    Mul: partial(_source_op, TypeTag.I32, _WRAP.format("{} * {}")),
-    Not: partial(_source_op, TypeTag.BOOL, "(not {})"),
-    Eq: partial(_source_op, TypeTag.BOOL, "({} == {})"),
+    Add: partial(_source_arithmetic, "+"),
+    Mul: partial(_source_arithmetic, "*"),
+    Not: lambda source, a: _nested(source, TypeTag.BOOL, f"(not {a[0]})", a[1] + 1, None),
+    Eq: _source_eq,
 })
 
 

@@ -23,9 +23,12 @@ language with no `compile` gets the reference behaviour: eval_closed
 evaluates every expression, and a loop body is rebuilt and interpreted on
 every trip.  Once that step finds a loop hot, generate prints the walked
 statements as one Python function through lowexpr.Source, which compiles a
-text once per process: a line per instruction, generated names as locals.
+text once per process: a line per instruction, generated names as locals,
+i32 values as residues that are made canonical where a value is observed.
 Print strings, live cells and tags are constants of the function's
-namespace; program text never becomes source.  Generate refuses a body with
+namespace; program text never becomes source.  Each live cell is read and
+written as a local across the trips and stored back in a finally, so after
+an error it holds what the steps would leave.  Generate refuses a body with
 a DslError, and it stays on the steps, if it holds a nested loop, a Let or
 Iter, or a variable or reference the scope did not generate, or if the
 language's compile is not lowexpr.compile_open, which then sees every
@@ -207,9 +210,10 @@ class _Runner:
         """A staged body's n trips as one generated Python function of env
         and n: a line per statement, generated names as locals, outer names
         loaded from env once and the body's own names stored back after the
-        last trip, as the steps leave them.  DslError for a body that stays
-        on the steps: under a language whose compile is not compile_open, or
-        with a nested loop, a binder or a name the scope did not generate."""
+        last trip, as the steps leave them; a live cell is a local too, see
+        lowexpr.Source.  DslError for a body that stays on the steps: under
+        a language whose compile is not compile_open, or with a nested loop,
+        a binder or a name the scope did not generate."""
         if not self._tier:
             raise DslError("the language compiles its own expressions")
         src = lowexpr.Source(self.scope)
@@ -217,14 +221,13 @@ class _Runner:
         for cmd, name in staged:
             match cmd:  # patterns without captures, as in core.symbolic
                 case GetRef():
-                    line = f"{name} = {src.ref(cmd.ref)}.value"
+                    line = src.get(name, cmd.ref)
                 case SetRef():
-                    value = src.expr(cmd.value)
-                    line = f"{src.ref(cmd.ref)}.value = {value}"
+                    line = src.set(cmd.ref, cmd.value)
                 case InitRef():
-                    line = f"{name} = {cell}({src.const(cmd.init.tag)}, {src.expr(cmd.init)})"
+                    line = f"{name} = {cell}({src.const(cmd.init.tag)}, {src.value(cmd.init)})"
                 case WriteOutput():
-                    line = f"{write}(str({src.expr(cmd.value)}))"
+                    line = f"{write}(str({src.value(cmd.value)}))"
                 case ReadInput():
                     line = f"{name} = {read}()"
                 case PrintStr():

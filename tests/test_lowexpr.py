@@ -227,6 +227,40 @@ def test_the_wrap_text_of_hot_source_is_wrap_i32(n):
     assert eval(lo._WRAP.format(n)) == wrap_i32(n)
 
 
+# an i32 in hot source: a canonical name holds a signed value, a residue name
+# any in [-2**31, 2**32), the masked results in [0, 2**32) among them
+operands = st.tuples(st.booleans(), st.integers(I32_MIN, 2**32 - 1)).map(
+    lambda t: t if t[0] else (False, wrap_i32(t[1]))
+)
+
+
+@given(st.sampled_from([lo.Add, lo.Mul, lo.Eq]), operands, operands)
+@example(lo.Eq, (True, 2**32 - 1), (False, -1))
+@example(lo.Mul, (True, 2**32 - 1), (True, 2**32 - 1))
+@example(lo.Add, (False, I32_MIN), (True, 2**31))
+def test_hot_source_texts_from_either_form_are_wrap_i32(node, a, b):
+    scope, env = Scope(), {}
+    src = lo.Source(scope)
+    names = []
+    for residue, value in [a, b]:
+        name = scope.fresh("v", TypeTag.I32)
+        if residue:
+            src.residue(name, TypeTag.I32)
+        env[name] = value
+        names.append(lo.Var(name, TypeTag.I32))
+    e = node(*names)
+    want = lo.eval_closed(node(lo.lit(a[1]), lo.lit(b[1])))
+    text = src.expr(e)
+    if node is lo.Eq:
+        assert eval(text, env) is want
+        return
+    masked = eval(text, env)
+    assert 0 <= masked < 2**32
+    # the canonicalising text applied to the masked text, and value()'s text
+    assert eval(lo._WRAP.format(text), env) == want
+    assert eval(src.value(e), env) == want
+
+
 HOT = lo.HOT
 # a loop's runs, then what it calls, in order, when generate accepts and
 # when it refuses: the first run at HOT goes hot at once, and HOT one-trip

@@ -467,16 +467,132 @@ def test_a_hot_loop_generates_its_source_once(sources):
     prog = lower_program(power_input())
     out = run_text(prog, lo.LANG, f"3\n{3 * HOT}\n")[1]
     assert out.endswith(f"3^{3 * HOT} = {wrap_i32(pow(3, 3 * HOT, 2**32))}.\n")
-    # _c0 to _c2 are write, read and ConcreteRef; the live cell is a
-    # constant each time it is named
+    # _c0 to _c2 are write, read and ConcreteRef; the live cell, named twice,
+    # is one constant, a local _r0 in residue form across the trips, stored
+    # back canonical in a finally, as the name read from it is at its store
     assert sources == [
         "def loop(env, n):\n"
-        "    for v0 in range(n):\n"
-        "        v1 = _c3.value\n"
-        "        _c4.value = (((v1 * 3 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)\n"
+        "    _r0 = _c3.value\n"
+        "    try:\n"
+        "        for v0 in range(n):\n"
+        "            v1 = _r0\n"
+        "            _r0 = ((v1 * 3) & 0xFFFFFFFF)\n"
+        "    finally:\n"
+        "        _c3.value = (((_r0 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)\n"
         "    env['v0'] = v0\n"
-        "    env['v1'] = v1"
+        "    env['v1'] = (((v1 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
     ]
+
+
+def _held(make, inits, text=""):
+    """The outcome of make(*cells), staged and on the reference, each with
+    cells of its own that the test holds, one per init, and the values they
+    then hold, each of its init's type."""
+    results = []
+    for lang in [lo.LANG, support.REFERENCE]:
+        cells = [ConcreteRef(lo.lit(init).tag, init) for init in inits]
+        results.append((outcome(make(*cells), lang, text), [cell.value for cell in cells]))
+        assert [type(cell.value) for cell in cells] == [type(init) for init in inits]
+    assert results[0] == results[1]
+    return results[0]
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_promoted_cell_read_equals_an_operator_result_while_negative(trips, sources):
+    # c holds -1 throughout, a residue in the source from its first write
+    # on, which each Eq compares masked: eq keeps the last trip's v == -1,
+    # and kept toggles on every trip where v * 1 == -1 is false
+    def body(c, eq, kept, _i):
+        return get_ref(lo.LANG, c).bind(
+            lambda v: seq(
+                set_ref(eq, lo.Eq(v, lo.lit(-1))),
+                get_ref(lo.LANG, kept).bind(
+                    lambda k: set_ref(kept, lo.Eq(k, lo.Eq(v * 1, lo.lit(-1))))
+                ),
+                write_output(v),
+                set_ref(c, v * 1),
+            )
+        )
+
+    make = lambda *cells: for_loop(lo.LANG, lo.lit(trips), partial(body, *cells))
+    assert _held(make, [-1, False, True]) == ((None, "-1" * trips, 0), [-1, True, True])
+    assert len(sources) == (trips >= HOT)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_name_kept_from_a_hot_loop_holds_a_negative_value(trips, sources):
+    # v is a residue in the source, canonical once stored back to env
+    leaked = []
+
+    def body(c, _i):
+        def keep(v):
+            leaked.append(v)
+            return set_ref(c, v * 1 + -1)
+
+        return get_ref(lo.LANG, c).bind(keep)
+
+    def make(c):
+        loop = for_loop(lo.LANG, lo.lit(trips), partial(body, c))
+        return loop.bind(
+            lambda _: write_output(leaked[-1]).then(write_output(leaked[-1] * -3))
+        )
+
+    want = (None, f"-{trips}{3 * trips}", 0)
+    assert _held(make, [-1]) == (want, [-trips - 1])
+    assert len(sources) == (trips >= HOT)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_promoted_boolean_cell_matches_the_reference(trips, sources):
+    # the flag holds on the trip where i is 0 and toggles on every other
+    def body(flag, i):
+        return get_ref(lo.LANG, flag).bind(
+            lambda f: set_ref(flag, lo.Eq(f, lo.Eq(i * 1 + -1, lo.lit(-1))))
+        )
+
+    make = lambda flag: seq(
+        for_loop(lo.LANG, lo.lit(trips), partial(body, flag)), get_ref(lo.LANG, flag)
+    )
+    want = trips % 2 == 1
+    assert _held(make, [True]) == ((lo.Lit(want, TypeTag.BOOL), "", 0), [want])
+    assert len(sources) == (trips >= HOT)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_one_cell_named_by_two_statements_is_one_local(trips, sources):
+    def body(c, i):
+        return get_ref(lo.LANG, c).bind(
+            lambda a: set_ref(c, a * 3).then(get_ref(lo.LANG, c)).bind(
+                lambda b: set_ref(c, b + i * -7).then(write_output(a + b)).then(print_str(","))
+            )
+        )
+
+    make = lambda c: for_loop(lo.LANG, lo.lit(trips), partial(body, c))
+    want, acc = "", -1
+    for i in range(trips):
+        b = wrap_i32(acc * 3)
+        want += f"{wrap_i32(acc + b)},"
+        acc = wrap_i32(b + i * -7)
+    assert _held(make, [-1]) == ((None, want, 0), [acc])
+    if trips >= HOT:
+        [text] = sources
+        assert text.count(".value") == 2  # the load, and the store in the finally
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_promoted_cell_holds_the_steps_value_after_an_input_error(trips, sources):
+    # every trip multiplies the cell by -3 and then reads a line; the last
+    # line is missing, so the error leaves the cell as that trip's write did
+    def body(c, _i):
+        return get_ref(lo.LANG, c).bind(
+            lambda v: set_ref(c, v * -3).then(read_input(lo.LANG)).bind(write_output)
+        )
+
+    make = lambda c: for_loop(lo.LANG, lo.lit(trips), partial(body, c))
+    lines = trips - 5
+    want = ("InputError", "input exhausted", "1" * lines)
+    assert _held(make, [-1], "1\n" * lines) == (want, [wrap_i32(-pow(-3, lines + 1, 2**32))])
+    assert len(sources) == (trips >= HOT)
 
 
 def test_cold_loops_and_the_default_corpus_never_generate_source(sources):
@@ -669,7 +785,7 @@ def test_a_loop_hot_on_a_later_run_keeps_the_names_of_its_cold_walk(monkeypatch,
     assert walks == ["v1"]
     assert [name for name, _ in scopes[0].names] == ["v0", "v1", "v2"]
     [text] = sources
-    assert "    for v1 in range(n):\n        v2 = _c3.value\n" in text
+    assert "    for v1 in range(n):\n            v2 = _r0\n" in text
 
 
 # --------------------------------------------------------------------------
@@ -749,6 +865,38 @@ def test_a_hot_step_that_ignores_the_state_still_sets_it(sources):
     assert len(sources) == 1
 
 
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_hot_boolean_iter_compares_a_residue_masked(trips, sources):
+    # i is 0, so i * 1 + -1 is -1 as a residue: the first Iter's state is that
+    # Eq, and the second's toggles on every trip it is false
+    def body(last, kept, i):
+        held = lambda _b: hi.Eq(i * 1 + -1, hi.lit(-1))
+        return seq(
+            set_ref(last, hi.Iter(hi.lit(trips), hi.lit(False), held)),
+            set_ref(kept, hi.Iter(hi.lit(trips), hi.lit(True), lambda b: hi.Eq(b, held(b)))),
+        )
+
+    make = lambda *cells: for_loop(hi.LANG, hi.lit(1), partial(body, *cells))
+    assert _held(make, [False, True]) == ((None, "", 0), [True, True])
+    assert len(sources) == 2 * (trips >= HOT)
+
+
+FINAL_STATES = {  # a step, an init, and the state after n trips
+    "identity": (lambda s: s, -5, lambda n: -5),
+    "negative": (lambda s: s * 1 + -1, 0, lambda n: -n),
+    "product": (lambda s: s * -3, -1, lambda n: wrap_i32(-pow(-3, n, 2**32))),
+}
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+@pytest.mark.parametrize("kind", FINAL_STATES)
+def test_a_hot_iters_state_is_canonical_once_stored(kind, trips, sources):
+    step, init, final = FINAL_STATES[kind]
+    prog = write_output(hi.Iter(hi.lit(trips), hi.lit(init), step))
+    assert _both(prog, hi.LANG) == (None, str(final(trips)), 0)
+    assert len(sources) == (trips >= HOT)
+
+
 @pytest.mark.parametrize("count", [0, -5])
 @pytest.mark.parametrize("hot_first", [False, True])
 def test_an_iter_of_no_trips_yields_its_init(count, hot_first, sources):
@@ -765,13 +913,14 @@ def test_an_iter_of_no_trips_yields_its_init(count, hot_first, sources):
 def test_a_hot_iter_generates_its_source_once(sources):
     out = run_text(power_input(), hi.LANG, f"3\n{3 * HOT}\n")[1]
     assert out.endswith(f"3^{3 * HOT} = {wrap_i32(pow(3, 3 * HOT, 2**32))}.\n")
-    # the state is loaded once and stored back once; the base is a literal
+    # the state is loaded once and stored back once, canonical, and is a
+    # residue between trips; the base is a literal
     assert sources == [
         "def loop(env, n):\n"
         "    s0 = env['s0']\n"
         "    for _ in range(n):\n"
-        "        s0 = (((s0 * 3 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)\n"
-        "    env['s0'] = s0"
+        "        s0 = ((s0 * 3) & 0xFFFFFFFF)\n"
+        "    env['s0'] = (((s0 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
     ]
 
 
