@@ -39,8 +39,9 @@ class TypeTag(Enum):
 
 
 def wrap_i32(n: int) -> int:
-    """Reduce an integer into two's-complement 32-bit range."""
-    return (n + 2**31) % 2**32 - 2**31
+    """Reduce an integer into two's-complement 32-bit range.  A mask runs
+    faster than % 2**32 and gives the same result for every int."""
+    return ((n + 0x80000000) & 0xFFFFFFFF) - 0x80000000
 
 
 class DslError(Exception):

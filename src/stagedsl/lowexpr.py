@@ -10,10 +10,12 @@ rules, one per node class; this module holds closed evaluation and flat
 compilation, to which highexpr adds its two classes, and rendering and the
 Python text of hot loop bodies and Iter steps, which know only the six core
 classes and so reject anything else.  That text computes an i32 as a
-residue mod 2**32, masking each + and * and making a value canonical only
-where it is observed, as the C back end computes in unsigned arithmetic.
-Source assembles it into the one kind of generated function both hot tiers
-run, which keeps each live cell it reaches in a local, and loop builds the
+residue mod 2**32, any congruent integer, masking each + and * and making a
+value canonical only where it is observed, as the C back end computes in
+unsigned arithmetic.  Source assembles it into the one kind of generated
+function both hot tiers run, which keeps each live cell it reaches in a
+local, builds no int per trip for a counter no line reads, and runs an i32
+Iter's trips in passes that mask its state once each; loop builds the
 one step that runs a staged loop or an Iter: it alone keeps a body, and
 decides when the body runs as that function, once its trips, summed over
 its runs, reach HOT.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 from types import CodeType
 from typing import Any, Callable
 
@@ -290,9 +293,10 @@ def render(e: Expr) -> str:
 # A staged loop's or an Iter's trips, summed over its runs, at which it
 # runs as generated source.  powerInput's loop body costs about 100 us more
 # to generate than to stage, most of it compile(), paid once per text per
-# process (_code); each trip then saves 0.5 us.  HOT stays 256 as a text's
-# first run pays only from about 200 trips, which the default randprog
-# corpus has not been seen to reach: its loops sum to at most 144.
+# process (_code); each trip then saves about 0.6 us (CPython 3.11, one
+# pinned core).  HOT stays 256 as a text's first run pays only from about
+# 170 trips, which the default randprog corpus has not been seen to reach:
+# its loops sum to at most 144.
 HOT = 256
 
 # PYTHON's context is a Source.  A rule gives Python text, how deep
@@ -301,8 +305,18 @@ HOT = 256
 # residue's name.  At _NEST a line stores the value in a fresh local instead,
 # since CPython refuses text nested 200 parentheses deep.
 _NEST = 40
-# wrap_i32 of any integer as Python text: a mask runs faster than % 2**32
+# wrap_i32 of any integer as Python text, in wrap_i32's own masked form
 _WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
+# An i32 Iter's trips per pass of its function, of which all but the last
+# store the step's unmasked top operator (see Source.function).  Every
+# consumer of a residue, a masked operator, an Eq or _WRAP, reduces any
+# integer exactly, so only the size of the raw state needs a bound.  The
+# state is stored once per trip and only its top operator goes unmasked,
+# whose operands are the state, masked operators or canonical values: a
+# state within 32 bits at most doubles its bits per trip, at s * s, and so
+# stays within 32 * 2**3 = 256 bits in a pass.  A loop body can store a
+# local many times per trip, so its masks are never deferred.
+_PASS = 4
 
 
 class Source:
@@ -312,14 +326,15 @@ class Source:
     generated names they read and the live cells they reach.  Only the
     repr() of an int or bool literal becomes text.
 
-    An i32 is a residue in the text: an integer congruent to its value mod
-    2**32, in [-2**31, 2**32).  An operator's result is only masked into
-    [0, 2**32); literals, names loaded from env, read()'s results, the
-    counter and the values of cells reached through env are canonical, that
-    is signed.  A value is made canonical only where it is observed: by
-    value(), for output, a new cell and a write through env; by an Eq, which
-    compares masked operands once either is a residue; and at the stores of
-    function.  A live cell, a ConcreteRef, is a local of the function;
+    An i32 is a residue in the text: any integer congruent to its value
+    mod 2**32.  An operator's result is only masked into [0, 2**32), and an
+    Iter's state between the trips of a pass of function is not even that,
+    but stays within 256 bits (see _PASS); literals, names loaded from env,
+    read()'s results, the counter and the values of cells reached through
+    env are canonical, that is signed.  A value is made canonical only
+    where it is observed: by value(), for output, a new cell and a write
+    through env; by an Eq, which compares masked operands once either is a
+    residue; and at the stores of function.  A live cell, a ConcreteRef, is a local of the function;
     residues holds it, if an i32, as it holds each generated name that may
     hold a residue."""
 
@@ -379,19 +394,42 @@ class Source:
     def _canonical(self, name: str) -> str:
         return _WRAP.format(name) if name in self.residues else name
 
-    def function(self, counter: str | None, load: list[str], store: list[str]) -> Generated:
+    def _stored(self, name: str, counter: str | None) -> str:
+        # a counter no line reads is not iterated: n - 1 is what range leaves
+        if name == counter and counter not in self.reads:
+            return "n - 1"
+        return self._canonical(name)
+
+    def function(
+        self, counter: str | None, load: list[str], store: list[str], raw: list[str] | None = None
+    ) -> Generated:
         """The lines as one function, loop(env, n): it loads the names in
-        load from env and each live cell into its local once, runs the lines
-        under `for counter in range(n):`, `for _` for a counter of None,
-        stores each cell back in a finally, so that after a return or a raise
-        it holds what the steps would leave, and stores the names in store
-        back to env after the last trip, so n must be positive.  Each stored
-        i32 is canonical.  The function holds the namespace of constants,
-        which does not hold it; the text is compiled once per process."""
-        body = [
-            f"for {counter or '_'} in range(n):",
-            *(f"    {line}" for line in self.lines or ["pass"]),
-        ]
+        load from env and each live cell into its local once, runs n trips
+        of the lines, stores each cell back in a finally, so that after a
+        return or a raise it holds what the steps would leave, and stores
+        the names in store back to env after the last trip, so n must be
+        positive.  Each stored i32 is canonical.  A counter that a line
+        reads runs as `for counter in range(n):`; else, or for a counter of
+        None, the trips are `for _ in _repeat(None, n):`, which builds no
+        int per trip, and a stored counter is n - 1, as range leaves it.
+        With raw, an Iter step's trip that leaves its state unmasked at the
+        top operator, the function runs n // _PASS passes, each _PASS - 1
+        trips of raw and one of the lines, then n % _PASS trips of the
+        lines.  The function holds the namespace of constants, which does
+        not hold it; the text is compiled once per process."""
+        trip = [f"    {line}" for line in self.lines or ["pass"]]
+        if counter in self.reads:  # which None never is
+            body = [f"for {counter} in range(n):", *trip]
+        elif raw is None:
+            body = ["for _ in _repeat(None, n):", *trip]
+        else:
+            body = [
+                f"for _ in _repeat(None, n // {_PASS}):",
+                *(f"    {line}" for line in raw * (_PASS - 1)),
+                *trip,
+                f"for _ in _repeat(None, n % {_PASS}):",
+                *trip,
+            ]
         if self.cells:
             cells = self.cells.values()
             body = [
@@ -405,8 +443,9 @@ class Source:
             "def loop(env, n):",
             *(f"    {name} = env[{name!r}]" for name in load),
             *(f"    {line}" for line in body),
-            *(f"    env[{name!r}] = {self._canonical(name)}" for name in store),
+            *(f"    env[{name!r}] = {self._stored(name, counter)}" for name in store),
         ])
+        self.consts["_repeat"] = repeat
         exec(_code(text), self.consts)
         return self.consts.pop("loop")
 

@@ -85,6 +85,16 @@ def test_literal_wrapping_is_idempotent(n):
     assert wrap_i32(lo.lit(n).value) == lo.lit(n).value
 
 
+@given(st.integers(-(2**300), 2**300))
+@example(2**31)
+@example(-(2**31) - 1)
+@example(2**32)
+@example(-(2**300))
+def test_wrap_i32_is_the_modular_formula(n):
+    # wrap_i32 masks; this is the % formula it replaced
+    assert wrap_i32(n) == (n + 2**31) % 2**32 - 2**31
+
+
 # ---------------------------------------------------------------------------
 # Open expressions against an environment oracle.  The oracle evaluates with
 # an environment directly; the language only evaluates closed terms, so the
@@ -228,16 +238,19 @@ def test_the_wrap_text_of_hot_source_is_wrap_i32(n):
 
 
 # an i32 in hot source: a canonical name holds a signed value, a residue name
-# any in [-2**31, 2**32), the masked results in [0, 2**32) among them
-operands = st.tuples(st.booleans(), st.integers(I32_MIN, 2**32 - 1)).map(
-    lambda t: t if t[0] else (False, wrap_i32(t[1]))
-)
+# any congruent integer, the masked results in [0, 2**32) among them and an
+# Iter's raw state within a pass, which stays within 256 bits
+operands = st.tuples(
+    st.booleans(), st.one_of(st.integers(I32_MIN, 2**32 - 1), st.integers(-(2**256), 2**256))
+).map(lambda t: t if t[0] else (False, wrap_i32(t[1])))
 
 
 @given(st.sampled_from([lo.Add, lo.Mul, lo.Eq]), operands, operands)
 @example(lo.Eq, (True, 2**32 - 1), (False, -1))
 @example(lo.Mul, (True, 2**32 - 1), (True, 2**32 - 1))
 @example(lo.Add, (False, I32_MIN), (True, 2**31))
+@example(lo.Eq, (True, 2**256 - 1), (False, -1))
+@example(lo.Mul, (True, -(2**256)), (True, 2**256 + 3))
 def test_hot_source_texts_from_either_form_are_wrap_i32(node, a, b):
     scope, env = Scope(), {}
     src = lo.Source(scope)

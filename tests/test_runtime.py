@@ -382,6 +382,8 @@ def test_a_later_top_level_loop_never_resolves_a_name_an_earlier_one_generated(n
 
 HOT = lo.HOT
 AROUND_HOT = [HOT - 1, HOT, HOT + 1]
+# a hot i32 Iter runs its trips in passes of four: one count per remainder
+PAST_HOT = [HOT, HOT + 1, HOT + 2, HOT + 3]
 
 
 @pytest.mark.parametrize("trips", AROUND_HOT)
@@ -474,14 +476,25 @@ def test_a_hot_loop_generates_its_source_once(sources):
         "def loop(env, n):\n"
         "    _r0 = _c3.value\n"
         "    try:\n"
-        "        for v0 in range(n):\n"
+        "        for _ in _repeat(None, n):\n"
         "            v1 = _r0\n"
         "            _r0 = ((v1 * 3) & 0xFFFFFFFF)\n"
         "    finally:\n"
         "        _c3.value = (((_r0 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)\n"
-        "    env['v0'] = v0\n"
+        "    env['v0'] = n - 1\n"
         "    env['v1'] = (((v1 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
     ]
+
+
+@pytest.mark.parametrize("reads", [False, True])
+def test_a_hot_body_counts_its_trips_in_ints_only_if_it_reads_its_counter(reads, sources):
+    body = lambda i: write_output(i if reads else lo.lit(7))
+    prog = for_loop(lo.LANG, lo.lit(HOT), body)
+    want = "".join(str(k) if reads else "7" for k in range(HOT))
+    assert _both(prog, lo.LANG) == (None, want, 0)
+    [text] = sources
+    assert ("    for v0 in range(n):\n" in text) is reads
+    assert ("    for _ in _repeat(None, n):\n" in text) is not reads
 
 
 def _held(make, inits, text=""):
@@ -657,7 +670,7 @@ def test_a_hot_body_leaves_its_names_as_the_steps_do(sources):
     assert len(sources) == 1
 
 
-@pytest.mark.parametrize("trips", [2, HOT])
+@pytest.mark.parametrize("trips", [2, *AROUND_HOT])
 def test_a_name_kept_from_a_top_level_loop_reads_as_its_last_trip_left_it(trips, sources):
     # the run's instructions share one environment, so the counter the body
     # handed out is still bound after the loop
@@ -670,6 +683,8 @@ def test_a_name_kept_from_a_top_level_loop_reads_as_its_last_trip_left_it(trips,
     prog = for_loop(lo.LANG, lo.lit(trips), body).bind(lambda _: write_output(leaked[-1]))
     assert _both(prog, lo.LANG) == (None, "." * trips + str(trips - 1), 0)
     assert len(sources) == (trips >= HOT)
+    # no line of the body reads the counter, so the hot text stores n - 1
+    assert all("    env['v0'] = n - 1" in text for text in sources)
 
 
 # --------------------------------------------------------------------------
@@ -856,7 +871,7 @@ def test_a_step_python_refuses_keeps_a_hot_iter_on_the_steps(kind, trips, source
         assert want == ("UnboundVariableError", "unbound variable s0", "a")
     # only a nested Iter, of two trips per outer trip, tiers up on its own
     assert len(sources) == (kind == "iter")
-    assert all("for _ in range(n):\n        s0 = " not in text for text in sources)
+    assert all("s0" not in text for text in sources)
 
 
 def test_a_hot_step_that_ignores_the_state_still_sets_it(sources):
@@ -865,7 +880,7 @@ def test_a_hot_step_that_ignores_the_state_still_sets_it(sources):
     assert len(sources) == 1
 
 
-@pytest.mark.parametrize("trips", AROUND_HOT)
+@pytest.mark.parametrize("trips", [HOT - 1, *PAST_HOT])
 def test_a_hot_boolean_iter_compares_a_residue_masked(trips, sources):
     # i is 0, so i * 1 + -1 is -1 as a residue: the first Iter's state is that
     # Eq, and the second's toggles on every trip it is false
@@ -918,10 +933,55 @@ def test_a_hot_iter_generates_its_source_once(sources):
     assert sources == [
         "def loop(env, n):\n"
         "    s0 = env['s0']\n"
-        "    for _ in range(n):\n"
+        "    for _ in _repeat(None, n // 4):\n"
+        "        s0 = s0 * 3\n"
+        "        s0 = s0 * 3\n"
+        "        s0 = s0 * 3\n"
+        "        s0 = ((s0 * 3) & 0xFFFFFFFF)\n"
+        "    for _ in _repeat(None, n % 4):\n"
         "        s0 = ((s0 * 3) & 0xFFFFFFFF)\n"
         "    env['s0'] = (((s0 + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
     ]
+
+
+def _deep_step(s):
+    # nests deeper than _NEST, so its temporaries repeat in every trip of a pass
+    e = s
+    for k in range(lo._NEST + 1):
+        e = e * s + k
+    return e
+
+
+PASS_STEPS = {
+    "square": lambda s: s * s,
+    "double": lambda s: s + s,
+    "square-plus": lambda s: s * s + s,
+    "times-minus-7": lambda s: s * -7,
+    "identity": lambda s: s,
+    "deep": _deep_step,
+}
+
+
+@pytest.mark.parametrize("trips", PAST_HOT)
+@pytest.mark.parametrize("init", [3, -(2**31)])
+@pytest.mark.parametrize("kind", PASS_STEPS)
+def test_a_hot_i32_iter_run_in_passes_matches_the_reference(kind, init, trips, sources):
+    prog = write_output(hi.Iter(hi.lit(trips), hi.lit(init), PASS_STEPS[kind]))
+    _both(prog, hi.LANG)
+    [text] = sources
+    assert "    for _ in _repeat(None, n // 4):\n" in text
+
+
+@pytest.mark.parametrize("first", [HOT - 1, HOT])
+def test_a_hot_iters_later_runs_of_fewer_trips_than_a_pass_match_the_reference(first, sources):
+    # each of the loop's runs reads the Iter's count: first, then 1, 2 and 3
+    def body(i):
+        iterate = lambda n: hi.Iter(n, hi.lit(5), lambda s: s * s + i)
+        return read_input(hi.LANG).bind(lambda n: write_output(iterate(n))).then(print_str(","))
+
+    prog = for_loop(hi.LANG, hi.lit(4), body)
+    assert _both(prog, hi.LANG, f"{first}\n1\n2\n3\n")[0] is None
+    assert len(sources) == 1
 
 
 @pytest.mark.parametrize("trips,folds", [(HOT - 1, 1), (HOT, 0)])
