@@ -112,19 +112,13 @@ def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
 
 def _source(scope: Scope, name: str, stepped: Expr) -> lo.Generated:
     """An Iter's n trips as one function of env and n, which loads the
-    names the step reads from env once and stores the state back: an i32
-    state is a residue between trips, made canonical once, at that store.
-    The step is folded once; an i32 state's trips run in passes, whose
-    trips but the last store the step's unmasked top operator (see
-    lowexpr.Source.function and lowexpr._PASS)."""
+    names the step reads from env once and stores the state, a carried
+    local, back: an i32 state is a residue between trips, made canonical
+    once, at that store (see lowexpr.Source.function)."""
     src = lo.Source(scope)
     src.residue(name, stepped.tag)
-    text, _, raw = lo.fold(lo.PYTHON, stepped, src)
-    temporaries = src.lines
-    src.lines = [*temporaries, f"{name} = {text}"]
-    unmasked = [*temporaries, f"{name} = {text if raw is None else raw}"]
-    passes = unmasked if stepped.tag is TypeTag.I32 else None
-    return src.function(None, sorted(src.reads), [name], passes)
+    src.lines.append(src.store(name, stepped))
+    return src.function(None, sorted(src.reads), [name])
 
 
 lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})

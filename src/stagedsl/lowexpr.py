@@ -9,16 +9,12 @@ depth nor binder nesting grows the Python stack.  A consumer is a table of
 rules, one per node class; this module holds closed evaluation and flat
 compilation, to which highexpr adds its two classes, and rendering and the
 Python text of hot loop bodies and Iter steps, which know only the six core
-classes and so reject anything else.  That text computes an i32 as a
-residue mod 2**32, any congruent integer, masking each + and * and making a
-value canonical only where it is observed, as the C back end computes in
-unsigned arithmetic.  Source assembles it into the one kind of generated
-function both hot tiers run, which keeps each live cell it reaches in a
-local, builds no int per trip for a counter no line reads, and runs an i32
-Iter's trips in passes that mask its state once each; loop builds the
-one step that runs a staged loop or an Iter: it alone keeps a body, and
-decides when the body runs as that function, once its trips, summed over
-its runs, reach HOT.
+classes and so reject anything else.  Source assembles that text into the
+one kind of generated function both hot tiers run, and alone decides where
+a mask may be deferred (see _PASS); loop builds the one step that runs a
+staged loop or an Iter: it alone keeps a body, and decides when the body
+runs as that function.  The README's account of the hot tier says how that
+function computes, and why.
 """
 
 from __future__ import annotations
@@ -291,12 +287,14 @@ def render(e: Expr) -> str:
 
 
 # A staged loop's or an Iter's trips, summed over its runs, at which it
-# runs as generated source.  powerInput's loop body costs about 100 us more
-# to generate than to stage, most of it compile(), paid once per text per
-# process (_code); each trip then saves about 0.6 us (CPython 3.11, one
-# pinned core).  HOT stays 256 as a text's first run pays only from about
-# 170 trips, which the default randprog corpus has not been seen to reach:
-# its loops sum to at most 144.
+# runs as generated source.  powerInput's loop body costs about 145 us more
+# to generate than to stage, most of it compile() of a text that holds the
+# trip five times (see _PASS), paid once per text per process (_code), and
+# about 12 us more once the text is compiled; each trip then saves about
+# 0.5 us (CPython 3.11.7, one pinned core).  So a text's first run pays from
+# about 285 trips and a later run from about 25.  HOT stays 256: a first
+# run of HOT trips loses about 15 us once per text, and the default randprog
+# corpus has not been seen to reach it, as its loops sum to at most 144.
 HOT = 256
 
 # PYTHON's context is a Source.  A rule gives Python text, how deep
@@ -307,15 +305,16 @@ HOT = 256
 _NEST = 40
 # wrap_i32 of any integer as Python text, in wrap_i32's own masked form
 _WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
-# An i32 Iter's trips per pass of its function, of which all but the last
-# store the step's unmasked top operator (see Source.function).  Every
-# consumer of a residue, a masked operator, an Eq or _WRAP, reduces any
-# integer exactly, so only the size of the raw state needs a bound.  The
-# state is stored once per trip and only its top operator goes unmasked,
-# whose operands are the state, masked operators or canonical values: a
-# state within 32 bits at most doubles its bits per trip, at s * s, and so
-# stays within 32 * 2**3 = 256 bits in a pass.  A loop body can store a
-# local many times per trip, so its masks are never deferred.
+# The trips per pass of a generated function that stores one i32 carried
+# local, an Iter's state or a live cell, and reads no counter: all but the
+# last trip of a pass store that local's unmasked top operator (see
+# Source.function).  Every consumer of a residue, a masked operator, an Eq or
+# _WRAP, reduces any integer exactly, so only the size of the raw local needs
+# a bound.  Every other value of a trip is masked or canonical, or a copy of
+# the local as the trip found it, so a local within 32 bits at most doubles
+# its bits per trip, at s * s, and stays within 32 * 2**3 = 256 bits in a
+# pass.  A body that stores two carried locals keeps every mask, since stores
+# that feed each other's raw values could grow by 2**k bits per trip.
 _PASS = 4
 
 
@@ -324,35 +323,35 @@ class Source:
     Iter steps: its lines in order, among them the temporaries that the
     text folded so far reads, the namespace constants they name, the
     generated names they read and the live cells they reach.  Only the
-    repr() of an int or bool literal becomes text.
+    repr() of an int or bool literal becomes text.  An expression that only
+    compile handles, a binder or a variable the scope did not generate, is
+    a DslError.
 
     An i32 is a residue in the text: any integer congruent to its value
-    mod 2**32.  An operator's result is only masked into [0, 2**32), and an
-    Iter's state between the trips of a pass of function is not even that,
+    mod 2**32.  An operator's result is only masked into [0, 2**32), and a
+    carried local between the trips of a pass of function is not even that,
     but stays within 256 bits (see _PASS); literals, names loaded from env,
     read()'s results, the counter and the values of cells reached through
     env are canonical, that is signed.  A value is made canonical only
     where it is observed: by value(), for output, a new cell and a write
     through env; by an Eq, which compares masked operands once either is a
-    residue; and at the stores of function.  A live cell, a ConcreteRef, is a local of the function;
-    residues holds it, if an i32, as it holds each generated name that may
-    hold a residue."""
+    residue; and at the stores of function.  A live cell, a ConcreteRef, is
+    a local of the function; residues holds it, if an i32, as it holds each
+    generated name that may hold a residue.  A carried local, a live cell's
+    or an Iter's state, passes its value from one trip to the next; carried
+    holds each i32 one stored, by store(): its last store's line, and that
+    line with the top operator unmasked."""
 
     def __init__(self, scope: Scope) -> None:
         self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
         self.residues: set[str] = set()
         self.cells: dict[int, tuple[str, str]] = {}  # by id: its local and its constant
+        self.carried: dict[str, tuple[str, str]] = {}
 
     def const(self, value: Any) -> str:
         name = f"_c{len(self.consts)}"
         self.consts[name] = value
         return name
-
-    def expr(self, e: Expr) -> str:
-        """The text of e, a residue if an i32, or DslError for an expression
-        that only compile handles: a binder or a variable the scope did not
-        generate."""
-        return fold(PYTHON, e, self)[0]
 
     def value(self, e: Expr) -> str:
         """The canonical text of e; an operator's gets _WRAP, not a mask."""
@@ -371,10 +370,19 @@ class Source:
             return f"{name} = {self._cell(ref)}"
         return f"{name} = {self._generated(ref)}.value"
 
+    def store(self, local: str, e: Expr) -> str:
+        """The line storing e in a carried local, which the caller appends;
+        carried keeps an i32 local's line, masked and not (see function)."""
+        text, _, raw = fold(PYTHON, e, self)
+        line = f"{local} = {text}"
+        if local in self.residues:
+            self.carried[local] = line, f"{local} = {text if raw is None else raw}"
+        return line
+
     def set(self, ref: Any, e: Expr) -> str:
         """The line writing e's value to a reference."""
         if isinstance(ref, ConcreteRef):
-            return f"{self._cell(ref)} = {self.expr(e)}"
+            return self.store(self._cell(ref), e)
         value = self.value(e)
         return f"{self._generated(ref)}.value = {value}"
 
@@ -400,9 +408,7 @@ class Source:
             return "n - 1"
         return self._canonical(name)
 
-    def function(
-        self, counter: str | None, load: list[str], store: list[str], raw: list[str] | None = None
-    ) -> Generated:
+    def function(self, counter: str | None, load: list[str], store: list[str]) -> Generated:
         """The lines as one function, loop(env, n): it loads the names in
         load from env and each live cell into its local once, runs n trips
         of the lines, stores each cell back in a finally, so that after a
@@ -412,20 +418,24 @@ class Source:
         reads runs as `for counter in range(n):`; else, or for a counter of
         None, the trips are `for _ in _repeat(None, n):`, which builds no
         int per trip, and a stored counter is n - 1, as range leaves it.
-        With raw, an Iter step's trip that leaves its state unmasked at the
-        top operator, the function runs n // _PASS passes, each _PASS - 1
-        trips of raw and one of the lines, then n % _PASS trips of the
-        lines.  The function holds the namespace of constants, which does
-        not hold it; the text is compiled once per process."""
+        With no counter read and exactly one i32 carried local stored, the
+        function runs n // _PASS passes, each _PASS - 1 trips whose last
+        store to that local is unmasked and one trip of the lines, then
+        n % _PASS trips of the lines.  The function holds the namespace of
+        constants, which does not hold it; the text is compiled once per
+        process."""
         trip = [f"    {line}" for line in self.lines or ["pass"]]
         if counter in self.reads:  # which None never is
             body = [f"for {counter} in range(n):", *trip]
-        elif raw is None:
+        elif len(self.carried) != 1:
             body = ["for _ in _repeat(None, n):", *trip]
         else:
+            [(masked, unmasked)] = self.carried.values()
+            last = len(trip) - 1 - self.lines[::-1].index(masked)
+            raw = [*trip[:last], f"    {unmasked}", *trip[last + 1:]]
             body = [
                 f"for _ in _repeat(None, n // {_PASS}):",
-                *(f"    {line}" for line in raw * (_PASS - 1)),
+                *(raw * (_PASS - 1)),
                 *trip,
                 f"for _ in _repeat(None, n % {_PASS}):",
                 *trip,

@@ -22,22 +22,17 @@ from running an instruction surfaces where it would without staging.  A
 language with no `compile` gets the reference behaviour: eval_closed
 evaluates every expression, and a loop body is rebuilt and interpreted on
 every trip.  Once that step finds a loop hot, generate prints the walked
-statements as one Python function through lowexpr.Source, which compiles a
-text once per process: a line per instruction, generated names as locals,
-i32 values as residues that are made canonical where a value is observed.
-Print strings, live cells and tags are constants of the function's
-namespace; program text never becomes source.  Each live cell is read and
-written as a local across the trips and stored back in a finally, so after
-an error it holds what the steps would leave.  Generate refuses a body with
-a DslError, and it stays on the steps, if it holds a nested loop, a Let or
-Iter, or a variable or reference the scope did not generate, or if the
-language's compile is not lowexpr.compile_open, which then sees every
-expression.  So only leaf loops tier up, though an Iter in a body that stays
-tiers up on its own, and errors surface after the same output either way.  A
-staged loop's step calls the step of the loop nested in it, so nesting costs
-a Python frame per level: under the default recursion limit of 1,000, a
-staged run handles about 989 nested loops and the reference path about 494.
-The printers, which walk core.listing, have no such limit.
+statements as one Python function through lowexpr.Source, as the README's
+account of the hot tier describes.  Generate refuses a body with a DslError,
+and it stays on the steps, if it holds a nested loop, a Let or Iter, or a
+variable or reference the scope did not generate, or if the language's
+compile is not lowexpr.compile_open, which then sees every expression.  So
+only leaf loops tier up, though an Iter in a body that stays tiers up on its
+own, and errors surface after the same output either way.  A staged loop's
+step calls the step of the loop nested in it, so nesting costs a Python
+frame per level: under the default recursion limit of 1,000, a staged run
+handles about 989 nested loops and the reference path about 494.  The
+printers, which walk core.listing, have no such limit.
 An input line is an optionally signed decimal of any length, wrapped into
 32 bits, padded only with the ASCII whitespace C's scanf skips.
 """

@@ -263,7 +263,7 @@ def test_hot_source_texts_from_either_form_are_wrap_i32(node, a, b):
         names.append(lo.Var(name, TypeTag.I32))
     e = node(*names)
     want = lo.eval_closed(node(lo.lit(a[1]), lo.lit(b[1])))
-    text = src.expr(e)
+    text = lo.fold(lo.PYTHON, e, src)[0]
     if node is lo.Eq:
         assert eval(text, env) is want
         return

@@ -9,9 +9,9 @@ from functools import partial
 import pytest
 
 import support
-from c_differential import outcome
+from c_differential import disagreement, outcome
 from stagedsl import highexpr as hi, lowexpr as lo, runtime
-from stagedsl.cgen import emit_c
+from stagedsl.cgen import emit_c, have_c_compiler
 from stagedsl.core import (
     ConcreteRef,
     DslError,
@@ -38,7 +38,7 @@ from stagedsl.examples import power_input, sum_input
 from stagedsl.pseudo import render_program
 from stagedsl.randprog import corpus
 from stagedsl.runtime import InputError, run, run_text
-from stagedsl.translate import lower_program
+from stagedsl.translate import TranslationConfig, UnrollPolicy, lower_program
 
 
 def test_sum_example_full_transcript():
@@ -81,6 +81,28 @@ def test_read_rejects_garbage_naming_the_text():
         with pytest.raises(InputError, match="7"):
             run_text(prog, lo.LANG, line)
     assert run_text(prog.bind(write_output), lo.LANG, "  42  \n")[1] == "42"
+
+
+# every ASCII space C's scanf skips but space, tab and newline, on both sides
+PADDED = ["\f7\v\n", "\v-8\f\n", "\f\v+9\r\n"]
+
+
+def _padded_reads(trips):
+    body = lambda _i: read_input(lo.LANG).bind(write_output).then(print_str(","))
+    prog = for_loop(lo.LANG, lo.lit(trips), body)
+    return prog, "".join(PADDED[k % 3] for k in range(trips))
+
+
+@pytest.mark.parametrize("trips", [3, lo.HOT])
+def test_input_padded_with_form_feeds_and_vertical_tabs_reads_as_its_number(trips):
+    prog, text = _padded_reads(trips)
+    want = "".join(["7,", "-8,", "9,"][k % 3] for k in range(trips))
+    assert _both(prog, lo.LANG, text) == (None, want, trips)
+
+
+@pytest.mark.skipif(not have_c_compiler(), reason="no C compiler on PATH")
+def test_c_reads_input_padded_with_form_feeds_and_vertical_tabs_as_the_interpreter(tmp_path):
+    assert disagreement(*_padded_reads(3), tmp_path, "padded") is None
 
 
 # longer than the 4,300 digits int() accepts by default
@@ -471,12 +493,23 @@ def test_a_hot_loop_generates_its_source_once(sources):
     assert out.endswith(f"3^{3 * HOT} = {wrap_i32(pow(3, 3 * HOT, 2**32))}.\n")
     # _c0 to _c2 are write, read and ConcreteRef; the live cell, named twice,
     # is one constant, a local _r0 in residue form across the trips, stored
-    # back canonical in a finally, as the name read from it is at its store
+    # back canonical in a finally, as the name read from it is at its store.
+    # It is the one carried local stored and the counter is unread, so the
+    # trips run in passes of four that mask the cell once each
     assert sources == [
         "def loop(env, n):\n"
         "    _r0 = _c3.value\n"
         "    try:\n"
-        "        for _ in _repeat(None, n):\n"
+        "        for _ in _repeat(None, n // 4):\n"
+        "            v1 = _r0\n"
+        "            _r0 = v1 * 3\n"
+        "            v1 = _r0\n"
+        "            _r0 = v1 * 3\n"
+        "            v1 = _r0\n"
+        "            _r0 = v1 * 3\n"
+        "            v1 = _r0\n"
+        "            _r0 = ((v1 * 3) & 0xFFFFFFFF)\n"
+        "        for _ in _repeat(None, n % 4):\n"
         "            v1 = _r0\n"
         "            _r0 = ((v1 * 3) & 0xFFFFFFFF)\n"
         "    finally:\n"
@@ -606,6 +639,116 @@ def test_a_promoted_cell_holds_the_steps_value_after_an_input_error(trips, sourc
     want = ("InputError", "input exhausted", "1" * lines)
     assert _held(make, [-1], "1\n" * lines) == (want, [wrap_i32(-pow(-3, lines + 1, 2**32))])
     assert len(sources) == (trips >= HOT)
+
+
+# A hot body that reads no counter and stores one i32 cell runs in passes of
+# four, as a hot i32 Iter does; these run one count per remainder mod 4.
+
+AROUND_PASSES = [HOT - 1, *PAST_HOT]
+CELL_STEPS = {
+    "square": lambda v: v * v,
+    "double": lambda v: v + v,
+    "times-minus-7": lambda v: v * -7,
+}
+
+
+@pytest.mark.parametrize("trips", AROUND_PASSES)
+@pytest.mark.parametrize("init", [-(2**31), 2**31 - 1, 3])
+@pytest.mark.parametrize("kind", CELL_STEPS)
+def test_a_hot_cell_stored_in_passes_matches_the_reference(kind, init, trips, sources):
+    step = CELL_STEPS[kind]
+    body = lambda c, _i: get_ref(lo.LANG, c).bind(lambda v: set_ref(c, step(v)))
+    make = lambda c: for_loop(lo.LANG, lo.lit(trips), partial(body, c))
+    want = init
+    for _ in range(trips):
+        want = wrap_i32(step(want))
+    assert _held(make, [init]) == ((None, "", 0), [want])
+    assert len(sources) == (trips >= HOT)
+    assert all("    for _ in _repeat(None, n // 4):\n" in text for text in sources)
+
+
+@pytest.mark.parametrize("trips", AROUND_PASSES)
+def test_a_hot_body_storing_its_cell_twice_per_trip_matches_the_reference(trips, sources):
+    # even2 lowers the Iter to a loop whose body runs two steps, each storing
+    # the cell: only the second store of a trip is left unmasked
+    even2 = TranslationConfig(unroll=UnrollPolicy.EVEN_BY_2)
+    prog = write_output(hi.Iter(hi.lit(trips) * 2, hi.lit(-5), lambda s: s * s + s))
+    want = -5
+    for _ in range(2 * trips):
+        want = wrap_i32(want * want + want)
+    assert _both(lower_program(prog, even2), lo.LANG) == (None, str(want), 0)
+    assert len(sources) == (trips >= HOT)
+    for text in sources:
+        assert text.count("_r0 = ((v2 * v2) & 0xFFFFFFFF) + v2\n") == 3
+        assert "_r0 = ((v1 * v1) & 0xFFFFFFFF) + v1\n" not in text
+
+
+@pytest.mark.parametrize("trips", AROUND_PASSES)
+def test_a_name_read_after_a_hot_cells_unmasked_store_is_written_canonical(trips, sources):
+    # w reads the cell after the trip's one i32 store, which all but the
+    # last trip of a pass leave unmasked; writing w and comparing it observe
+    # it, and a boolean cell's store leaves the passes as they are
+    def body(c, same, _i):
+        return get_ref(lo.LANG, c).bind(
+            lambda v: set_ref(c, v * v + -7).then(get_ref(lo.LANG, c)).bind(
+                lambda w: seq(
+                    write_output(w), print_str(","), set_ref(same, lo.Eq(w, v * v + -7))
+                )
+            )
+        )
+
+    make = lambda *cells: for_loop(lo.LANG, lo.lit(trips), partial(body, *cells))
+    want, acc = "", 2**31 - 1
+    for _ in range(trips):
+        acc = wrap_i32(acc * acc - 7)
+        want += f"{acc},"
+    assert _held(make, [2**31 - 1, False]) == ((None, want, 0), [acc, True])
+    assert len(sources) == (trips >= HOT)
+    assert all("n // 4" in text for text in sources)
+
+
+@pytest.mark.parametrize("trips", AROUND_PASSES)
+@pytest.mark.parametrize("short", [5, 6, 7, 8])
+def test_a_hot_cell_holds_the_steps_value_after_an_input_error_mid_pass(short, trips, sources):
+    # every trip squares the cell, adds 3 and reads a line; the input runs
+    # out on trip trips - short, at each place in a pass
+    def body(c, _i):
+        return get_ref(lo.LANG, c).bind(
+            lambda v: set_ref(c, v * v + 3).then(read_input(lo.LANG)).bind(write_output)
+        )
+
+    make = lambda c: for_loop(lo.LANG, lo.lit(trips), partial(body, c))
+    lines, acc = trips - short, 2**31 - 1
+    for _ in range(lines + 1):
+        acc = wrap_i32(acc * acc + 3)
+    want = ("InputError", "input exhausted", "1" * lines)
+    assert _held(make, [2**31 - 1], "1\n" * lines) == (want, [acc])
+    assert len(sources) == (trips >= HOT)
+
+
+KEEP_MASKS = {
+    # each cell's store reads the other's value
+    "two-cells": lambda a, b, x, y, _i: seq(set_ref(a, x * y), set_ref(b, y + x)),
+    # one cell, whose store reads the counter
+    "counter": lambda a, _b, x, y, i: set_ref(a, x * y + i),
+}
+
+
+@pytest.mark.parametrize("trips", AROUND_PASSES)
+@pytest.mark.parametrize("kind", KEEP_MASKS)
+def test_a_hot_body_storing_two_cells_or_reading_its_counter_keeps_every_mask(kind, trips, sources):
+    def body(a, b, i):
+        return get_ref(lo.LANG, a).bind(
+            lambda x: get_ref(lo.LANG, b).bind(lambda y: KEEP_MASKS[kind](a, b, x, y, i))
+        )
+
+    make = lambda a, b: for_loop(lo.LANG, lo.lit(trips), partial(body, a, b))
+    assert _held(make, [3, -5])[0] == (None, "", 0)
+    assert len(sources) == (trips >= HOT)
+    for text in sources:
+        assert "n // 4" not in text
+        operators = [line for line in text.splitlines() if " * " in line or " + " in line]
+        assert all("& 0xFFFFFFFF" in line for line in operators)
 
 
 def test_cold_loops_and_the_default_corpus_never_generate_source(sources):
