@@ -14,13 +14,8 @@ reference semantics: it instantiates binder bodies with literal nodes on
 every use.  Compilation, which the runtime uses for every expression,
 instantiates each binder body at most once, with a generated variable
 instead: a Let's body when the fold reaches it, with a step assigning the
-variable; an Iter's step through lowexpr.loop, which instantiates it on the
-Iter's first run that takes a trip, so an Iter of no trips builds it only
-for its tag check, as evaluation does.  An Iter becomes a step storing the
-init and then loop's step, whose body is a store of the compiled step's new
-state or, once the Iter is hot, the same instantiated step as generated
-Python source.  A refusal is a DslError from lowexpr.PYTHON: a step holding
-a Let or Iter, or a variable the scope did not generate, stays on the steps.
+variable; an Iter's step through hot.loop, whose body is a store of the
+compiled step's new state or, once the Iter is hot, hot.iter_step's function.
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Iterator
 
-from . import lowexpr as lo
-from .core import Scope, TagError, TypeTag
+from . import hot, lowexpr as lo
+from .core import TagError, TypeTag
 from .lowexpr import (  # noqa: F401  (re-exported)
     Add, Compiled, Eq, Expr, Lit, Mul, Not, Var, compile_open, eval_closed, lit,
 )
@@ -98,27 +93,16 @@ def _flat_let(e: Let, flat: tuple) -> Iterator[Expr]:
 
 
 def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
-    # the step is built by lowexpr.loop, over a fresh name; no step reads a
+    # the step is built by hot.loop, over a fresh name; no step reads a
     # counter, so there is none
     scope, steps = flat
     name = scope.fresh("s", e.tag)
     (count, _), (init, _) = (yield e.count), (yield e.init)
     step = lambda: e.step(Var(name, e.tag))
     stage = lambda stepped: [lo._store(name, compile_open(stepped, scope))]
-    iterate = lo.loop(None, count, step, stage, partial(_source, scope, name))
+    iterate = hot.loop(None, count, step, stage, partial(hot.iter_step, scope, name))
     steps += [lo._store(name, init), iterate]  # count reads no name this store sets
     return (lambda env: env[name]), 1
-
-
-def _source(scope: Scope, name: str, stepped: Expr) -> lo.Generated:
-    """An Iter's n trips as one function of env and n, which loads the
-    names the step reads from env once and stores the state, a carried
-    local, back: an i32 state is a residue between trips, made canonical
-    once, at that store (see lowexpr.Source.function)."""
-    src = lo.Source(scope)
-    src.residue(name, stepped.tag)
-    src.lines.append(src.store(name, stepped))
-    return src.function(None, sorted(src.reads), [name])
 
 
 lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})

@@ -3,36 +3,15 @@
 Generic in the expression Language.  Input and output are injectable, so
 tests can script a session; the CLI plugs in the process's stdio.
 
-The interpreter is one object.  Straight-line code is performed instruction
-by instruction with concrete values; each expression it holds is compiled,
-then run once, over the run's one environment of generated names, so a name
-a program keeps from a loop's body reads after the loop as its last trip
-left it.  A loop body is staged instead: on a loop's first trip that runs,
-its body is walked once by core.statements, the walk core.listing is built
-from, with a generated name for the counter; for a run that is not hot,
-every instruction becomes a step over an environment of generated names, and
-the steps run once per trip.  Every staged loop, outermost or nested, runs
-as the step lowexpr.loop builds, as a compiled Iter does: it evaluates the
-bound, instantiates the body, here the walk, on its first run that takes a
-trip, and repeats it.  This relies on loop and binder bodies building the
-same program whatever value they are passed, which the C back end relies on
-too.  An error from building a body, such as a TagError, can therefore
-surface before the first trip's output instead of during it; every error
-from running an instruction surfaces where it would without staging.  A
-language with no `compile` gets the reference behaviour: eval_closed
-evaluates every expression, and a loop body is rebuilt and interpreted on
-every trip.  Once that step finds a loop hot, generate prints the walked
-statements as one Python function through lowexpr.Source, as the README's
-account of the hot tier describes.  Generate refuses a body with a DslError,
-and it stays on the steps, if it holds a nested loop, a Let or Iter, or a
-variable or reference the scope did not generate, or if the language's
-compile is not lowexpr.compile_open, which then sees every expression.  So
-only leaf loops tier up, though an Iter in a body that stays tiers up on its
-own, and errors surface after the same output either way.  A staged loop's
-step calls the step of the loop nested in it, so nesting costs a Python
-frame per level: under the default recursion limit of 1,000, a staged run
-handles about 989 nested loops and the reference path about 494.  The
-printers, which walk core.listing, have no such limit.
+The interpreter is one object, _Runner.  It performs straight-line code
+instruction by instruction, compiling each expression and running it once
+over the run's one environment of generated names.  It stages each loop:
+loop_step hands hot.loop the body's one walk by core.statements, its own
+step for each statement, and generate, which prints a hot body through
+hot.loop_body.  A language with no `compile` gets the reference behaviour:
+eval_closed evaluates every expression, and a loop body is rebuilt and
+interpreted on every trip.  The README's account of the interpreter says
+when a body is built, where errors surface and how deep loops may nest.
 An input line is an optionally signed decimal of any length, wrapped into
 32 bits, padded only with the ASCII whitespace C's scanf skips.
 """
@@ -44,7 +23,7 @@ import re
 from functools import partial
 from typing import Any, Callable, TextIO
 
-from . import core, lowexpr
+from . import core, hot, lowexpr
 from .core import (
     ConcreteRef,
     ConcreteVal,
@@ -194,44 +173,19 @@ class _Runner:
         return step
 
     def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
-        """The step that runs a staged loop, lowexpr.loop's: the body's one
-        walk over its counter's name, by core.statements, is what generate
-        prints once the loop is hot and steps are built from if not."""
+        """The step that runs a staged loop, hot.loop's: the body's one walk
+        over its counter's name, by core.statements, is what generate prints
+        once the loop is hot and steps are built from if not."""
         walk = lambda: list(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
         stage = lambda staged: [self.step(cmd, name) for cmd, name in staged]
-        return lowexpr.loop(counter, bound, walk, stage, partial(self.generate, counter))
+        return hot.loop(counter, bound, walk, stage, partial(self.generate, counter))
 
-    def generate(self, counter: str, staged: list[tuple[Instr, str | None]]) -> lowexpr.Generated:
-        """A staged body's n trips as one generated Python function of env
-        and n: a line per statement, generated names as locals, outer names
-        loaded from env once and the body's own names stored back after the
-        last trip, as the steps leave them; a live cell is a local too, see
-        lowexpr.Source.  DslError for a body that stays on the steps: under
-        a language whose compile is not compile_open, or with a nested loop,
-        a binder or a name the scope did not generate."""
+    def generate(self, counter: str, staged: list[tuple[Instr, str | None]]) -> hot.Generated:
+        """hot.loop_body of a staged body, refused under a language whose
+        compile is not compile_open, so that compile sees every expression."""
         if not self._tier:
             raise DslError("the language compiles its own expressions")
-        src = lowexpr.Source(self.scope)
-        write, read, cell = src.const(self.write), src.const(self.read), src.const(ConcreteRef)
-        for cmd, name in staged:
-            match cmd:  # patterns without captures, as in core.symbolic
-                case GetRef():
-                    line = src.get(name, cmd.ref)
-                case SetRef():
-                    line = src.set(cmd.ref, cmd.value)
-                case InitRef():
-                    line = f"{name} = {cell}({src.const(cmd.init.tag)}, {src.value(cmd.init)})"
-                case WriteOutput():
-                    line = f"{write}(str({src.value(cmd.value)}))"
-                case ReadInput():
-                    line = f"{name} = {read}()"
-                case PrintStr():
-                    line = f"{write}({src.const(cmd.text)})"
-                case _:
-                    raise DslError("cannot generate Python for a nested loop")
-            src.lines.append(line)  # after any temporaries its text reads
-        own = [counter, *(name for _, name in staged if name is not None)]
-        return src.function(counter, sorted(src.reads.difference(own)), own)
+        return hot.loop_body(self.scope, self.write, self.read, counter, staged)
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

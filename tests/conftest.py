@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from stagedsl import lowexpr
+from stagedsl import hot
 
 # sandboxed CI boxes jitter too much for per-example deadlines
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -21,8 +21,8 @@ class Sources(list):
 @pytest.fixture
 def sources(monkeypatch):
     """The texts compiled into the functions of hot loops and Iters, in
-    order: every text goes through lowexpr.Source.function, which compiles
-    a text once per process, so the cache starts empty."""
+    order: every text goes through hot.Source.function, which compiles a
+    text once per process, so the cache starts empty."""
     texts = Sources()
 
     def counted(text, *args):
@@ -30,6 +30,6 @@ def sources(monkeypatch):
         texts.seen.append((text, texts.probe()))
         return compile(text, *args)
 
-    monkeypatch.setattr(lowexpr, "compile", counted, raising=False)
-    lowexpr._code.cache_clear()
+    monkeypatch.setattr(hot, "compile", counted, raising=False)
+    hot._code.cache_clear()
     return texts

@@ -15,6 +15,7 @@ import pytest
 import support
 from c_differential import disagreement
 from stagedsl import highexpr as hi
+from stagedsl import hot
 from stagedsl import lowexpr as lo
 from stagedsl.cgen import emit_c, have_c_compiler
 from stagedsl.core import (
@@ -127,8 +128,8 @@ def test_a_deep_chain_in_a_hot_loop_body_runs_as_generated_source(side, sources)
             e = e + k if side == "left" else k + e
         return write_output(e).then(print_str(";"))
 
-    prog = for_loop(hi.LANG, hi.lit(lo.HOT), body)
-    want = "".join(f"{49995000 + i};" for i in range(lo.HOT))
+    prog = for_loop(hi.LANG, hi.lit(hot.HOT), body)
+    want = "".join(f"{49995000 + i};" for i in range(hot.HOT))
     assert run_text(prog, hi.LANG) == (None, want, 0)
     assert len(sources) == 1
 

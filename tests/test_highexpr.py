@@ -1,7 +1,7 @@
 """The rich expression language and its reference evaluator."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 import support
@@ -88,28 +88,6 @@ def test_compiled_iter_matches_the_fold_oracle(n, init, template):
 def test_compiled_let_matches_the_reference_evaluator(shared, template):
     e = hi.Let(hi.lit(shared), lambda x: support.template_to_high(template, x))
     assert _compiled(e) == hi.eval_closed(e)
-
-
-# i32 steps over the state and literals: hole is the state, and s * s among
-# them doubles a raw state's bits on every trip of a pass
-steps = st.recursive(
-    st.one_of(st.just(("hole",)), st.integers(-(2**31), 2**31 - 1).map(lambda v: ("lit", v))),
-    lambda kids: st.tuples(st.sampled_from(["add", "mul"]), kids, kids),
-    max_leaves=8,
-)
-
-
-@given(st.integers(1, 12), st.integers(-(2**31), 2**31 - 1), steps)
-@example(12, 3, ("mul", ("hole",), ("hole",)))
-@example(11, -(2**31) + 1, ("add", ("mul", ("hole",), ("hole",)), ("hole",)))
-def test_an_iters_generated_function_matches_the_reference_evaluator(n, init, template):
-    scope = Scope()
-    name = scope.fresh("s", TypeTag.I32)
-    stepped = support.template_to_high(template, hi.Var(name, TypeTag.I32))
-    env = {name: init}
-    hi._source(scope, name, stepped)(env, n)
-    step = lambda x: support.template_to_high(template, x)
-    assert env[name] == hi.eval_closed(hi.Iter(hi.lit(n), hi.lit(init), step))
 
 
 def test_compiled_binders_build_their_bodies_once():

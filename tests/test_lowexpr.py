@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stagedsl import lowexpr as lo
-from stagedsl.core import DslError, Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
+from stagedsl.core import Scope, TagError, TypeTag, UnboundVariableError, wrap_i32
 
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
 
@@ -224,101 +224,3 @@ def test_compiled_free_variables_fail_when_evaluated_not_when_compiled():
     compiled = lo.compile_open(e, scope)
     with pytest.raises(UnboundVariableError, match="a0"):
         compiled({bound: 1})
-
-
-@given(st.integers(-(2**70), 2**70))
-@example(2**31)
-@example(-(2**31))
-@example(2**32)
-@example(-(2**32))
-@example(0)
-@example(-1)
-def test_the_wrap_text_of_hot_source_is_wrap_i32(n):
-    assert eval(lo._WRAP.format(n)) == wrap_i32(n)
-
-
-# an i32 in hot source: a canonical name holds a signed value, a residue name
-# any congruent integer, the masked results in [0, 2**32) among them and an
-# Iter's raw state within a pass, which stays within 256 bits
-operands = st.tuples(
-    st.booleans(), st.one_of(st.integers(I32_MIN, 2**32 - 1), st.integers(-(2**256), 2**256))
-).map(lambda t: t if t[0] else (False, wrap_i32(t[1])))
-
-
-@given(st.sampled_from([lo.Add, lo.Mul, lo.Eq]), operands, operands)
-@example(lo.Eq, (True, 2**32 - 1), (False, -1))
-@example(lo.Mul, (True, 2**32 - 1), (True, 2**32 - 1))
-@example(lo.Add, (False, I32_MIN), (True, 2**31))
-@example(lo.Eq, (True, 2**256 - 1), (False, -1))
-@example(lo.Mul, (True, -(2**256)), (True, 2**256 + 3))
-def test_hot_source_texts_from_either_form_are_wrap_i32(node, a, b):
-    scope, env = Scope(), {}
-    src = lo.Source(scope)
-    names = []
-    for residue, value in [a, b]:
-        name = scope.fresh("v", TypeTag.I32)
-        if residue:
-            src.residue(name, TypeTag.I32)
-        env[name] = value
-        names.append(lo.Var(name, TypeTag.I32))
-    e = node(*names)
-    want = lo.eval_closed(node(lo.lit(a[1]), lo.lit(b[1])))
-    text = lo.fold(lo.PYTHON, e, src)[0]
-    if node is lo.Eq:
-        assert eval(text, env) is want
-        return
-    masked = eval(text, env)
-    assert 0 <= masked < 2**32
-    # the canonicalising text applied to the masked text, and value()'s text
-    assert eval(lo._WRAP.format(text), env) == want
-    assert eval(src.value(e), env) == want
-
-
-HOT = lo.HOT
-# a loop's runs, then what it calls, in order, when generate accepts and
-# when it refuses: the first run at HOT goes hot at once, and HOT one-trip
-# runs sum to HOT on the last of them
-COLD_FIRST = ["instantiate", "stage", "generate"]
-RUNS = {
-    "hot-first": ([HOT, 2], ["instantiate", "generate"], ["instantiate", "generate", "stage"]),
-    "hot-later": ([HOT - 1, 0, 1, 2], COLD_FIRST, COLD_FIRST),
-    "summed": ([1] * HOT + [3], COLD_FIRST, COLD_FIRST),
-}
-
-
-@pytest.mark.parametrize("refuse", [False, True])
-@pytest.mark.parametrize("kind", RUNS)
-def test_loop_instantiates_once_and_tries_generate_once(kind, refuse):
-    runs, *wants = RUNS[kind]
-    calls, trips = [], []
-
-    def instantiate():
-        calls.append("instantiate")
-        return "body"
-
-    def stage(body):
-        calls.append("stage")
-        assert body == "body"
-        return [lambda env: trips.append(env["k"])]
-
-    def generate(body):
-        calls.append("generate")
-        assert body == "body"
-        if refuse:
-            raise DslError("refused")
-        return lambda env, n: trips.append(f"{n} generated")
-
-    step = lo.loop("k", lambda env: env["n"], instantiate, stage, generate)
-    for n in [0, -3]:
-        step({"n": n})
-    assert calls == trips == []  # a run of no trips instantiates nothing
-    summed = 0
-    for n in runs:
-        step({"n": n})
-        summed += n
-        if summed >= HOT and not refuse:
-            assert trips[-1] == f"{n} generated"
-        elif n > 0:
-            assert trips[-n:] == list(range(n))
-    # a refused body falls back to the steps, built once
-    assert calls == wants[refuse]

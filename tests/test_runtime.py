@@ -10,7 +10,7 @@ import pytest
 
 import support
 from c_differential import disagreement, outcome
-from stagedsl import highexpr as hi, lowexpr as lo, runtime
+from stagedsl import highexpr as hi, hot, lowexpr as lo, runtime
 from stagedsl.cgen import emit_c, have_c_compiler
 from stagedsl.core import (
     ConcreteRef,
@@ -93,7 +93,7 @@ def _padded_reads(trips):
     return prog, "".join(PADDED[k % 3] for k in range(trips))
 
 
-@pytest.mark.parametrize("trips", [3, lo.HOT])
+@pytest.mark.parametrize("trips", [3, hot.HOT])
 def test_input_padded_with_form_feeds_and_vertical_tabs_reads_as_its_number(trips):
     prog, text = _padded_reads(trips)
     want = "".join(["7,", "-8,", "9,"][k % 3] for k in range(trips))
@@ -178,9 +178,9 @@ def test_a_staged_run_leaves_no_reference_cycle():
         run_text(sum_input(), hi.LANG, "1\n2\n3\n4\n")
         # a hot loop's generated function holds its namespace, which must
         # not hold the function
-        run_text(lower_program(power_input()), lo.LANG, f"3\n{lo.HOT}\n")
+        run_text(lower_program(power_input()), lo.LANG, f"3\n{hot.HOT}\n")
         # and so must a hot Iter's
-        run_text(power_input(), hi.LANG, f"3\n{lo.HOT}\n")
+        run_text(power_input(), hi.LANG, f"3\n{hot.HOT}\n")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -402,7 +402,7 @@ def test_a_later_top_level_loop_never_resolves_a_name_an_earlier_one_generated(n
 # HOT runs its body as generated Python source.  The differential tests run
 # each body just below, at and just above that count.
 
-HOT = lo.HOT
+HOT = hot.HOT
 AROUND_HOT = [HOT - 1, HOT, HOT + 1]
 # a hot i32 Iter runs its trips in passes of four: one count per remainder
 PAST_HOT = [HOT, HOT + 1, HOT + 2, HOT + 3]
@@ -861,17 +861,6 @@ def test_equal_hot_texts_keep_their_own_constants(sources):
     assert len(sources) == 1
 
 
-def test_the_code_cache_holds_at_most_its_bound(sources):
-    bound = lo._code.cache_info().maxsize
-    for k in range(bound + 3):
-        src, env = lo.Source(Scope()), {}
-        src.lines.append(f"v0 = {k}")
-        src.function("_", [], ["v0"])(env, 1)
-        assert env == {"v0": k}
-    assert len(sources) == bound + 3
-    assert lo._code.cache_info().currsize == bound
-
-
 @pytest.mark.parametrize("trips,steps", [(HOT - 1, 2), (HOT, 0)])
 def test_a_loop_hot_on_its_first_run_builds_no_steps(trips, steps, monkeypatch, sources):
     built = []
@@ -1090,7 +1079,7 @@ def test_a_hot_iter_generates_its_source_once(sources):
 def _deep_step(s):
     # nests deeper than _NEST, so its temporaries repeat in every trip of a pass
     e = s
-    for k in range(lo._NEST + 1):
+    for k in range(hot._NEST + 1):
         e = e * s + k
     return e
 
@@ -1148,12 +1137,12 @@ def test_a_body_or_step_python_refuses_is_tried_once(monkeypatch, sources):
     # holds a Let, all in one run of an outer loop
     built = []
 
-    class Counted(lo.Source):
+    class Counted(hot.Source):
         def __init__(self, scope):
             super().__init__(scope)
             built.append(self)
 
-    monkeypatch.setattr(lo, "Source", Counted)
+    monkeypatch.setattr(hot, "Source", Counted)
     iterate = lambda i: hi.Iter(hi.lit(1), i, lambda s: hi.Let(s + 1, lambda x: x * 3))
     body = lambda i: for_loop(hi.LANG, hi.lit(1), lambda _j: write_output(iterate(i)))
     prog = for_loop(hi.LANG, hi.lit(3 * HOT), body)

@@ -150,8 +150,12 @@ def test_unrolled_and_plain_translations_agree(k):
     assert plain == unrolled
 
 
+def _doubled_count(k: int):
+    return write_output(hi.Iter(hi.Mul(hi.lit(k), hi.lit(2)), hi.lit(0), lambda x: x + 1))
+
+
 def _doubled_count_transcripts(k: int) -> list:
-    prog = write_output(hi.Iter(hi.Mul(hi.lit(k), hi.lit(2)), hi.lit(0), lambda x: x + 1))
+    prog = _doubled_count(k)
     direct = run_text(prog, hi.LANG)
     return [direct] + [run_text(lower_program(prog, c), lo.LANG) for c in support.CONFIGS]
 
@@ -159,9 +163,7 @@ def _doubled_count_transcripts(k: int) -> list:
 def test_unrolling_leaves_a_wrapping_doubled_count_alone():
     k = -(2**31) + 1  # k * 2 wraps to 2
     assert _doubled_count_transcripts(k) == [(None, "2", 0)] * 5
-    text = render_program(lower_program(write_output(hi.Iter(
-        hi.Mul(hi.lit(k), hi.lit(2)), hi.lit(0), lambda x: x + 1
-    )), UNROLL))
+    text = render_program(lower_program(_doubled_count(k), UNROLL))
     assert text.count("getRef") == 2  # the plain loop
 
     # a half only known at run time cannot be unrolled either
@@ -179,6 +181,9 @@ def test_unrolling_leaves_a_wrapping_doubled_count_alone():
 def test_unrolling_agrees_with_direct_runs_at_extreme_halves(base, offset):
     k = wrap_i32(base + offset)
     assume(wrap_i32(2 * k) <= 64)  # keep the loop short
+    if not 0 <= k < 2**30:  # the plain loop, checked first: an unrolled one runs about k passes
+        texts = [render_program(lower_program(_doubled_count(k), c)) for c in support.CONFIGS]
+        assert [text.count("getRef") for text in texts] == [2] * len(texts)
     transcripts = _doubled_count_transcripts(k)
     assert transcripts == [transcripts[0]] * 5
     assert transcripts[0][1] == str(max(wrap_i32(2 * k), 0))
