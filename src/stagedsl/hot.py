@@ -77,14 +77,14 @@ class Source:
     a local of the function; residues holds it, if an i32, as it holds each
     generated name that may hold a residue.  A carried local, a live cell's
     or an Iter's state, passes its value from one trip to the next; carried
-    holds each i32 one stored, by store(): its last store's line, and that
-    line with the top operator unmasked."""
+    holds each i32 one stored, by store(): its last store's position among
+    the lines, and that line with the top operator unmasked."""
 
     def __init__(self, scope: Scope) -> None:
         self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
         self.residues: set[str] = set()
         self.cells: dict[int, tuple[str, str]] = {}  # by id: its local and its constant
-        self.carried: dict[str, tuple[str, str]] = {}
+        self.carried: dict[str, tuple[int, str]] = {}
 
     def const(self, value: Any) -> str:
         name = f"_c{len(self.consts)}"
@@ -109,13 +109,12 @@ class Source:
         return f"{name} = {self._generated(ref)}.value"
 
     def store(self, local: str, e: Expr) -> str:
-        """The line storing e in a carried local, which the caller appends;
-        carried keeps an i32 local's line, masked and not (see function)."""
+        """The line storing e in a carried local, which the caller appends next;
+        carried keeps an i32 local's position and unmasked line (see function)."""
         text, _, raw = fold(PYTHON, e, self)
-        line = f"{local} = {text}"
         if local in self.residues:
-            self.carried[local] = line, f"{local} = {text if raw is None else raw}"
-        return line
+            self.carried[local] = len(self.lines), f"{local} = {text if raw is None else raw}"
+        return f"{local} = {text}"
 
     def set(self, ref: Any, e: Expr) -> str:
         """The line writing e's value to a reference."""
@@ -140,22 +139,16 @@ class Source:
     def _canonical(self, name: str) -> str:
         return _WRAP.format(name) if name in self.residues else name
 
-    def _stored(self, name: str, counter: str | None) -> str:
-        # a counter no line reads is not iterated: n - 1 is what range leaves
-        if name == counter and counter not in self.reads:
-            return "n - 1"
-        return self._canonical(name)
-
     def function(self, counter: str | None, load: list[str], store: list[str]) -> Generated:
         """The lines as one function, loop(env, n): it loads the names in
         load from env and each live cell into its local once, runs n trips
         of the lines, stores each cell back in a finally, so that after a
         return or a raise it holds what the steps would leave, and stores
         the names in store back to env after the last trip, so n must be
-        positive.  Each stored i32 is canonical.  A counter that a line
-        reads runs as `for counter in range(n):`; else, or for a counter of
-        None, the trips are `for _ in _repeat(None, n):`, which builds no
-        int per trip, and a stored counter is n - 1, as range leaves it.
+        positive.  Each stored i32 is canonical, and a stored counter is
+        n - 1, the value range leaves.  A counter that a line reads runs as
+        `for counter in range(n):`; else, or for a counter of None, the
+        trips are `for _ in _repeat(None, n):`, which builds no int per trip.
         With no counter read and exactly one i32 carried local stored, the
         function runs n // _PASS passes, each _PASS - 1 trips whose last
         store to that local is unmasked and one trip of the lines, then
@@ -168,9 +161,8 @@ class Source:
         elif len(self.carried) != 1:
             body = ["for _ in _repeat(None, n):", *trip]
         else:
-            [(masked, unmasked)] = self.carried.values()
-            last = len(trip) - 1 - self.lines[::-1].index(masked)
-            raw = [*trip[:last], f"    {unmasked}", *trip[last + 1:]]
+            [(at, unmasked)] = self.carried.values()
+            raw = [*trip[:at], f"    {unmasked}", *trip[at + 1:]]
             body = [
                 f"for _ in _repeat(None, n // {_PASS}):",
                 *(raw * (_PASS - 1)),
@@ -191,7 +183,8 @@ class Source:
             "def loop(env, n):",
             *(f"    {name} = env[{name!r}]" for name in load),
             *(f"    {line}" for line in body),
-            *(f"    env[{name!r}] = {self._stored(name, counter)}" for name in store),
+            *(f"    env[{name!r}] = {'n - 1' if name == counter else self._canonical(name)}"
+              for name in store),
         ])
         self.consts["_repeat"] = repeat
         exec(_code(text), self.consts)
@@ -205,17 +198,19 @@ def _code(text: str) -> CodeType:
 
 
 def loop(
-    counter: str | None, count: Compiled, instantiate: Callable, stage: Callable, generate: Callable
+    counter: str | None, count: Compiled, instantiate: Callable, stage: Callable,
+    generate: Callable | None,
 ) -> Compiled:
     """The step that runs a staged loop body or an Iter's step.  It evaluates
     the count; on its first run that takes a trip it calls instantiate() once
     and keeps the body.  Once the trips, summed over its runs, reach HOT, it
-    runs them as generate(body)'s function, trying generate once; a DslError
-    from generate is a refusal.  Else the trips run stage(body)'s steps, built
-    on the first run that needs them, with the trip's number bound to counter
-    unless it is None, as for an Iter, whose step reads no counter.  A nested
-    loop's step, this closure, is one frame."""
-    body = steps = source = None  # source: None until tried, then a function or False
+    runs them as generate(body)'s function, trying generate once; a generate
+    of None or a DslError from it is a refusal, so this step sees every tier
+    decision.  Else the trips run stage(body)'s steps, built on the first run
+    that needs them, with the trip's number bound to counter unless it is
+    None, as for an Iter.  A nested loop's step, this closure, is one frame."""
+    body = steps = None
+    source = None if generate else False  # None until tried, then a function or False
     trips = 0
 
     def step(env):

@@ -7,13 +7,13 @@ The interpreter is one object, _Runner.  It performs straight-line code
 instruction by instruction, compiling each expression and running it once
 over the run's one environment of generated names.  It stages each loop:
 loop_step hands hot.loop the body's one walk by core.statements, its own
-step for each statement, and generate, which prints a hot body through
-hot.loop_body.  A language with no `compile` gets the reference behaviour:
+step for each statement, and hot.loop_body, or None if `compile` is not
+compile_open.  A language with no `compile` gets the reference behaviour:
 eval_closed evaluates every expression, and a loop body is rebuilt and
 interpreted on every trip.  The README's account of the interpreter says
-when a body is built, where errors surface and how deep loops may nest.
-An input line is an optionally signed decimal of any length, wrapped into
-32 bits, padded only with the ASCII whitespace C's scanf skips.
+when a body is built, where errors surface and how deep loops may nest.  An
+input line is an optionally signed decimal of any length, wrapped into 32
+bits, padded only with the ASCII whitespace C's scanf skips.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .core import (
     Scope,
     SetRef,
     StageError,
-    SymbolicRef,
     SymbolicVal,
     TypeTag,
     WriteOutput,
@@ -128,11 +127,11 @@ class _Runner:
     def reference(self, ref: Ref) -> Callable[[Env], ConcreteRef]:
         if isinstance(ref, ConcreteRef):
             return lambda env: ref
-        if isinstance(ref, SymbolicRef) and ref.name in self.scope:
-            name = ref.name
-            return lambda env: env[name]
-        # not a cell this run can reach: fail when the instruction runs
-        return lambda env: self.cell(ref)
+        try:
+            name = core.generated(ref, self.scope)
+        except StageError:  # not a cell this run can reach: fail when the instruction runs
+            return lambda env: self.cell(ref)
+        return lambda env: env[name]
 
     def step(self, cmd: Instr, name: str | None) -> Step:
         """The step that performs cmd on an environment and binds its result
@@ -174,18 +173,13 @@ class _Runner:
 
     def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
         """The step that runs a staged loop, hot.loop's: the body's one walk
-        over its counter's name, by core.statements, is what generate prints
-        once the loop is hot and steps are built from if not."""
+        over its counter's name, by core.statements, is what hot.loop_body
+        prints once the loop is hot, and steps are built from if not or if
+        the language's compile, not compile_open, must see every expression."""
         walk = lambda: list(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
         stage = lambda staged: [self.step(cmd, name) for cmd, name in staged]
-        return hot.loop(counter, bound, walk, stage, partial(self.generate, counter))
-
-    def generate(self, counter: str, staged: list[tuple[Instr, str | None]]) -> hot.Generated:
-        """hot.loop_body of a staged body, refused under a language whose
-        compile is not compile_open, so that compile sees every expression."""
-        if not self._tier:
-            raise DslError("the language compiles its own expressions")
-        return hot.loop_body(self.scope, self.write, self.read, counter, staged)
+        generate = partial(hot.loop_body, self.scope, self.write, self.read, counter)
+        return hot.loop(counter, bound, walk, stage, generate if self._tier else None)
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

@@ -354,19 +354,22 @@ def test_high_binders_in_staged_loops_keep_free_variables_unbound():
     assert _both(prog, hi.LANG) == ("UnboundVariableError", "unbound variable x1", "a")
 
 
-def test_program_supplied_symbolic_refs_in_staged_loops_are_stage_errors():
-    # r1 is also the name staging gives the cell the body allocates
+@pytest.mark.parametrize("trips", [2, hot.HOT])
+def test_program_supplied_symbolic_refs_in_staged_loops_are_stage_errors(trips, sources):
+    # r1 is also the name staging gives the cell the body allocates; at HOT
+    # trips the generator refuses each body first, and the steps then raise
     def body(_i):
         return init_ref(lo.lit(0)).then(
             print_str("a").then(set_ref(SymbolicRef(I32, "r1"), lo.lit(1)))
         )
 
     reached = "symbolic reference reached the runtime interpreter"
-    prog = for_loop(lo.LANG, lo.lit(2), body)
+    prog = for_loop(lo.LANG, lo.lit(trips), body)
     assert _both(prog, lo.LANG) == ("StageError", reached, "a")
     stray = GetRef(SymbolicRef(I32, "r0"))
-    get = for_loop(lo.LANG, lo.lit(2), lambda _i: print_str("b").then(stray))
+    get = for_loop(lo.LANG, lo.lit(trips), lambda _i: print_str("b").then(stray))
     assert _both(get, lo.LANG) == ("StageError", reached, "b")
+    assert sources == []
     for printer in (emit_c, render_program):
         for foreign in (prog, get):
             with pytest.raises(StageError, match="not generated by this walk"):
@@ -827,6 +830,24 @@ def test_a_name_kept_from_a_top_level_loop_reads_as_its_last_trip_left_it(trips,
     assert _both(prog, lo.LANG) == (None, "." * trips + str(trips - 1), 0)
     assert len(sources) == (trips >= HOT)
     # no line of the body reads the counter, so the hot text stores n - 1
+    assert all("    env['v0'] = n - 1" in text for text in sources)
+
+
+@pytest.mark.parametrize("trips", AROUND_HOT)
+def test_a_counter_a_hot_body_reads_is_kept_as_its_last_trip_left_it(trips, sources):
+    # the body writes its counter, so the hot text runs it under range, and
+    # stores it back as n - 1 all the same
+    leaked = []
+
+    def body(i):
+        leaked.append(i)
+        return write_output(i).then(print_str(","))
+
+    prog = for_loop(lo.LANG, lo.lit(trips), body).bind(lambda _: write_output(leaked[-1]))
+    want = "".join(f"{k}," for k in range(trips)) + str(trips - 1)
+    assert _both(prog, lo.LANG) == (None, want, 0)
+    assert len(sources) == (trips >= HOT)
+    assert all("    for v0 in range(n):\n" in text for text in sources)
     assert all("    env['v0'] = n - 1" in text for text in sources)
 
 
