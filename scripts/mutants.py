@@ -6,6 +6,8 @@ which must occur exactly once in its file, becomes its new text.  For each
 mutant the script copies the tree into a temporary directory, without
 .git, .hypothesis, .pytest_cache or __pycache__, applies the edit there and
 runs tier-1 with -x, less tests/test_mutants.py, which fails on any edit.
+The test file of the module a mutant edits, tests/test_X.py for
+src/stagedsl/X.py, runs first when there is one, then the other files.
 A mutant is killed if a test fails, timed out if the run outlasts the
 limit, and survived if tier-1 passes: a survivor marks a corner of the
 code that no test reaches.
@@ -33,10 +35,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = [
-    sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x",
-    "--ignore=tests/test_mutants.py",
-]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x"]
 SKIPPED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
 
 
@@ -64,8 +63,8 @@ MUTANTS = [
     Mutant(
         "carried-position-off-by-one",
         "src/stagedsl/hot.py",
-        "self.carried[local] = len(self.lines),",
-        "self.carried[local] = len(self.lines) + 1,",
+        "self.carried[target] = len(self.lines),",
+        "self.carried[target] = len(self.lines) + 1,",
     ),
     Mutant(
         "reference-skips-generated",
@@ -73,8 +72,38 @@ MUTANTS = [
         "name = core.generated(ref, self.scope)",
         "name = ref.name",
     ),
+    # one rule per kind of name in generated text, and the tier memo
+    Mutant(
+        "named-accepts-every-name",
+        "src/stagedsl/lowexpr.py",
+        "return e.name if scope is None or e.name in scope else _unbound(e, scope)",
+        "return e.name",
+    ),
+    Mutant(
+        "ref-skips-generated",
+        "src/stagedsl/hot.py",
+        "self.reads.add(generated(ref, self.scope))",
+        "self.reads.add(ref.name)",
+    ),
+    Mutant(
+        "store-canonical-branch-dropped",
+        "src/stagedsl/hot.py",
+        "if target not in self.residues:",
+        "if False:",
+    ),
+    Mutant(
+        "generate-kept-after-try",
+        "src/stagedsl/hot.py",
+        "            generate = None\n",
+        "",
+    ),
     # the hot tier's threshold and expression text
-    Mutant("hot-threshold-strict", "src/stagedsl/hot.py", "if trips >= HOT:", "if trips > HOT:"),
+    Mutant(
+        "hot-threshold-strict",
+        "src/stagedsl/hot.py",
+        "if generate and trips >= HOT:",
+        "if generate and trips > HOT:",
+    ),
     Mutant(
         "arithmetic-mask-dropped",
         "src/stagedsl/hot.py",
@@ -88,6 +117,31 @@ MUTANTS = [
         "if False:",
     ),
     Mutant("spill-depth-raised", "src/stagedsl/hot.py", "_NEST = 40\n", "_NEST = 400\n"),
+    # one rule of each other table
+    Mutant(
+        "flat-mul-wrap-dropped",
+        "src/stagedsl/lowexpr.py",
+        "lambda fa, fb: lambda env: wrap_i32(fa(env) * fb(env))",
+        "lambda fa, fb: lambda env: fa(env) * fb(env)",
+    ),
+    Mutant(
+        "c-add-casts-dropped",
+        "src/stagedsl/cgen.py",
+        'Add: lambda _, a, b: f"(int32_t)((uint32_t){a} + (uint32_t){b})",',
+        'Add: lambda _, a, b: f"({a} + {b})",',
+    ),
+    Mutant(
+        "text-eq-as-assignment",
+        "src/stagedsl/lowexpr.py",
+        'Eq: lambda _, a, b: f"({a} == {b})",',
+        'Eq: lambda _, a, b: f"({a} = {b})",',
+    ),
+    Mutant(
+        "let-by-value-reads-init",
+        "src/stagedsl/translate.py",
+        "lower_expr(e.body(x), config)",
+        "lower_expr(e.body(init), config)",
+    ),
     # the C back end's print strings
     Mutant(
         "c-string-question-mark",
@@ -126,6 +180,16 @@ def apply(mutant: Mutant, tree: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
+def tier1_files(mutant: Mutant | None) -> list[str]:
+    """Tier-1's test files but tests/test_mutants.py, in name order, as
+    pytest collects "tests", except that the mutated module's own file runs
+    first.  Each is named once: pytest collects a file named twice once."""
+    own = f"tests/test_{Path(mutant.file).stem}.py" if mutant else None
+    files = sorted(p.relative_to(ROOT).as_posix() for p in ROOT.glob("tests/test_*.py"))
+    files.remove("tests/test_mutants.py")
+    return sorted(files, key=lambda f: f != own)
+
+
 def tier1(mutant: Mutant | None, timeout: float | None) -> tuple[str, str, float]:
     """Tier-1 with -x on a copy of the tree with mutant applied: the
     outcome, the first failing test or "" and the seconds it took."""
@@ -137,8 +201,8 @@ def tier1(mutant: Mutant | None, timeout: float | None) -> tuple[str, str, float
         env = dict(os.environ, PYTHONPATH="src")
         start = time.monotonic()
         proc = subprocess.Popen(
-            TIER1, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, start_new_session=True,
+            [*TIER1, *tier1_files(mutant)], cwd=tree, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True, start_new_session=True,
         )
         out = None
         try:

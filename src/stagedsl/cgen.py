@@ -22,7 +22,7 @@ from .core import (
     STRING_ESCAPES, DslError, ForLoop, GetRef, InitRef, PrintStr, Program, ReadInput, Scope,
     SetRef, TypeTag, WriteOutput, generated, listed,
 )
-from .lowexpr import Add, Eq, Lit, Mul, Not, Rules, Var, _unbound, fold
+from .lowexpr import Add, Eq, Lit, Mul, Not, Rules, Var, _named, fold
 
 _C_TYPE = {TypeTag.I32: "int32_t", TypeTag.BOOL: "int"}
 
@@ -55,9 +55,7 @@ def _c_lit(e: Lit, _context) -> str:
 
 
 _TEXT = Rules("cannot emit C for", {
-    # only the names the walk declared exist in C; the rest are unbound, as
-    # under closed evaluation
-    Var: lambda e, scope: e.name if e.name in scope else _unbound(e, scope),
+    Var: _named,  # only the names the walk declared exist in C
     Lit: _c_lit,
     Add: lambda _, a, b: f"(int32_t)((uint32_t){a} + (uint32_t){b})",
     Mul: lambda _, a, b: f"(int32_t)((uint32_t){a} * (uint32_t){b})",

@@ -386,7 +386,7 @@ class Language:
     const: Callable[[Any, TypeTag], Any]
     var: Callable[[str, TypeTag], Any]
     eval_closed: Callable[[Any], Any]
-    render: Callable[[Any], str]
+    render: Callable[[Any, Scope | None], str]  # over a scope, as lowexpr.render
     # compile(e, scope) gives fn(env), which evaluates e reading the scope's
     # names from env and raises as eval_closed would on anything else; None
     # selects the reference path: eval_closed, and loop bodies rebuilt per trip

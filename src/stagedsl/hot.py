@@ -11,6 +11,7 @@ account of the hot tier says how that function computes, and why.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import repeat
 from types import CodeType
@@ -20,7 +21,7 @@ from .core import (
     ConcreteRef, DslError, GetRef, InitRef, Instr, PrintStr, ReadInput, Scope, SetRef, TypeTag,
     WriteOutput, generated,
 )
-from .lowexpr import Add, Compiled, Eq, Expr, Lit, Mul, Not, Rules, Var, _unbound, fold
+from .lowexpr import Add, Compiled, Eq, Expr, Lit, Mul, Not, Rules, Var, _named, fold
 
 Generated = Callable[[dict[str, Any], int], None]  # n trips of a hot body, see Source
 
@@ -73,12 +74,12 @@ class Source:
     env are canonical, that is signed.  A value is made canonical only
     where it is observed: by value(), for output, a new cell and a write
     through env; by an Eq, which compares masked operands once either is a
-    residue; and at the stores of function.  A live cell, a ConcreteRef, is
-    a local of the function; residues holds it, if an i32, as it holds each
-    generated name that may hold a residue.  A carried local, a live cell's
-    or an Iter's state, passes its value from one trip to the next; carried
-    holds each i32 one stored, by store(): its last store's position among
-    the lines, and that line with the top operator unmasked."""
+    residue; and at the stores of function.  ref() gives a reference's text: a
+    live cell, a ConcreteRef, is a local of the function, which residues holds
+    if an i32, as it holds each generated name that may hold a residue.  A
+    carried local, a live cell's or an Iter's state, passes its value from one
+    trip to the next; carried holds each i32 one, by store(): its last store's
+    position among the lines, and that line with the top operator unmasked."""
 
     def __init__(self, scope: Scope) -> None:
         self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
@@ -101,29 +102,13 @@ class Source:
         if tag is TypeTag.I32:
             self.residues.add(name)
 
-    def get(self, name: str, ref: Any) -> str:
-        """The line binding name to a reference's value."""
-        if isinstance(ref, ConcreteRef):
-            self.residue(name, ref.tag)
-            return f"{name} = {self._cell(ref)}"
-        return f"{name} = {self._generated(ref)}.value"
-
-    def store(self, local: str, e: Expr) -> str:
-        """The line storing e in a carried local, which the caller appends next;
-        carried keeps an i32 local's position and unmasked line (see function)."""
-        text, _, raw = fold(PYTHON, e, self)
-        if local in self.residues:
-            self.carried[local] = len(self.lines), f"{local} = {text if raw is None else raw}"
-        return f"{local} = {text}"
-
-    def set(self, ref: Any, e: Expr) -> str:
-        """The line writing e's value to a reference."""
-        if isinstance(ref, ConcreteRef):
-            return self.store(self._cell(ref), e)
-        value = self.value(e)
-        return f"{self._generated(ref)}.value = {value}"
-
-    def _cell(self, ref: ConcreteRef) -> str:
+    def ref(self, ref: Any) -> str:
+        """The text a reference is read and written through: a live cell's
+        local, or name.value for a name core.generated finds the scope
+        generated; else a StageError, which the steps raise when run."""
+        if not isinstance(ref, ConcreteRef):
+            self.reads.add(generated(ref, self.scope))
+            return f"{ref.name}.value"
         # one local per cell: the walk gives each use a reference of its own
         if id(ref) not in self.cells:
             local = f"_r{len(self.cells)}"
@@ -131,10 +116,16 @@ class Source:
             self.cells[id(ref)] = local, self.const(ref)
         return self.cells[id(ref)][0]
 
-    def _generated(self, ref: Any) -> str:
-        # StageError for a reference the scope did not generate, whose steps fail when run
-        self.reads.add(generated(ref, self.scope))
-        return ref.name
+    def store(self, target: str, e: Expr) -> str:
+        """The line storing e in target, which the caller appends next: a
+        residue target, a carried local, gets e's masked text and carried
+        keeps its position and unmasked line (see function); any other
+        target gets value(e)."""
+        if target not in self.residues:
+            return f"{target} = {self.value(e)}"
+        text, _, raw = fold(PYTHON, e, self)
+        self.carried[target] = len(self.lines), f"{target} = {text if raw is None else raw}"
+        return f"{target} = {text}"
 
     def _canonical(self, name: str) -> str:
         return _WRAP.format(name) if name in self.residues else name
@@ -201,34 +192,31 @@ def loop(
     counter: str | None, count: Compiled, instantiate: Callable, stage: Callable,
     generate: Callable | None,
 ) -> Compiled:
-    """The step that runs a staged loop body or an Iter's step.  It evaluates
-    the count; on its first run that takes a trip it calls instantiate() once
-    and keeps the body.  Once the trips, summed over its runs, reach HOT, it
-    runs them as generate(body)'s function, trying generate once; a generate
-    of None or a DslError from it is a refusal, so this step sees every tier
-    decision.  Else the trips run stage(body)'s steps, built on the first run
-    that needs them, with the trip's number bound to counter unless it is
-    None, as for an Iter.  A nested loop's step, this closure, is one frame."""
-    body = steps = None
-    source = None if generate else False  # None until tried, then a function or False
+    """The step that runs a staged loop body or an Iter's step.  Its first run
+    that takes a trip calls instantiate() and keeps the body.  Once the trips,
+    summed over its runs, reach HOT, it runs them as generate(body)'s
+    function, trying generate once, then dropping it; a generate of None or a
+    DslError from it is a refusal, so this step sees every tier decision.
+    Else the trips run stage(body)'s steps, built on the first run that needs
+    them, with the trip's number bound to counter unless it is None, as for an
+    Iter.  A nested loop's step, this closure, is one frame."""
+    body = steps = source = None
     trips = 0
 
     def step(env):
-        nonlocal body, steps, trips, source
+        nonlocal body, steps, trips, source, generate
         n = count(env)
         if n <= 0:
             return
         if body is None:
             body = instantiate()
         trips += n
-        if trips >= HOT:
-            if source is None:
-                try:
-                    source = generate(body)
-                except DslError:
-                    source = False
-            if source:
-                return source(env, n)
+        if generate and trips >= HOT:
+            with suppress(DslError):  # a refusal: the steps run
+                source = generate(body)
+            generate = None
+        if source:
+            return source(env, n)
         if steps is None:
             steps = stage(body)
         if counter is None:
@@ -245,10 +233,9 @@ def loop(
 
 
 def _source_var(e: Var, source: Source) -> tuple[str, int, str | None]:
-    if e.name not in source.scope:
-        _unbound(e, source)
-    source.reads.add(e.name)
-    return e.name, 0, (e.name if e.name in source.residues else None)
+    name = _named(e, source.scope)
+    source.reads.add(name)
+    return name, 0, (name if name in source.residues else None)
 
 
 def _source_lit(e: Lit, source: Source) -> tuple[str, int, None]:
@@ -307,9 +294,11 @@ def loop_body(
     for cmd, name in staged:
         match cmd:  # patterns without captures, as in core.symbolic
             case GetRef():
-                line = src.get(name, cmd.ref)
+                line = f"{name} = {(text := src.ref(cmd.ref))}"
+                if text in src.residues:  # an i32 cell's local
+                    src.residues.add(name)
             case SetRef():
-                line = src.set(cmd.ref, cmd.value)
+                line = src.store(src.ref(cmd.ref), cmd.value)
             case InitRef():
                 line = f"{name} = {cell}({src.const(cmd.init.tag)}, {src.value(cmd.init)})"
             case WriteOutput():

@@ -185,6 +185,11 @@ def _unbound(e: Var, _context: Any) -> Any:
     raise UnboundVariableError(f"unbound variable {e.name}")
 
 
+def _named(e: Var, scope: Scope | None) -> str:
+    """Every text table's Var rule: its name, which a scope, if given, generated."""
+    return e.name if scope is None or e.name in scope else _unbound(e, scope)
+
+
 EVAL = Rules("cannot evaluate", {
     Var: _unbound,
     Lit: lambda e, _: e.value,
@@ -259,7 +264,7 @@ def compile_open(e: Expr, scope: Scope) -> Compiled:
 
 
 _TEXT = Rules("not a low expression", {
-    Var: lambda e, _: e.name,
+    Var: _named,
     Lit: lambda e, _: str(e.value),
     Add: lambda _, a, b: f"({a} + {b})",
     Mul: lambda _, a, b: f"({a} * {b})",
@@ -268,10 +273,11 @@ _TEXT = Rules("not a low expression", {
 })
 
 
-def render(e: Expr) -> str:
+def render(e: Expr, scope: Scope | None = None) -> str:
     """Print an expression.  Every operator application gets parentheses,
-    so distinct trees read distinctly."""
-    return fold(_TEXT, e)
+    so distinct trees read distinctly.  Over a scope, a variable it did not
+    generate is unbound; with none, every name prints as written."""
+    return fold(_TEXT, e, scope)
 
 
 LANG = Language(

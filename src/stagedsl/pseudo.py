@@ -3,7 +3,8 @@
 One statement per instruction, each on one line, loops as for/end-for
 blocks, the whole program indented one level.  The walk itself, with its
 fresh names and loop nesting, is core.listing, which core.listed keeps on
-the program value for the C back end too; this module prints each entry.
+the program value for the C back end too; this module prints each entry,
+its expressions by lang.render over the listing's scope, as C prints them.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ def _statement(cmd, name, expr, scope: Scope) -> str:
         case GetRef():
             return f"{name} <- getRef {generated(cmd.ref, scope)}"
         case SetRef():
-            return f"setRef {generated(cmd.ref, scope)} {expr(cmd.value)}"
+            return f"setRef {generated(cmd.ref, scope)} {expr(cmd.value, scope)}"
         case InitRef():
-            return f"{name} <- initRef {expr(cmd.init)}"
+            return f"{name} <- initRef {expr(cmd.init, scope)}"
         case ForLoop():
-            return f"for {name} < {expr(cmd.count)}"
+            return f"for {name} < {expr(cmd.count, scope)}"
         case None:
             return "end for"
         case WriteOutput():
-            return f"writeOutput {expr(cmd.value)}"
+            return f"writeOutput {expr(cmd.value, scope)}"
         case ReadInput():
             return f"{name} <- readInput"
         case PrintStr():

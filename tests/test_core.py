@@ -423,7 +423,7 @@ def test_the_package_api_the_benchmark_reads_stays():
     lang = dataclasses.replace(
         lo.LANG,
         eval_closed=lambda e: calls.append("eval") or 4,
-        render=lambda e: calls.append("render") or "four",
+        render=lambda e, scope: calls.append("render") or "four",
         compile=None,
     )
     prog = write_output(lo.lit(1))

@@ -1,5 +1,6 @@
-"""The hot tier called directly: its loop step, expression text, code
-cache and Iter printer, apart from the programs that run through them."""
+"""The hot tier called directly: its loop step, expression text, reference
+text, code cache and Iter printer, apart from the programs that run through
+them."""
 
 import pytest
 from hypothesis import example, given
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 import support
 from stagedsl import highexpr as hi, hot, lowexpr as lo
-from stagedsl.core import DslError, Scope, TypeTag, wrap_i32
+from stagedsl.core import (
+    ConcreteRef, DslError, Scope, StageError, SymbolicRef, TypeTag, wrap_i32,
+)
 
 I32_MIN = -(2**31)
 
@@ -58,6 +61,27 @@ def test_hot_source_texts_from_either_form_are_wrap_i32(node, a, b):
     # the canonicalising text applied to the masked text, and value()'s text
     assert eval(hot._WRAP.format(text), env) == want
     assert eval(src.value(e), env) == want
+
+
+def test_every_reference_is_read_and_written_through_ref():
+    scope, env = Scope(), {}
+    src = hot.Source(scope)
+    cell = ConcreteRef(TypeTag.I32, 0)
+    named = SymbolicRef(TypeTag.I32, scope.fresh("r", TypeTag.I32))
+    assert src.ref(cell) == src.ref(cell) == "_r0"  # one local per cell
+    assert src.ref(named) == "r0.value" and src.reads == {"r0"}
+    with pytest.raises(StageError, match="not generated"):  # the same text, not the name
+        src.ref(SymbolicRef(TypeTag.I32, "r0"))
+    e = lo.lit(2**31 - 1) + lo.lit(1)
+    # a cell's local is a carried residue: its store is masked, its line kept
+    assert src.store("_r0", e) == "_r0 = ((2147483647 + 1) & 0xFFFFFFFF)"
+    assert src.carried == {"_r0": (0, "_r0 = 2147483647 + 1")}
+    # a write by name is observed, so it stores the canonical value
+    line = src.store("r0.value", e)
+    assert line == f"r0.value = {src.value(e)}" and list(src.carried) == ["_r0"]
+    env["r0"] = ConcreteRef(TypeTag.I32, 0)
+    exec(line, env)
+    assert env["r0"].value == lo.eval_closed(e) == I32_MIN
 
 
 HOT = hot.HOT

@@ -53,6 +53,17 @@ def test_render_shapes():
     assert lo.render(lo.Not(lo.Eq(lo.lit(1), lo.lit(0)))) == "(not (1 == 0))"
 
 
+def test_render_over_a_scope_prints_only_the_names_it_generated():
+    scope = Scope()
+    generated = lo.Var(scope.fresh("v", TypeTag.I32), TypeTag.I32)
+    assert lo.render(generated + 1, scope) == "(v0 + 1)"
+    # a program's own v0 has the same text but is not the scope's name
+    own = lo.Var("v0", TypeTag.I32)
+    with pytest.raises(UnboundVariableError, match="^unbound variable v0$"):
+        lo.render(own + 1, scope)
+    assert lo.render(own + 1) == "(v0 + 1)"
+
+
 def test_tag_checks_reject_bad_operands():
     with pytest.raises(TagError):
         lo.Add(lo.lit(1), lo.lit(True))

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 import support
 from stagedsl import highexpr as hi, lowexpr as lo
+from stagedsl.cgen import emit_c
 from stagedsl.core import (
     DslError,
     Instr,
+    TypeTag,
+    UnboundVariableError,
     for_loop,
     get_ref,
     init_ref,
@@ -117,3 +120,14 @@ def test_the_high_language_prints_only_low_expressions():
         render_program(write_output(let), hi.LANG)
     with pytest.raises(DslError, match="not a low expression: Iter"):
         render_program(init_ref(hi.lit(0)).then(write_output(it)), hi.LANG)
+
+
+def test_a_programs_own_variable_is_unbound_as_in_c():
+    # v0 is also the name the walk gives the input, but not this variable
+    n0 = lo.Var("v0", TypeTag.I32)
+    prog = read_input(lo.LANG).bind(lambda n: write_output(n0 + n))
+    with pytest.raises(UnboundVariableError) as c_error:
+        emit_c(prog)
+    with pytest.raises(UnboundVariableError) as pseudo_error:
+        render_program(prog)
+    assert str(pseudo_error.value) == str(c_error.value) == "unbound variable v0"
