@@ -3,6 +3,8 @@
 
 Generates random programs, lowers them, compiles the emitted C under strict
 flags, feeds both sides the same scripted stdin, and compares stdout bytes.
+The interpreter runs each program at both tiers, at the default HOT and
+with every staged loop and Iter hot, and the two runs must agree.
 Every bundled example is always included, lowered like the rest and fed
 one input script long enough for each of them.  Runs every case, prints one
 summary line, and exits 1 if any case mismatched, failed to compile, timed
@@ -19,7 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from stagedsl import lowexpr as lo
+from stagedsl import hot, lowexpr as lo
 from stagedsl.cgen import c_compiler, compile_c, emit_c, have_c_compiler
 from stagedsl.core import DslError, Language, Program
 from stagedsl.examples import EXAMPLES
@@ -45,10 +47,19 @@ def outcome(prog: Program, lang: Language, text: str = "") -> tuple:
 
 def disagreement(low: Program, stdin_text: str, workdir: Path, name: str = "prog") -> str | None:
     """Compile a low program's C in workdir and run it on stdin_text.  None
-    when the interpreter runs without error and the binary exits 0 having
-    printed the interpreter's output byte for byte; otherwise a short
-    report: the compile failure, a time-out, or the interpreter's error,
-    both outputs (the interpreter's up to its error) and the exit status."""
+    when the interpreter runs without error, alike at the default HOT and
+    with HOT at 1, and the binary exits 0 having printed the interpreter's
+    output byte for byte; otherwise a short report: both tiers' outcomes,
+    the compile failure, a time-out, or the interpreter's error, both
+    outputs (the interpreter's up to its error) and the exit status."""
+    want = outcome(low, lo.LANG, stdin_text)
+    default, hot.HOT = hot.HOT, 1
+    try:
+        forced = outcome(low, lo.LANG, stdin_text)
+    finally:
+        hot.HOT = default
+    if forced != want:
+        return f"{name}: TIERS DISAGREE\n  default: {want!r}\n  hot:     {forced!r}"
     source = emit_c(low)
     try:
         exe = compile_c(source, workdir, name)
@@ -58,7 +69,7 @@ def disagreement(low: Program, stdin_text: str, workdir: Path, name: str = "prog
         proc = subprocess.run([exe], input=stdin_text.encode(), capture_output=True, timeout=60)
     except subprocess.TimeoutExpired as err:
         return f"{name}: TIMED OUT after {err.timeout} s"
-    match outcome(low, lo.LANG, stdin_text):
+    match want:
         case (_, printed, int()):  # ran to the end
             if proc.returncode == 0 and proc.stdout == printed.encode():
                 return None

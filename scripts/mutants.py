@@ -47,12 +47,14 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # the four staging rules the hot tier states once
+    # the staging rules the hot tier states once
     Mutant(
-        "tier-refusal-dropped",
-        "src/stagedsl/runtime.py",
-        "generate if self._tier else None)",
-        "generate)",
+        "zero-trips-instantiate",
+        "src/stagedsl/hot.py",
+        "        if n <= 0:\n            return\n"
+        "        if body is None:\n            body = instantiate()\n",
+        "        if body is None:\n            body = instantiate()\n"
+        "        if n <= 0:\n            return\n",
     ),
     Mutant(
         "counter-stored-as-n",
@@ -117,6 +119,12 @@ MUTANTS = [
         "if False:",
     ),
     Mutant("spill-depth-raised", "src/stagedsl/hot.py", "_NEST = 40\n", "_NEST = 400\n"),
+    Mutant(
+        "hot-print-str-as-value",
+        "src/stagedsl/hot.py",
+        'line = f"{write}({src.const(cmd.text)})"',
+        'line = f"{write}({src.const(cmd.text.strip())})"',
+    ),
     # one rule of each other table
     Mutant(
         "flat-mul-wrap-dropped",
@@ -150,6 +158,7 @@ MUTANTS = [
         "_C_STRING = STRING_ESCAPES",
     ),
     Mutant("fwrite-unreachable", "src/stagedsl/cgen.py", 'if "\\0" in text:', "if False:"),
+    Mutant("string-cr-unescaped", "src/stagedsl/core.py", '    ord("\\r"): "\\\\r",\n', ""),
     # lowering, input and evaluation
     Mutant(
         "iter-range-check-2-31",
@@ -158,10 +167,24 @@ MUTANTS = [
         "0 <= count.left.value < 2**31",
     ),
     Mutant(
+        "c-scanf-failure-exits-0",
+        "src/stagedsl/cgen.py",
+        "!= 1) {{ return 1; }}",
+        "!= 1) {{ return 0; }}",
+    ),
+    Mutant("read-keeps-10-digits", "src/stagedsl/runtime.py", "[-32:]", "[-10:]"),
+    Mutant("decimal-accepts-empty", "src/stagedsl/runtime.py", 'r"[+-]?[0-9]+"', 'r"[+-]?[0-9]*"'),
+    Mutant(
         "read-strip-form-feed",
         "src/stagedsl/runtime.py",
         'line.strip(" \\t\\n\\r\\f\\v")',
         'line.strip(" \\t\\n\\r")',
+    ),
+    Mutant(
+        "reexpress-leaves-loop-body",
+        "src/stagedsl/core.py",
+        "ForLoop(c, lambda val: reexpress(translate_expr, cmd.body(val)))",
+        "ForLoop(c, cmd.body)",
     ),
     Mutant(
         "eval-add-wrap-dropped",

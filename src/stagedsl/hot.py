@@ -190,13 +190,13 @@ def _code(text: str) -> CodeType:
 
 def loop(
     counter: str | None, count: Compiled, instantiate: Callable, stage: Callable,
-    generate: Callable | None,
+    generate: Callable,
 ) -> Compiled:
     """The step that runs a staged loop body or an Iter's step.  Its first run
     that takes a trip calls instantiate() and keeps the body.  Once the trips,
     summed over its runs, reach HOT, it runs them as generate(body)'s
-    function, trying generate once, then dropping it; a generate of None or a
-    DslError from it is a refusal, so this step sees every tier decision.
+    function, trying generate once, then dropping it; a DslError from it, a
+    printer's, is a refusal, so this step sees every tier decision.
     Else the trips run stage(body)'s steps, built on the first run that needs
     them, with the trip's number bound to counter unless it is None, as for an
     Iter.  A nested loop's step, this closure, is one frame."""

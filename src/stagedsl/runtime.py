@@ -5,10 +5,10 @@ tests can script a session; the CLI plugs in the process's stdio.
 
 The interpreter is one object, _Runner.  It performs straight-line code
 instruction by instruction, compiling each expression and running it once
-over the run's one environment of generated names.  It stages each loop:
-loop_step hands hot.loop the body's one walk by core.statements, its own
-step for each statement, and hot.loop_body, or None if `compile` is not
-compile_open.  A language with no `compile` gets the reference behaviour:
+over the run's one environment of generated names.  It stages every loop
+in step: hot.loop gets the body's one walk by core.statements, a step for
+each statement, and hot.loop_body, whose DslError alone refuses the hot
+tier.  A language with no `compile` gets the reference behaviour:
 eval_closed evaluates every expression, and a loop body is rebuilt and
 interpreted on every trip.  The README's account of the interpreter says
 when a body is built, where errors surface and how deep loops may nest.  An
@@ -23,7 +23,7 @@ import re
 from functools import partial
 from typing import Any, Callable, TextIO
 
-from . import core, hot, lowexpr
+from . import core, hot
 from .core import (
     ConcreteRef,
     ConcreteVal,
@@ -69,10 +69,6 @@ class _Runner:
         # not self, which would make a cycle
         compile, scope, env = lang.compile, self.scope, self.env
         self._expr = None if compile is None else lambda e: compile(e, scope)
-        # only compile_open's expressions go to source, so any other compile sees
-        # every expression; LANG's field, which perfbench/tracing.py leaves as
-        # it is, unlike the module's function
-        self._tier = compile is lowexpr.LANG.compile
         self._eval = lang.eval_closed if compile is None else lambda e: compile(e, scope)(env)
         self._stdin = stdin
         self.write = stdout.write
@@ -116,9 +112,7 @@ class _Runner:
                 return None
             case ForLoop():
                 if self._expr is not None:  # either way the bound is evaluated once, first
-                    counter = core.symbolic(cmd, self.scope)[0]
-                    self.loop_step(counter, self._expr(cmd.count), cmd.body)(self.env)
-                    return None
+                    return self.step(cmd, core.symbolic(cmd, self.scope)[0])(self.env)
                 for k in range(self._eval(cmd.count)):
                     core.interpret(self.perform, cmd.body(ConcreteVal(TypeTag.I32, k)))
                 return None
@@ -155,8 +149,12 @@ class _Runner:
                 def step(env):
                     env[name] = ConcreteRef(tag, value(env))
 
-            case ForLoop():
-                return self.loop_step(name, self._expr(cmd.count), cmd.body)
+            case ForLoop():  # name is the counter's; the body is walked once, on its first trip
+                body, scope = cmd.body, self.scope
+                walk = lambda: list(core.statements(body(SymbolicVal(TypeTag.I32, name)), scope))
+                stage = lambda staged: [self.step(*statement) for statement in staged]
+                generate = partial(hot.loop_body, scope, self.write, self.read, name)
+                return hot.loop(name, self._expr(cmd.count), walk, stage, generate)
             case WriteOutput():
                 write, value = self.write, self._expr(cmd.value)
                 return lambda env: write(str(value(env)))
@@ -170,16 +168,6 @@ class _Runner:
                 write, text = self.write, cmd.text
                 return lambda env: write(text)
         return step
-
-    def loop_step(self, counter: str, bound: Callable[[Env], int], body) -> Step:
-        """The step that runs a staged loop, hot.loop's: the body's one walk
-        over its counter's name, by core.statements, is what hot.loop_body
-        prints once the loop is hot, and steps are built from if not or if
-        the language's compile, not compile_open, must see every expression."""
-        walk = lambda: list(core.statements(body(SymbolicVal(TypeTag.I32, counter)), self.scope))
-        stage = lambda staged: [self.step(cmd, name) for cmd, name in staged]
-        generate = partial(hot.loop_body, self.scope, self.write, self.read, counter)
-        return hot.loop(counter, bound, walk, stage, generate if self._tier else None)
 
 
 def run(prog: Program, lang: Language, stdin: TextIO, stdout: TextIO) -> tuple[Any, int]:

@@ -33,3 +33,12 @@ def sources(monkeypatch):
     monkeypatch.setattr(hot, "compile", counted, raising=False)
     hot._code.cache_clear()
     return texts
+
+
+@pytest.fixture(params=["default", "hot"])
+def tier(request, monkeypatch):
+    """A differential test's run at the default HOT, and again with every
+    staged loop and Iter hot on its first run that takes a trip: hot.loop
+    reads HOT on every run."""
+    if request.param == "hot":
+        monkeypatch.setattr(hot, "HOT", 1)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import support
 from c_differential import disagreement
-from stagedsl import lowexpr as lo
+from stagedsl import hot, lowexpr as lo
 from stagedsl.cgen import c_escape, compile_c, emit_c, have_c_compiler
 from stagedsl.core import (
     DslError,
@@ -249,6 +249,15 @@ def test_print_strings_holding_nul_match_the_interpreter_byte_for_byte(tmp_path,
 def test_an_interpreter_error_is_reported_not_raised(tmp_path):
     report = disagreement(read_input(lo.LANG).bind(write_output), "", tmp_path, "short")
     assert report is not None and "InputError" in report
+
+
+def test_tiers_that_disagree_are_reported_before_any_compile(tmp_path, monkeypatch):
+    # a hot body that runs no trip: the run with HOT at 1 prints nothing
+    monkeypatch.setattr(hot, "loop_body", lambda *args: lambda env, n: None)
+    default = hot.HOT
+    report = disagreement(for_loop(lo.LANG, lo.lit(2), write_output), "", tmp_path, "tiers")
+    assert report == "tiers: TIERS DISAGREE\n  default: (None, '01', 0)\n  hot:     (None, '', 0)"
+    assert hot.HOT == default and not list(tmp_path.iterdir())
 
 
 @needs_cc

@@ -96,10 +96,9 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("refuse", [False, True, None])
+@pytest.mark.parametrize("refuse", [False, True])
 @pytest.mark.parametrize("kind", RUNS)
 def test_loop_instantiates_once_and_tries_generate_once(kind, refuse):
-    # refuse None hands loop no generate, as for a body that may not tier up
     runs, *wants = RUNS[kind]
     calls, trips = [], []
 
@@ -119,8 +118,7 @@ def test_loop_instantiates_once_and_tries_generate_once(kind, refuse):
             raise DslError("refused")
         return lambda env, n: trips.append(f"{n} generated")
 
-    given = None if refuse is None else generate
-    step = hot.loop("k", lambda env: env["n"], instantiate, stage, given)
+    step = hot.loop("k", lambda env: env["n"], instantiate, stage, generate)
     for n in [0, -3]:
         step({"n": n})
     assert calls == trips == []  # a run of no trips instantiates nothing
@@ -128,12 +126,12 @@ def test_loop_instantiates_once_and_tries_generate_once(kind, refuse):
     for n in runs:
         step({"n": n})
         summed += n
-        if summed >= HOT and refuse is False:
+        if summed >= HOT and not refuse:
             assert trips[-1] == f"{n} generated"
         elif n > 0:
             assert trips[-n:] == list(range(n))
     # a refused body falls back to the steps, built once
-    assert calls == (["instantiate", "stage"] if refuse is None else wants[refuse])
+    assert calls == wants[refuse]
 
 
 # i32 steps over the state and literals: hole is the state, and s * s among

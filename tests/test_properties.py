@@ -43,7 +43,9 @@ def _agree(gp, runs, want_prog, want_lang):
 
 # The three tests below are one differential of ten interpretations: the
 # direct program and its four lowerings, each staged and each under the
-# per-trip reference, all equal to the direct staged run.
+# per-trip reference, all equal to the direct staged run; each runs at both
+# tiers.
+@pytest.mark.usefixtures("tier")
 @pytest.mark.parametrize("idx", range(len(CORPUS)))
 def test_staged_loops_match_the_per_trip_reference(idx):
     gp = CORPUS[idx]
@@ -51,12 +53,14 @@ def test_staged_loops_match_the_per_trip_reference(idx):
         _agree(gp, [(prog, support.REFERENCE)], prog, hi.LANG)
 
 
+@pytest.mark.usefixtures("tier")
 @pytest.mark.parametrize("idx", range(len(CORPUS)))
 def test_lowering_preserves_behaviour(idx):
     gp = CORPUS[idx]
     _agree(gp, [(lower_program(gp.program), lo.LANG)], gp.program, hi.LANG)
 
 
+@pytest.mark.usefixtures("tier")
 def test_configurations_cannot_change_transcripts():
     for gp in CORPUS:
         runs = [(lower_program(gp.program, config), lo.LANG) for config in support.CONFIGS]
