@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Differential test: compiled C versus the reference interpreter.
+"""Differential test: compiled C versus the staged interpreter.
 
 Generates random programs, lowers them, compiles the emitted C under strict
 flags, feeds both sides the same scripted stdin, and compares stdout bytes.
-The interpreter runs each program at both tiers, at the default HOT and
-with every staged loop and Iter hot, and the two runs must agree.
+The interpreter side is the staged run, lowexpr.LANG, at both tiers, at the
+default HOT and with every staged loop and Iter hot, and the two runs must
+agree.  The reference interpreter, a Language with no compile such as
+tests/support.py's REFERENCE, is not run here; the tests compare staged
+runs with it.
 Every bundled example is always included, lowered like the rest and fed
 one input script long enough for each of them.  Runs every case, prints one
 summary line, and exits 1 if any case mismatched, failed to compile, timed

@@ -113,10 +113,29 @@ MUTANTS = [
         'f"({raw})"',
     ),
     Mutant(
-        "eq-operands-unmasked",
+        "eq-compares-raw-operand-text",
         "src/stagedsl/hot.py",
-        "if ra is not None or rb is not None:",
-        "if False:",
+        'text = f"({_canonical(*a)} == {_canonical(*b)})"',
+        'text = f"({a[0]} == {b[0]})"',
+    ),
+    # the three loop forms of Source.function
+    Mutant(
+        "range-loop-counts-from-1",
+        "src/stagedsl/hot.py",
+        'body = [f"for {counter} in range(n):", *trip]',
+        'body = [f"for {counter} in range(1, n + 1):", *trip]',
+    ),
+    Mutant(
+        "repeat-loop-one-trip-short",
+        "src/stagedsl/hot.py",
+        'body = ["for _ in _repeat(None, n):", *trip]',
+        'body = ["for _ in _repeat(None, n - 1):", *trip]',
+    ),
+    Mutant(
+        "passes-drop-the-remainder",
+        "src/stagedsl/hot.py",
+        'f"for _ in _repeat(None, n % {_PASS}):",',
+        'f"for _ in _repeat(None, 0):",',
     ),
     Mutant("spill-depth-raised", "src/stagedsl/hot.py", "_NEST = 40\n", "_NEST = 400\n"),
     Mutant(
@@ -124,6 +143,51 @@ MUTANTS = [
         "src/stagedsl/hot.py",
         'line = f"{write}({src.const(cmd.text)})"',
         'line = f"{write}({src.const(cmd.text.strip())})"',
+    ),
+    # one case of each instruction match
+    Mutant(
+        "perform-reaches-only-a-live-cell",
+        "src/stagedsl/runtime.py",
+        "cell = self.reference(cmd.ref)(self.env)",
+        "cell = cmd.ref if isinstance(cmd.ref, ConcreteRef) else _unreached(self.env)",
+    ),
+    Mutant(
+        "perform-init-ref-tagged-i32",
+        "src/stagedsl/runtime.py",
+        "return ConcreteRef(cmd.init.tag, self._eval(cmd.init))",
+        "return ConcreteRef(TypeTag.I32, self._eval(cmd.init))",
+    ),
+    Mutant(
+        "step-init-ref-shares-one-cell",
+        "src/stagedsl/runtime.py",
+        "                def step(env):\n                    env[name] = ConcreteRef(tag, value(env))\n",
+        "                shared = ConcreteRef(tag, None)\n\n"
+        "                def step(env):\n                    shared.value = value(env)\n"
+        "                    env[name] = shared\n",
+    ),
+    Mutant(
+        "hot-get-ref-of-a-residue-canonical",
+        "src/stagedsl/hot.py",
+        "if text in src.residues:  # an i32 cell's local",
+        "if False:",
+    ),
+    Mutant(
+        "pseudo-for-bound-inclusive",
+        "src/stagedsl/pseudo.py",
+        'return f"for {name} < {expr(cmd.count, scope)}"',
+        'return f"for {name} <= {expr(cmd.count, scope)}"',
+    ),
+    Mutant(
+        "c-for-bound-inclusive",
+        "src/stagedsl/cgen.py",
+        "{name} < {fold(_TEXT, cmd.count, scope)}; {name}++",
+        "{name} <= {fold(_TEXT, cmd.count, scope)}; {name}++",
+    ),
+    Mutant(
+        "symbolic-get-ref-named-r",
+        "src/stagedsl/core.py",
+        'name = scope.fresh("v", cmd.ref.tag)',
+        'name = scope.fresh("r", cmd.ref.tag)',
     ),
     # one rule of each other table
     Mutant(

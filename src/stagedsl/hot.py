@@ -47,13 +47,14 @@ _WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
 # The trips per pass of a generated function that stores one i32 carried
 # local, an Iter's state or a live cell, and reads no counter: all but the
 # last trip of a pass store that local's unmasked top operator (see
-# Source.function).  Every consumer of a residue, a masked operator, an Eq or
-# _WRAP, reduces any integer exactly, so only the size of the raw local needs
-# a bound.  Every other value of a trip is masked or canonical, or a copy of
-# the local as the trip found it, so a local within 32 bits at most doubles
-# its bits per trip, at s * s, and stays within 32 * 2**3 = 256 bits in a
-# pass.  A body that stores two carried locals keeps every mask, since stores
-# that feed each other's raw values could grow by 2**k bits per trip.
+# Source.function).  Every consumer of a residue, a masked operator or _WRAP
+# (an Eq's operands among them), reduces any integer exactly, so only the size
+# of the raw local needs a bound.  Every other value of a trip is masked or
+# canonical, or a copy of the local as the trip found it, so a local within 32
+# bits at most doubles its bits per trip, at s * s, and stays within
+# 32 * 2**3 = 256 bits in a pass.  A body that stores two carried locals
+# keeps every mask, since stores that feed each other's raw values could grow
+# by 2**k bits per trip.
 _PASS = 4
 
 
@@ -72,14 +73,15 @@ class Source:
     but stays within 256 bits (see _PASS); literals, names loaded from env,
     read()'s results, the counter and the values of cells reached through
     env are canonical, that is signed.  A value is made canonical only
-    where it is observed: by value(), for output, a new cell and a write
-    through env; by an Eq, which compares masked operands once either is a
-    residue; and at the stores of function.  ref() gives a reference's text: a
-    live cell, a ConcreteRef, is a local of the function, which residues holds
-    if an i32, as it holds each generated name that may hold a residue.  A
-    carried local, a live cell's or an Iter's state, passes its value from one
-    trip to the next; carried holds each i32 one, by store(): its last store's
-    position among the lines, and that line with the top operator unmasked."""
+    where it is observed, always by _canonical: by value(), for output, a
+    new cell and a write through env; by an Eq, for each operand, so it
+    compares signed values; and at the stores of function.  ref() gives a
+    reference's text: a live cell, a ConcreteRef, is a local of the function,
+    which residues holds if an i32, as it holds each generated name that may
+    hold a residue.  A carried local, a live cell's or an Iter's state, passes
+    its value from one trip to the next; carried holds each i32 one, by
+    store(): its last store's position among the lines, and that line with
+    the top operator unmasked."""
 
     def __init__(self, scope: Scope) -> None:
         self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
@@ -94,8 +96,7 @@ class Source:
 
     def value(self, e: Expr) -> str:
         """The canonical text of e; an operator's gets _WRAP, not a mask."""
-        text, _, raw = fold(PYTHON, e, self)
-        return text if raw is None else _WRAP.format(raw)
+        return _canonical(*fold(PYTHON, e, self))
 
     def residue(self, name: str, tag: TypeTag) -> None:
         """Let the generated name hold an i32 as a residue."""
@@ -126,9 +127,6 @@ class Source:
         text, _, raw = fold(PYTHON, e, self)
         self.carried[target] = len(self.lines), f"{target} = {text if raw is None else raw}"
         return f"{target} = {text}"
-
-    def _canonical(self, name: str) -> str:
-        return _WRAP.format(name) if name in self.residues else name
 
     def function(self, counter: str | None, load: list[str], store: list[str]) -> Generated:
         """The lines as one function, loop(env, n): it loads the names in
@@ -161,6 +159,7 @@ class Source:
                 f"for _ in _repeat(None, n % {_PASS}):",
                 *trip,
             ]
+        signed = {name: _canonical(name, 0, name) for name in self.residues}
         if self.cells:
             cells = self.cells.values()
             body = [
@@ -168,13 +167,13 @@ class Source:
                 "try:",
                 *(f"    {line}" for line in body),
                 "finally:",
-                *(f"    {const}.value = {self._canonical(local)}" for local, const in cells),
+                *(f"    {const}.value = {signed.get(local, local)}" for local, const in cells),
             ]
         text = "\n".join([
             "def loop(env, n):",
             *(f"    {name} = env[{name!r}]" for name in load),
             *(f"    {line}" for line in body),
-            *(f"    env[{name!r}] = {'n - 1' if name == counter else self._canonical(name)}"
+            *(f"    env[{name!r}] = {'n - 1' if name == counter else signed.get(name, name)}"
               for name in store),
         ])
         self.consts["_repeat"] = repeat
@@ -258,16 +257,14 @@ def _source_arithmetic(op: str, source: Source, a, b) -> tuple[str, int, str]:
     return _nested(source, TypeTag.I32, f"(({raw}) & 0xFFFFFFFF)", max(da, db) + 1, raw)
 
 
-def _masked(text: str, raw: str | None) -> str:
-    # an operator's text is masked already; a name or a canonical text is not
-    return text if raw not in (None, text) else f"({text} & 0xFFFFFFFF)"
+def _canonical(text: str, depth: int, raw: str | None) -> str:
+    """A PYTHON rule's result as canonical text: raw under _WRAP if set."""
+    return text if raw is None else _WRAP.format(raw)
 
 
 def _source_eq(source: Source, a, b) -> tuple[str, int, None]:
-    (ta, da, ra), (tb, db, rb) = a, b
-    if ra is not None or rb is not None:  # i32 operands, one a residue
-        ta, tb = _masked(ta, ra), _masked(tb, rb)
-    return _nested(source, TypeTag.BOOL, f"({ta} == {tb})", max(da, db) + 1, None)
+    text = f"({_canonical(*a)} == {_canonical(*b)})"
+    return _nested(source, TypeTag.BOOL, text, max(a[1], b[1]) + 1, None)
 
 
 PYTHON = Rules("cannot generate Python for", {

@@ -8,12 +8,15 @@ instruction by instruction, compiling each expression and running it once
 over the run's one environment of generated names.  It stages every loop
 in step: hot.loop gets the body's one walk by core.statements, a step for
 each statement, and hot.loop_body, whose DslError alone refuses the hot
-tier.  A language with no `compile` gets the reference behaviour:
-eval_closed evaluates every expression, and a loop body is rebuilt and
-interpreted on every trip.  The README's account of the interpreter says
-when a body is built, where errors surface and how deep loops may nest.  An
-input line is an optionally signed decimal of any length, wrapped into 32
-bits, padded only with the ASCII whitespace C's scanf skips.
+tier.  A reference resolves by one rule, reference, at top level as in a
+loop: a live cell, or the cell a generated name holds in the environment;
+any other is a StageError when its instruction runs.  A language with no
+`compile` gets the reference behaviour: eval_closed evaluates every
+expression, and a loop body is rebuilt and interpreted on every trip.  The
+README's account of the interpreter says when a body is built, where errors
+surface and how deep loops may nest.  An input line is an optionally signed
+decimal of any length, wrapped into 32 bits, padded only with the ASCII
+whitespace C's scanf skips.
 """
 
 from __future__ import annotations
@@ -57,12 +60,15 @@ Env = dict[str, Any]
 Step = Callable[[Env], None]
 
 
+def _unreached(env: Env) -> ConcreteRef:
+    raise StageError("symbolic reference reached the runtime interpreter")
+
+
 class _Runner:
     """The concrete interpret() handler, perform, and the walk that stages
     loop bodies: each instruction becomes a step that performs it through
-    the same read, write and cell and binds its generated result name in
-    the environment, the run's one env.  A step reaches a reference through
-    the environment, or directly for a live cell."""
+    the same read, write and reference and binds its generated result name
+    in the environment, the run's one env."""
 
     def __init__(self, lang: Language, stdin: TextIO, stdout: TextIO):
         self.scope, self.env = Scope(), {}
@@ -73,11 +79,6 @@ class _Runner:
         self._stdin = stdin
         self.write = stdout.write
         self.reads = 0
-
-    def cell(self, ref: Ref) -> ConcreteRef:
-        if isinstance(ref, ConcreteRef):
-            return ref
-        raise StageError("symbolic reference reached the runtime interpreter")
 
     def read(self) -> int:
         line = self._stdin.readline()
@@ -97,10 +98,10 @@ class _Runner:
             case InitRef():
                 return ConcreteRef(cmd.init.tag, self._eval(cmd.init))
             case GetRef():
-                cell = self.cell(cmd.ref)
+                cell = self.reference(cmd.ref)(self.env)
                 return ConcreteVal(cell.tag, cell.value)
             case SetRef():
-                self.cell(cmd.ref).value = self._eval(cmd.value)
+                self.reference(cmd.ref)(self.env).value = self._eval(cmd.value)
                 return None
             case ReadInput():
                 return ConcreteVal(TypeTag.I32, self.read())
@@ -124,7 +125,7 @@ class _Runner:
         try:
             name = core.generated(ref, self.scope)
         except StageError:  # not a cell this run can reach: fail when the instruction runs
-            return lambda env: self.cell(ref)
+            return _unreached
         return lambda env: env[name]
 
     def step(self, cmd: Instr, name: str | None) -> Step:

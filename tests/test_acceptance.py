@@ -98,6 +98,7 @@ def test_criterion_4_iteration_fold_law(capsys):
             assert hi.eval_closed(expr) == support.iter_oracle(n, init, template)
 
 
+@pytest.mark.usefixtures("tier")
 def test_criterion_5_lowering_soundness(corpus200, capsys):
     with criterion(5, capsys, 30.0, "200 programs: direct and lowered runs agree"):
         for gp in corpus200:
@@ -106,6 +107,7 @@ def test_criterion_5_lowering_soundness(corpus200, capsys):
             assert direct == lowered
 
 
+@pytest.mark.usefixtures("tier")
 def test_criterion_6_translation_variants(corpus200, capsys):
     variants = [
         TranslationConfig(let_strategy=LetStrategy.BY_NAME),
@@ -128,6 +130,7 @@ def test_criterion_6_translation_variants(corpus200, capsys):
             assert plain[1] == str(1 + 6 * k)
 
 
+@pytest.mark.usefixtures("tier")
 def test_criterion_7_identity_reexpression(corpus200, capsys):
     with criterion(7, capsys, 10.0, "identity re-expression preserves behaviour"):
         for gp in corpus200:

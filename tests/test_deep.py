@@ -103,6 +103,7 @@ def test_compiled_deep_trees_agree_with_the_reference():
     assert hi.compile_open(deep.tree, Scope())({}) == deep.value
 
 
+@pytest.mark.usefixtures("tier")
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_a_deep_chain_in_a_loop_body_runs_as_in_the_reference(side):
     def body(i):
@@ -216,6 +217,7 @@ def test_a_deep_loop_nest_is_listed_and_printed_without_recursion():
         assert emit_c(printed) == "\n".join(c) + "\n"
 
 
+@pytest.mark.usefixtures("tier")
 def test_a_staged_run_nests_800_loops_under_the_default_recursion_limit():
     # a staged loop's step calls the step of the loop nested in it, so each
     # level costs one Python frame, which leaves room for about 989 levels;

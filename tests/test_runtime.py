@@ -400,6 +400,47 @@ def test_a_later_top_level_loop_never_resolves_a_name_an_earlier_one_generated(n
     assert _both(seq(first, second), lo.LANG) == want
 
 
+def _kept_reference(trips):
+    """A loop body allocates a cell, and host code keeps the reference the
+    body was built with; after the loop, top-level statements write 9 through
+    it and print what they read back.  The reference keeps the last trip's
+    cell, a staged run the cell its name holds, and C the one variable."""
+    kept = []
+
+    def body(i):
+        return init_ref(i).bind(lambda r: kept.append(r) or ret())
+
+    def after(_):
+        return set_ref(kept[-1], lo.lit(9)).then(get_ref(lo.LANG, kept[-1]).bind(write_output))
+
+    return for_loop(lo.LANG, lo.lit(trips), body).bind(after)
+
+
+def _kept_reference_programs(trips):
+    return [_kept_reference(trips)] + [
+        lower_program(_kept_reference(trips), config) for config in support.CONFIGS
+    ]
+
+
+@pytest.mark.parametrize("trips", [3, hot.HOT, hot.HOT + 1])
+def test_a_reference_kept_from_a_loop_body_resolves_at_top_level_as_in_a_loop(trips):
+    for prog in _kept_reference_programs(trips):
+        assert _both(prog, lo.LANG) == (None, "9", 0)
+
+
+@pytest.mark.parametrize("trips", [3, hot.HOT, hot.HOT + 1])
+def test_a_reference_kept_from_a_loop_body_prints_as_in_c(trips, tmp_path):
+    if not have_c_compiler():
+        pytest.skip("no C compiler on PATH")
+    compiled = set()
+    for prog in _kept_reference_programs(trips):
+        source = emit_c(prog)
+        if source in compiled:
+            continue  # configs that lower a program alike give the same C
+        compiled.add(source)
+        assert disagreement(prog, "", tmp_path) is None
+
+
 # --------------------------------------------------------------------------
 # The source tier: a staged loop whose trips, summed over its runs, reach
 # HOT runs its body as generated Python source.  The differential tests run

@@ -62,6 +62,7 @@ def test_by_value_costs_exactly_one_init_get_pair_over_by_name():
     assert by_value == by_name + 2
 
 
+@pytest.mark.usefixtures("tier")
 def test_by_name_duplicates_work_when_sharing_is_lost():
     shared = hi.Iter(hi.lit(3), hi.lit(2), lambda s: s * s)
     prog = write_output(hi.Let(shared, lambda x: x + x))
@@ -89,6 +90,7 @@ def test_let_strategies_agree_on_transcripts():
     assert run_text(lower_program(prog), lo.LANG)[1] == "240"
 
 
+@pytest.mark.usefixtures("tier")
 def test_iteration_lowers_to_a_state_cell_and_loop():
     prog = write_output(hi.Iter(hi.lit(4), hi.lit(1), lambda x: x * 3))
     text = render_program(lower_program(prog))
@@ -104,6 +106,7 @@ def test_iteration_lowers_to_a_state_cell_and_loop():
     assert run_text(lower_program(prog), lo.LANG)[1] == "81"
 
 
+@pytest.mark.usefixtures("tier")
 def test_lowered_iteration_agrees_with_the_reference_evaluator():
     cases = [
         hi.Iter(hi.lit(6), hi.lit(1), lambda x: x + x),
@@ -117,6 +120,7 @@ def test_lowered_iteration_agrees_with_the_reference_evaluator():
         assert out == want
 
 
+@pytest.mark.usefixtures("tier")
 def test_unrolling_fires_only_on_the_written_doubling_pattern():
     doubled = write_output(hi.Iter(hi.Mul(hi.lit(3), hi.lit(2)), hi.lit(1), lambda x: x + 1))
     text = render_program(lower_program(doubled, UNROLL))
@@ -140,6 +144,7 @@ def test_unrolling_fires_only_on_the_written_doubling_pattern():
     assert render_program(lower_program(doubled)).count("setRef") == 1
 
 
+@pytest.mark.usefixtures("tier")
 @pytest.mark.parametrize("k", range(0, 11))
 def test_unrolled_and_plain_translations_agree(k):
     prog = write_output(
@@ -160,6 +165,7 @@ def _doubled_count_transcripts(k: int) -> list:
     return [direct] + [run_text(lower_program(prog, c), lo.LANG) for c in support.CONFIGS]
 
 
+@pytest.mark.usefixtures("tier")
 def test_unrolling_leaves_a_wrapping_doubled_count_alone():
     k = -(2**31) + 1  # k * 2 wraps to 2
     assert _doubled_count_transcripts(k) == [(None, "2", 0)] * 5
@@ -174,6 +180,7 @@ def test_unrolling_leaves_a_wrapping_doubled_count_alone():
         assert run_text(lower_program(prog, config), lo.LANG, f"{k}\n") == (None, "2", 1)
 
 
+@pytest.mark.usefixtures("tier")
 @given(
     base=st.sampled_from([0, 2**31, 2**30, -(2**30)]),
     offset=st.integers(-20, 20),
