@@ -99,6 +99,38 @@ MUTANTS = [
         "            generate = None\n",
         "",
     ),
+    # one trip loop, one compile path, one nesting bound, hot's own temporaries
+    Mutant(
+        "cold-loop-counter-off-by-one",
+        "src/stagedsl/hot.py",
+        "            env[counter] = k\n",
+        "            env[counter] = k + 1\n",
+    ),
+    Mutant(
+        "iter-counts-under-its-state",
+        "src/stagedsl/highexpr.py",
+        'iterate = hot.loop("_", count,',
+        "iterate = hot.loop(name, count,",
+    ),
+    Mutant(
+        "compile-open-skips-its-steps",
+        "src/stagedsl/lowexpr.py",
+        "    if not steps:\n        return result\n",
+        "    if True:\n        return result\n",
+    ),
+    Mutant(
+        "flat-never-spills",
+        "src/stagedsl/lowexpr.py",
+        "    if depth < _NEST:\n        return value, depth\n",
+        "    if True:\n        return value, depth\n",
+    ),
+    Mutant("spill-depth-raised", "src/stagedsl/lowexpr.py", "_NEST = 40\n", "_NEST = 400\n"),
+    Mutant(
+        "hot-temporaries-share-one-name",
+        "src/stagedsl/hot.py",
+        'name = f"_t{len(source.lines)}"',
+        'name = "_t"',
+    ),
     # the hot tier's threshold and expression text
     Mutant(
         "hot-threshold-strict",
@@ -137,7 +169,6 @@ MUTANTS = [
         'f"for _ in _repeat(None, n % {_PASS}):",',
         'f"for _ in _repeat(None, 0):",',
     ),
-    Mutant("spill-depth-raised", "src/stagedsl/hot.py", "_NEST = 40\n", "_NEST = 400\n"),
     Mutant(
         "hot-print-str-as-value",
         "src/stagedsl/hot.py",

@@ -11,6 +11,12 @@ byte for byte unchanged.
     transcripts repr(run_text(...)) of each randprog.corpus(seed=1,
                 size=3000) program, run directly under highexpr.LANG, then
                 lowered under each config and run under lowexpr.LANG
+    hot         every Python text the hot tier compiles, in compile order from
+                an empty hot._code: the pseudo corpus programs run directly
+                and lowered under each config with hot.HOT = 1, so every
+                staged loop and Iter runs hot, then powerInput run directly
+                and lowered under DEFAULT_CONFIG at 3 * HOT trips, at the
+                default HOT
 
 Each hash covers its texts concatenated in that order.
 """
@@ -19,6 +25,7 @@ import hashlib
 import re
 
 from stagedsl import highexpr as hi
+from stagedsl import hot
 from stagedsl import lowexpr as lo
 from stagedsl.cgen import emit_c
 from stagedsl.examples import EXAMPLES
@@ -40,7 +47,35 @@ def sha256(texts) -> str:
     return digest.hexdigest()
 
 
+def hot_texts() -> list[str]:
+    """The texts of the hot hash, recorded where hot compiles them."""
+    texts = []
+
+    def recorded(text, *args):
+        texts.append(text)
+        return compile(text, *args)
+
+    default = hot.HOT
+    hot.compile = recorded  # found before the builtin, as the sources fixture does
+    hot._code.cache_clear()
+    try:
+        hot.HOT = 1
+        for gp in corpus(seed=3, size=200):
+            run_text(gp.program, hi.LANG, gp.input_text)
+            for cfg in CONFIGS:
+                run_text(lower_program(gp.program, cfg), lo.LANG, gp.input_text)
+        hot.HOT = default
+        power = EXAMPLES["powerInput"]
+        for prog, lang in [(power, hi.LANG), (lower_program(power, DEFAULT_CONFIG), lo.LANG)]:
+            run_text(prog, lang, f"3\n{3 * hot.HOT}\n")
+    finally:
+        hot.HOT = default
+        del hot.compile
+    return texts
+
+
 def main() -> int:
+    texts = hot_texts()
     lowered = [
         lower_program(gp.program, cfg) for gp in corpus(seed=3, size=200) for cfg in CONFIGS
     ]
@@ -56,6 +91,7 @@ def main() -> int:
     print("c", sha256(c))
     print("c-no-void", sha256(VOID.sub("", text) for text in c))
     print("transcripts", sha256(transcripts))
+    print("hot", sha256(texts))
     return 0
 
 

@@ -93,14 +93,14 @@ def _flat_let(e: Let, flat: tuple) -> Iterator[Expr]:
 
 
 def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
-    # the step is built by hot.loop, over a fresh name; no step reads a
-    # counter, so there is none
+    # the step is built by hot.loop, over a fresh name, as a counted loop
+    # whose counter is `_`: no Var resolves it, as no walk generates it
     scope, steps = flat
     name = scope.fresh("s", e.tag)
     (count, _), (init, _) = (yield e.count), (yield e.init)
     step = lambda: e.step(Var(name, e.tag))
     stage = lambda stepped: [lo._store(name, compile_open(stepped, scope))]
-    iterate = hot.loop(None, count, step, stage, partial(hot.iter_step, scope, name))
+    iterate = hot.loop("_", count, step, stage, partial(hot.iter_step, scope, name))
     steps += [lo._store(name, init), iterate]  # count reads no name this store sets
     return (lambda env: env[name]), 1
 

@@ -21,7 +21,7 @@ from .core import (
     ConcreteRef, DslError, GetRef, InitRef, Instr, PrintStr, ReadInput, Scope, SetRef, TypeTag,
     WriteOutput, generated,
 )
-from .lowexpr import Add, Compiled, Eq, Expr, Lit, Mul, Not, Rules, Var, _named, fold
+from .lowexpr import Add, Compiled, Eq, Expr, Lit, Mul, Not, Rules, Var, _NEST, _named, fold
 
 Generated = Callable[[dict[str, Any], int], None]  # n trips of a hot body, see Source
 
@@ -36,12 +36,6 @@ Generated = Callable[[dict[str, Any], int], None]  # n trips of a hot body, see 
 # corpus has not been seen to reach it, as its loops sum to at most 144.
 HOT = 256
 
-# PYTHON's context is a Source.  A rule gives Python text, how deep
-# operators nest in it, and how to make the text canonical (see Source): None
-# if it is, else the text _WRAP takes, an operator's unmasked `a op b` or a
-# residue's name.  At _NEST a line stores the value in a fresh local instead,
-# since CPython refuses text nested 200 parentheses deep.
-_NEST = 40
 # wrap_i32 of any integer as Python text, in wrap_i32's own masked form
 _WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
 # The trips per pass of a generated function that stores one i32 carried
@@ -128,7 +122,7 @@ class Source:
         self.carried[target] = len(self.lines), f"{target} = {text if raw is None else raw}"
         return f"{target} = {text}"
 
-    def function(self, counter: str | None, load: list[str], store: list[str]) -> Generated:
+    def function(self, counter: str, load: list[str], store: list[str]) -> Generated:
         """The lines as one function, loop(env, n): it loads the names in
         load from env and each live cell into its local once, runs n trips
         of the lines, stores each cell back in a finally, so that after a
@@ -136,8 +130,9 @@ class Source:
         the names in store back to env after the last trip, so n must be
         positive.  Each stored i32 is canonical, and a stored counter is
         n - 1, the value range leaves.  A counter that a line reads runs as
-        `for counter in range(n):`; else, or for a counter of None, the
-        trips are `for _ in _repeat(None, n):`, which builds no int per trip.
+        `for counter in range(n):`; else, as for an Iter's `_`, which no line
+        reads, the trips are `for _ in _repeat(None, n):`, which builds no
+        int per trip.
         With no counter read and exactly one i32 carried local stored, the
         function runs n // _PASS passes, each _PASS - 1 trips whose last
         store to that local is unmasked and one trip of the lines, then
@@ -145,7 +140,7 @@ class Source:
         constants, which does not hold it; the text is compiled once per
         process."""
         trip = [f"    {line}" for line in self.lines or ["pass"]]
-        if counter in self.reads:  # which None never is
+        if counter in self.reads:
             body = [f"for {counter} in range(n):", *trip]
         elif len(self.carried) != 1:
             body = ["for _ in _repeat(None, n):", *trip]
@@ -188,8 +183,7 @@ def _code(text: str) -> CodeType:
 
 
 def loop(
-    counter: str | None, count: Compiled, instantiate: Callable, stage: Callable,
-    generate: Callable,
+    counter: str, count: Compiled, instantiate: Callable, stage: Callable, generate: Callable,
 ) -> Compiled:
     """The step that runs a staged loop body or an Iter's step.  Its first run
     that takes a trip calls instantiate() and keeps the body.  Once the trips,
@@ -197,8 +191,8 @@ def loop(
     function, trying generate once, then dropping it; a DslError from it, a
     printer's, is a refusal, so this step sees every tier decision.
     Else the trips run stage(body)'s steps, built on the first run that needs
-    them, with the trip's number bound to counter unless it is None, as for an
-    Iter.  A nested loop's step, this closure, is one frame."""
+    them, with the trip's number bound to counter first, an Iter's `_` too.
+    A nested loop's step, this closure, is one frame."""
     body = steps = source = None
     trips = 0
 
@@ -218,11 +212,6 @@ def loop(
             return source(env, n)
         if steps is None:
             steps = stage(body)
-        if counter is None:
-            for _ in range(n):
-                for s in steps:
-                    s(env)
-            return
         for k in range(n):
             env[counter] = k
             for s in steps:
@@ -231,6 +220,10 @@ def loop(
     return step
 
 
+# PYTHON's context is a Source.  A rule gives Python text, how deep
+# operators nest in it, and how to make the text canonical (see Source): None
+# if it is, else the text _WRAP takes, an operator's unmasked `a op b` or a
+# residue's name; _nested bounds the depth.
 def _source_var(e: Var, source: Source) -> tuple[str, int, str | None]:
     name = _named(e, source.scope)
     source.reads.add(name)
@@ -243,9 +236,11 @@ def _source_lit(e: Lit, source: Source) -> tuple[str, int, None]:
 
 
 def _nested(source: Source, tag: TypeTag, text: str, depth: int, raw: str | None):
+    """A rule's result, or at _NEST a line storing it in a function local,
+    like _r and _c, named by the line's position, so the scope gains no name."""
     if depth < _NEST:
         return text, depth, raw
-    name = source.scope.fresh("t", tag)
+    name = f"_t{len(source.lines)}"
     source.lines.append(f"{name} = {text}")
     source.residue(name, tag)
     return name, 0, None if raw is None else name
@@ -313,8 +308,9 @@ def loop_body(
 
 def iter_step(scope: Scope, name: str, stepped: Expr) -> Generated:
     """An Iter's n trips as one function, which loads the names the step
-    reads from env once and stores the state, a carried local, back."""
+    reads from env once and stores the state, a carried local, back.  Its
+    counter is `_`, which no line reads, as in highexpr's cold trips."""
     src = Source(scope)
     src.residue(name, stepped.tag)
     src.lines.append(src.store(name, stepped))
-    return src.function(None, sorted(src.reads), [name])
+    return src.function("_", sorted(src.reads), [name])

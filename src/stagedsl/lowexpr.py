@@ -202,8 +202,10 @@ EVAL = Rules("cannot evaluate", {
 
 # FLAT's context is the scope and the list of steps that run, in order,
 # before the closures folded so far are read.  A rule gives a closure and how
-# deep closures nest in it; at _DEPTH a step stores the value instead.
-_DEPTH = 100
+# deep closures nest in it; at _NEST a step stores the value instead.  _NEST
+# bounds hot's generated text too: closures call each other that deep, and
+# CPython refuses text nested 200 parentheses deep.
+_NEST = 40
 
 
 def _store(name: str, value: Compiled) -> Compiled:
@@ -223,7 +225,7 @@ def _op(tag: TypeTag, make: Callable[..., Compiled], flat, a, b=(None, 0)):
     """An operator's rule, given its tag and its closure's maker."""
     (fa, da), (fb, db) = a, b
     value, depth = make(fa, fb), max(da, db) + 1
-    if depth < _DEPTH:
+    if depth < _NEST:
         return value, depth
     name = flat[0].fresh("t", tag)
     flat[1].append(_store(name, value))
@@ -248,8 +250,6 @@ def eval_closed(e: Expr) -> Any:
 def compile_open(e: Expr, scope: Scope) -> Compiled:
     """Compile an expression over names the scope generated into a function
     of their values: steps, then a read, which fail where eval_closed would."""
-    if type(e) is Lit:  # most closed expressions a program runs
-        return FLAT[Lit](e, scope)[0]
     steps: list = []
     result, _ = fold(FLAT, e, (scope, steps))
     if not steps:

@@ -4,10 +4,13 @@ The trees come from support.deep_tree, whose oracle and printer are loops,
 and are checked against evaluation, rendering, all four lowerings, direct
 runs with and without staging, pseudo-code and strict C.  Loop nests are
 listed and printed without recursion too; a staged run nests loops one
-Python frame a level.
+Python frame a level.  Each case fails after LIMIT seconds where the
+platform has SIGALRM, since a fault that makes a walk quadratic in the
+depth can make a case run for minutes; elsewhere cases run unbounded.
 """
 
 import dataclasses
+import signal
 import sys
 
 import pytest
@@ -25,6 +28,26 @@ from stagedsl.core import (
 from stagedsl.pseudo import render_program
 from stagedsl.runtime import run_text
 from stagedsl.translate import lower_expr, lower_program
+
+LIMIT = 60  # seconds per case
+
+
+@pytest.fixture(autouse=True)
+def bounded():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expired(_signum, _frame):
+        pytest.fail(f"ran past {LIMIT} s, which no case of 10^4-deep trees needs", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _program(tree):

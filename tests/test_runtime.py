@@ -1144,7 +1144,7 @@ def test_a_hot_iter_generates_its_source_once(sources):
 def _deep_step(s):
     # nests deeper than _NEST, so its temporaries repeat in every trip of a pass
     e = s
-    for k in range(hot._NEST + 1):
+    for k in range(lo._NEST + 1):
         e = e * s + k
     return e
 
@@ -1167,6 +1167,24 @@ def test_a_hot_i32_iter_run_in_passes_matches_the_reference(kind, init, trips, s
     _both(prog, hi.LANG)
     [text] = sources
     assert "    for _ in _repeat(None, n // 4):\n" in text
+
+
+@pytest.mark.parametrize("trips", [HOT - 1, HOT, HOT + 1])
+def test_a_hot_eq_of_two_operands_deeper_than_nest_matches_the_reference(trips, sources):
+    # both sides are i + _NEST + 1, and each spills a temporary at _NEST:
+    # i + _NEST on the left, i + 2 * _NEST on the right, so the Eq reads
+    # two temporaries that hold different values
+    def body(last, i):
+        left = right = i
+        for _ in range(lo._NEST + 1):
+            left = left + 1
+        for _ in range(lo._NEST):
+            right = right + 2
+        return set_ref(last, lo.Eq(left, right + (1 - lo._NEST)))
+
+    make = lambda last: for_loop(lo.LANG, lo.lit(trips), partial(body, last))
+    assert _held(make, [False]) == ((None, "", 0), [True])
+    assert len(sources) == (trips >= HOT)
 
 
 @pytest.mark.parametrize("first", [HOT - 1, HOT])
