@@ -281,6 +281,37 @@ MUTANTS = [
         "ForLoop(c, lambda val: reexpress(translate_expr, cmd.body(val)))",
         "ForLoop(c, cmd.body)",
     ),
+    # the native tier's rules
+    Mutant(
+        "c-mul-casts-dropped",
+        "src/stagedsl/cgen.py",
+        'Mul: lambda _, a, b: f"(int32_t)((uint32_t){a} * (uint32_t){b})",',
+        'Mul: lambda _, a, b: f"({a} * {b})",',
+    ),
+    Mutant(
+        "native-bool-stored-as-int",
+        "src/stagedsl/hot.py",
+        "_KIND = {TypeTag.I32: int, TypeTag.BOOL: bool}",
+        "_KIND = {TypeTag.I32: int, TypeTag.BOOL: int}",
+    ),
+    Mutant(
+        "native-counter-stored-as-n",
+        "src/stagedsl/hot.py",
+        "env[counter] = n - 1",
+        "env[counter] = n",
+    ),
+    Mutant(
+        "native-threshold-strict",
+        "src/stagedsl/hot.py",
+        "if tally[0] >= NATIVE:",
+        "if tally[0] > NATIVE:",
+    ),
+    Mutant(
+        "native-load-oserror-escapes",
+        "src/stagedsl/hot.py",
+        "except OSError:  # an object this process cannot load",
+        "except ():  # an object this process cannot load",
+    ),
     Mutant(
         "eval-add-wrap-dropped",
         "src/stagedsl/lowexpr.py",

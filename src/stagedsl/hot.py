@@ -1,22 +1,33 @@
 """The hot tier: a staged loop's body or an Iter's step run as one
-generated Python function, in the style of Lightweight Modular Staging.
+generated Python function, in the style of Lightweight Modular Staging,
+and, once its text has run NATIVE trips in the process, as C.
 
 This module alone knows the generated source.  It holds loop, the one step
-that runs a staged loop or an Iter and decides when its body runs hot; the
-two printers, loop_body for a loop's staged statements and iter_step for an
-Iter's step; Source, which assembles their lines into one function; and
-PYTHON, the rule table that gives an expression's text.  The README's
-account of the hot tier says how that function computes, and why.
+that runs a staged loop or an Iter and decides its tier; the two printers,
+loop_body for a loop's staged statements and iter_step for an Iter's step;
+Source, which assembles their lines into one function, prints a pure body's
+trips as a C kernel and wraps the kernel _build compiles and loads; and
+PYTHON, the rule table that gives an expression's text.  Only an Iter's
+step or a loop body of GetRef and SetRef builds as C; any other body, no
+compiler, a failed compile, a warning included, and an OSError from ctypes
+are refusals, which leave the text on Python.  _build runs the plain
+program of cgen.c_compiler(), never $CC's flags, and keeps its files in
+one temporary directory per process, removed at exit.  The README's
+account of the hot tier says how these functions compute, and why.
 """
 
 from __future__ import annotations
 
+import shlex
+import subprocess
 from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import repeat
+from pathlib import Path
 from types import CodeType
 from typing import Any, Callable
 
+from . import cgen
 from .core import (
     ConcreteRef, DslError, GetRef, InitRef, Instr, PrintStr, ReadInput, Scope, SetRef, TypeTag,
     WriteOutput, generated,
@@ -35,6 +46,14 @@ Generated = Callable[[dict[str, Any], int], None]  # n trips of a hot body, see 
 # run of HOT trips loses about 15 us once per text, and the default randprog
 # corpus has not been seen to reach it, as its loops sum to at most 144.
 HOT = 256
+
+# A hot text's trips, summed over every run of it in the process, at which
+# it runs as C.  The power step's build took about 40 ms and then saved about
+# 43 ns a trip (one pinned core), so a build pays from about 2**20 trips.
+NATIVE = 2**20
+_SHARED = ["-O2", "-shared", "-fPIC"]  # the native tier's own flags
+_objects: Path | None = None  # this process's shared objects, once one is built
+_KIND = {TypeTag.I32: int, TypeTag.BOOL: bool}  # how a kernel's slot is stored back
 
 # wrap_i32 of any integer as Python text, in wrap_i32's own masked form
 _WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
@@ -81,7 +100,9 @@ class Source:
         self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
         self.residues: set[str] = set()
         self.cells: dict[int, tuple[str, str]] = {}  # by id: its local and its constant
+        self.named: set[str] = set()  # the names of cells reached by name
         self.carried: dict[str, tuple[int, str]] = {}
+        self.c: Callable[[Source], list[str]] | None = None  # c(self): the trip as C, if pure
 
     def const(self, value: Any) -> str:
         name = f"_c{len(self.consts)}"
@@ -103,6 +124,7 @@ class Source:
         generated; else a StageError, which the steps raise when run."""
         if not isinstance(ref, ConcreteRef):
             self.reads.add(generated(ref, self.scope))
+            self.named.add(ref.name)
             return f"{ref.name}.value"
         # one local per cell: the walk gives each use a reference of its own
         if id(ref) not in self.cells:
@@ -173,7 +195,70 @@ class Source:
         ])
         self.consts["_repeat"] = repeat
         exec(_code(text), self.consts)
-        return self.consts.pop("loop")
+        self.text, self.counter, self.load, self.store = text, counter, load, store
+        self.run: Generated = self.consts.pop("loop")
+        return self.run
+
+    def slots(self) -> tuple[list[str], ...]:
+        """The C locals of kernel()'s int32 slots, in order: the names only
+        loaded, the cells reached by name, the live cells and the names
+        stored."""
+        values = [name for name in self.load if name not in self.named and name not in self.store]
+        named = [name for name in self.load if name in self.named]
+        return values, named, [local for local, _ in self.cells.values()], self.store
+
+    def kernel(self) -> str:
+        """function's trips as the C function body(slot, n), each slot read
+        into its local and written back; its statements are c(self)'s, which
+        raises DslError unless the body is pure."""
+        slots = [name for group in self.slots() for name in group]
+        return "\n".join([
+            "#include <stdint.h>",
+            "void body(int32_t *slot, int64_t n)",
+            "{",
+            *(f"    int32_t {name} = slot[{k}];" for k, name in enumerate(slots)),
+            "    for (int64_t k = 0; k < n; k++) {",
+            *([f"        {self.counter} = (int32_t)k;"] if self.counter in slots else []),
+            *(f"        {line}" for line in self.c(self)),
+            "    }",
+            *(f"    slot[{k}] = {name};" for k, name in enumerate(slots)),
+            "}\n",
+        ])
+
+    def native(self, kernel: Callable) -> Generated:
+        """The built kernel as function, loop(env, n): the same names and
+        cells loaded into its slots, and stored back as function stores
+        them, each by its tag, and the counter as n - 1."""
+        values, named, _, store = self.slots()
+        tags = dict(self.scope.names)
+        live = [self.consts[const] for _, const in self.cells.values()]
+        kinds = [_KIND[tags[name]] for name in named] + [_KIND[cell.tag] for cell in live]
+        stored = [(name, _KIND[tags[name]]) for name in store]
+        counter = self.counter if self.counter in store else None
+        array = _array(len(values) + len(kinds) + len(store))
+
+        def loop(env, n):
+            reached = [*(env[name] for name in named), *live]
+            # a name only stored is written before it is read, so its slot may hold anything
+            slot = array(*(env[name] for name in values), *(cell.value for cell in reached),
+                         *(env.get(name, 0) for name in store))
+            kernel(slot, n)
+            out = slot[len(values):]
+            for cell, kind, value in zip(reached, kinds, out):
+                cell.value = kind(value)
+            for (name, kind), value in zip(stored, out[len(reached):]):
+                env[name] = kind(value)
+            if counter is not None:
+                env[counter] = n - 1
+
+        return loop
+
+
+@lru_cache(maxsize=None)  # a few sizes: a new ctypes type per run would be a cycle
+def _array(size: int) -> type:
+    from ctypes import c_int32
+
+    return c_int32 * size
 
 
 @lru_cache(maxsize=512)  # a fixed bound, as re bounds its pattern cache
@@ -182,22 +267,63 @@ def _code(text: str) -> CodeType:
     return compile(text, "<staged loop>", "exec")
 
 
+@lru_cache(maxsize=512)  # the bound of _code
+def _tally(text: str) -> list:
+    """A hot text's native record in this process: [trips run], then
+    [trips run, kernel] once a build was tried, None as kernel for a refusal."""
+    return [0]
+
+
+def _build(source: Source) -> Callable | None:
+    """source's kernel() built by the plain program of cgen.c_compiler(), in
+    this thread, so no compiler outlives the run, and loaded; None for a
+    refusal.  $CC's flags never apply: a sanitizer's object may abort an
+    uninstrumented Python instead of failing to load."""
+    global _objects
+    import atexit, ctypes, shutil, tempfile  # noqa: E401  (lazily: import time stays)
+
+    try:
+        text, program = source.kernel(), shlex.split(cgen.c_compiler())[0]
+        if _objects is None:
+            _objects = Path(tempfile.mkdtemp(prefix="stagedsl-native-"))
+            atexit.register(shutil.rmtree, _objects, ignore_errors=True)
+        c_file = _objects / f"body{len(list(_objects.glob('*.c')))}.c"  # dlopen keys on the path
+        shared = str(c_file.with_suffix(".so"))
+        c_file.write_text(text)
+        command = [program, *cgen.STRICT_FLAGS, *_SHARED, "-o", shared, str(c_file)]
+        proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    # an impure body, bad quotes or no word in $CC, no temporary directory, no compiler
+    except (DslError, ValueError, IndexError, OSError, subprocess.TimeoutExpired):
+        return None
+    if proc.returncode != 0 or proc.stderr:
+        return None
+    try:
+        kernel = ctypes.CDLL(shared).body
+    except OSError:  # an object this process cannot load
+        return None
+    kernel.argtypes, kernel.restype = [ctypes.POINTER(ctypes.c_int32), ctypes.c_int64], None
+    return kernel
+
+
 def loop(
     counter: str, count: Compiled, instantiate: Callable, stage: Callable, generate: Callable,
 ) -> Compiled:
     """The step that runs a staged loop body or an Iter's step.  Its first run
     that takes a trip calls instantiate() and keeps the body.  Once the trips,
-    summed over its runs, reach HOT, it runs them as generate(body)'s
-    function, trying generate once, then dropping it; a DslError from it, a
-    printer's, is a refusal, so this step sees every tier decision.
+    summed over its runs, reach HOT, it runs them as the function of
+    generate(body), a Source, trying generate once, then dropping it; a
+    DslError from it, a printer's, is a refusal, so this step sees every tier
+    decision.  Each hot run counts its trips against the Source's text in
+    _tally; at NATIVE it runs the text's kernel, built once per text, from
+    then on, or after a refusal stays on the Python function.
     Else the trips run stage(body)'s steps, built on the first run that needs
     them, with the trip's number bound to counter first, an Iter's `_` too.
     A nested loop's step, this closure, is one frame."""
-    body = steps = source = None
+    body = steps = source = run = None
     trips = 0
 
     def step(env):
-        nonlocal body, steps, trips, source, generate
+        nonlocal body, steps, trips, source, run, generate
         n = count(env)
         if n <= 0:
             return
@@ -207,9 +333,19 @@ def loop(
         if generate and trips >= HOT:
             with suppress(DslError):  # a refusal: the steps run
                 source = generate(body)
+                run = source.run
             generate = None
-        if source:
-            return source(env, n)
+        if source:  # still counting toward NATIVE
+            tally = _tally(source.text)
+            tally[0] += n
+            if tally[0] >= NATIVE:
+                if len(tally) == 1:
+                    tally.append(_build(source))
+                if tally[1]:
+                    run = source.native(tally[1])
+                source = None
+        if run:
+            return run(env, n)
         if steps is None:
             steps = stage(body)
         for k in range(n):
@@ -275,7 +411,7 @@ PYTHON = Rules("cannot generate Python for", {
 def loop_body(
     scope: Scope, write: Callable, read: Callable, counter: str,
     staged: list[tuple[Instr, str | None]],
-) -> Generated:
+) -> Source:
     """A staged loop body's n trips as one function: a line per statement,
     outer names loaded from env once and the body's own names, the counter's
     among them, stored back after the last trip, as the steps leave them.
@@ -303,14 +439,30 @@ def loop_body(
                 raise DslError("cannot generate Python for a nested loop")
         src.lines.append(line)  # after any temporaries its text reads
     own = [counter, *(name for _, name in staged if name is not None)]
-    return src.function(counter, sorted(src.reads.difference(own)), own)
+    src.function(counter, sorted(src.reads.difference(own)), own)
+    src.c = lambda src: [_c_statement(src, cmd, name) for cmd, name in staged]
+    return src
 
 
-def iter_step(scope: Scope, name: str, stepped: Expr) -> Generated:
+def _c_statement(src: Source, cmd: Instr, name: str | None) -> str:
+    """A pure statement as C, where each cell's value is a local named as
+    its Python text less `.value`; DslError for any other statement."""
+    match cmd:
+        case GetRef():
+            return f"{name} = {src.ref(cmd.ref).removesuffix('.value')};"
+        case SetRef():
+            value = fold(cgen._TEXT, cmd.value, src.scope)
+            return f"{src.ref(cmd.ref).removesuffix('.value')} = {value};"
+    raise DslError(f"cannot build C for {type(cmd).__name__}")
+
+
+def iter_step(scope: Scope, name: str, stepped: Expr) -> Source:
     """An Iter's n trips as one function, which loads the names the step
     reads from env once and stores the state, a carried local, back.  Its
     counter is `_`, which no line reads, as in highexpr's cold trips."""
     src = Source(scope)
     src.residue(name, stepped.tag)
     src.lines.append(src.store(name, stepped))
-    return src.function("_", sorted(src.reads), [name])
+    src.function("_", sorted(src.reads), [name])
+    src.c = lambda src: [f"{name} = {fold(cgen._TEXT, stepped, src.scope)};"]
+    return src

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import settings
 
+import support
 from stagedsl import hot
+from stagedsl.cgen import have_c_compiler
 
 # sandboxed CI boxes jitter too much for per-example deadlines
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -39,6 +41,38 @@ def sources(monkeypatch):
 def tier(request, monkeypatch):
     """A differential test's run at the default HOT, and again with every
     staged loop and Iter hot on its first run that takes a trip: hot.loop
-    reads HOT on every run."""
-    if request.param == "hot":
+    reads HOT on every run.  A test that parametrizes it indirectly with
+    "native" too runs a third time with NATIVE at 1 as well, so every pure
+    hot body runs as C from its first run (see the native fixture)."""
+    if request.param != "default":
         monkeypatch.setattr(hot, "HOT", 1)
+    if request.param == "native":
+        yield from _native(monkeypatch, 1)
+    else:
+        yield
+
+
+@pytest.fixture
+def native(monkeypatch):
+    """Whether each build the native tier tried, in order, gave a kernel,
+    with hot.NATIVE at support.SMALL_NATIVE; skipped without a C compiler."""
+    yield from _native(monkeypatch, support.SMALL_NATIVE)
+
+
+def _native(monkeypatch, trips):
+    """hot.NATIVE at trips, and no text counted, kernel built or refusal
+    made before the test or kept after it: the tally starts and ends empty."""
+    if not have_c_compiler():
+        pytest.skip("no C compiler")
+    built, build = [], hot._build
+
+    def recorded(source):
+        kernel = build(source)
+        built.append(kernel is not None)
+        return kernel
+
+    monkeypatch.setattr(hot, "NATIVE", trips)
+    monkeypatch.setattr(hot, "_build", recorded)
+    hot._tally.cache_clear()
+    yield built
+    hot._tally.cache_clear()

@@ -12,7 +12,9 @@ import random
 import re
 from dataclasses import dataclass, replace
 
-from stagedsl import core, highexpr as hi, lowexpr as lo
+import pytest
+
+from stagedsl import core, highexpr as hi, hot, lowexpr as lo
 from stagedsl.core import (
     Bind,
     ForLoop,
@@ -33,6 +35,15 @@ I32 = TypeTag.I32
 # no compile: eval_closed evaluates every expression and a loop body is
 # rebuilt and interpreted on every trip; hi.LANG is lo.LANG, so one suffices
 REFERENCE = replace(lo.LANG, compile=None)
+
+# the tier fixture's values and "native", for a test whose C builds fit
+# tier-1's time: with the fixture in use, it runs the test three times
+THREE_TIERS = pytest.mark.parametrize("tier", ["default", "hot", "native"], indirect=True)
+
+# the NATIVE of the native fixture: a hot body that runs it in one run was
+# hot from that run's start, and a nested one at HOT trips a run reaches it
+# on its second run
+SMALL_NATIVE = 2 * hot.HOT
 
 # the four lowering configs, every LetStrategy with every UnrollPolicy
 CONFIGS = [TranslationConfig(let, unroll) for let in LetStrategy for unroll in UnrollPolicy]

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -253,7 +254,8 @@ def test_an_interpreter_error_is_reported_not_raised(tmp_path):
 
 def test_tiers_that_disagree_are_reported_before_any_compile(tmp_path, monkeypatch):
     # a hot body that runs no trip: the run with HOT at 1 prints nothing
-    monkeypatch.setattr(hot, "loop_body", lambda *args: lambda env, n: None)
+    idle = SimpleNamespace(run=lambda env, n: None, text="")  # the fields hot.loop reads
+    monkeypatch.setattr(hot, "loop_body", lambda *args: idle)
     default = hot.HOT
     report = disagreement(for_loop(lo.LANG, lo.lit(2), write_output), "", tmp_path, "tiers")
     assert report == "tiers: TIERS DISAGREE\n  default: (None, '01', 0)\n  hot:     (None, '', 0)"

@@ -241,6 +241,7 @@ def test_a_deep_loop_nest_is_listed_and_printed_without_recursion():
 
 
 @pytest.mark.usefixtures("tier")
+@support.THREE_TIERS
 def test_a_staged_run_nests_800_loops_under_the_default_recursion_limit():
     # a staged loop's step calls the step of the loop nested in it, so each
     # level costs one Python frame, which leaves room for about 989 levels;

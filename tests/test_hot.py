@@ -1,16 +1,30 @@
 """The hot tier called directly: its loop step, expression text, reference
 text, code cache and Iter printer, apart from the programs that run through
-them."""
+them; and its native tier: the build decision, the kernel text, the wrapper
+and every refusal."""
+
+import ctypes
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import support
+from c_differential import outcome
 from stagedsl import highexpr as hi, hot, lowexpr as lo
+from stagedsl.cgen import c_compiler
 from stagedsl.core import (
-    ConcreteRef, DslError, Scope, StageError, SymbolicRef, TypeTag, wrap_i32,
+    ConcreteRef, DslError, GetRef, Scope, SetRef, StageError, SymbolicRef, TypeTag, wrap_i32,
 )
+from stagedsl.examples import power_input
+from stagedsl.randprog import corpus
+from stagedsl.translate import lower_program
 
 I32_MIN = -(2**31)
 
@@ -116,7 +130,8 @@ def test_loop_instantiates_once_and_tries_generate_once(kind, refuse):
         assert body == "body"
         if refuse:
             raise DslError("refused")
-        return lambda env, n: trips.append(f"{n} generated")
+        run = lambda env, n: trips.append(f"{n} generated")
+        return SimpleNamespace(run=run, text="generated")  # a Source's two fields loop reads
 
     step = hot.loop("k", lambda env: env["n"], instantiate, stage, generate)
     for n in [0, -3]:
@@ -151,7 +166,7 @@ def test_an_iters_generated_function_matches_the_reference_evaluator(n, init, te
     name = scope.fresh("s", TypeTag.I32)
     stepped = support.template_to_high(template, hi.Var(name, TypeTag.I32))
     env = {name: init}
-    hot.iter_step(scope, name, stepped)(env, n)
+    hot.iter_step(scope, name, stepped).run(env, n)
     step = lambda x: support.template_to_high(template, x)
     assert env[name] == hi.eval_closed(hi.Iter(hi.lit(n), hi.lit(init), step))
 
@@ -165,3 +180,218 @@ def test_the_code_cache_holds_at_most_its_bound(sources):
         assert env == {"v0": k}
     assert len(sources) == bound + 3
     assert hot._code.cache_info().currsize == bound
+
+
+# --------------------------------------------------------------------------
+# The native tier.  Its tests have "native" in their names, so that
+# `pytest tests/test_hot.py -k native` runs them all, as CI does under a
+# sanitizer's CC.
+
+I32, BOOL = TypeTag.I32, TypeTag.BOOL
+
+
+@pytest.fixture
+def tally():
+    """An empty native tally before the test and after it."""
+    hot._tally.cache_clear()
+    yield
+    hot._tally.cache_clear()
+
+
+@pytest.mark.usefixtures("tally")
+def test_loop_tries_a_native_build_once_per_text(monkeypatch):
+    # two loops of one text and one of a text whose build is refused, each
+    # hot from its first run; a run is recorded as its text, the kernel or
+    # "python" that ran it, and its trips
+    native = 2 * HOT
+    monkeypatch.setattr(hot, "NATIVE", native)
+    tried, ran = [], []
+    monkeypatch.setattr(
+        hot, "_build", lambda source: tried.append(source.text) or (source.text == "t" and "kernel")
+    )
+
+    def looping(text):
+        def generate(body):
+            return SimpleNamespace(
+                text=text,
+                run=lambda env, n: ran.append((text, "python", n)),
+                native=lambda kernel: lambda env, n: ran.append((text, kernel, n)),
+            )
+
+        return hot.loop("k", lambda env: env["n"], lambda: "body", lambda body: [], generate)
+
+    first, second, refused = looping("t"), looping("t"), looping("u")
+    for step, n in [(first, HOT), (first, native - HOT - 1), (first, 1), (first, 5)]:
+        step({"n": n})
+    # the text has reached NATIVE, so a later loop of it runs the kernel at once
+    second({"n": HOT})
+    for n in [native, 3]:
+        refused({"n": n})
+    assert tried == ["t", "u"]
+    assert ran == [
+        ("t", "python", HOT), ("t", "python", native - HOT - 1), ("t", "kernel", 1),
+        ("t", "kernel", 5), ("t", "kernel", HOT), ("u", "python", native), ("u", "python", 3),
+    ]
+
+
+def test_native_kernel_text_of_an_iter_step():
+    # the power step's shape: every slot is read at the start and written
+    # at the end, and the arithmetic is cgen's, in unsigned casts
+    scope = Scope()
+    name = scope.fresh("s", I32)
+    src = hot.iter_step(scope, name, lo.Var(name, I32) * 7 + 1)
+    assert src.kernel() == (
+        "#include <stdint.h>\n"
+        "void body(int32_t *slot, int64_t n)\n"
+        "{\n"
+        "    int32_t s0 = slot[0];\n"
+        "    for (int64_t k = 0; k < n; k++) {\n"
+        "        s0 = (int32_t)((uint32_t)(int32_t)((uint32_t)s0 * (uint32_t)7) + (uint32_t)1);\n"
+        "    }\n"
+        "    slot[0] = s0;\n"
+        "}\n"
+    )
+
+
+def _every_slot():
+    """A loop body over every kind of slot: v0, a value it reads; r1, a bool
+    cell it reaches by name; the live i32 cell _r0; the counter v2 it reads;
+    and v3, its own bool name.  Returns its Source and the live cell."""
+    scope = Scope()
+    v, r, i, x = (scope.fresh(*kind) for kind in [("v", I32), ("r", BOOL), ("v", I32), ("v", BOOL)])
+    cell = ConcreteRef(I32, 5)
+    staged = [
+        (GetRef(SymbolicRef(BOOL, r)), x),
+        (SetRef(SymbolicRef(BOOL, r), lo.Not(lo.Var(x, BOOL))), None),
+        (SetRef(cell, lo.Var(v, I32) * lo.Var(i, I32) + -3), None),
+    ]
+    return hot.loop_body(scope, print, input, i, staged), cell
+
+
+def test_native_kernel_text_of_a_loop_body_over_every_kind_of_slot():
+    src, _ = _every_slot()
+    assert src.slots() == (["v0"], ["r1"], ["_r0"], ["v2", "v3"])
+    assert src.kernel() == (
+        "#include <stdint.h>\n"
+        "void body(int32_t *slot, int64_t n)\n"
+        "{\n"
+        "    int32_t v0 = slot[0];\n"
+        "    int32_t r1 = slot[1];\n"
+        "    int32_t _r0 = slot[2];\n"
+        "    int32_t v2 = slot[3];\n"
+        "    int32_t v3 = slot[4];\n"
+        "    for (int64_t k = 0; k < n; k++) {\n"
+        "        v2 = (int32_t)k;\n"
+        "        v3 = r1;\n"
+        "        r1 = (!v3);\n"
+        "        _r0 = "
+        "(int32_t)((uint32_t)(int32_t)((uint32_t)v0 * (uint32_t)v2) + (uint32_t)-3);\n"
+        "    }\n"
+        "    slot[0] = v0;\n"
+        "    slot[1] = r1;\n"
+        "    slot[2] = _r0;\n"
+        "    slot[3] = v2;\n"
+        "    slot[4] = v3;\n"
+        "}\n"
+    )
+
+
+def test_a_native_kernel_stores_back_what_the_python_function_does(native):
+    # every slot's store: v0 unchanged, r1 and the live cell by their tags,
+    # v2 as n - 1 and v3 as a bool; the live cell's product wraps
+    kernel = hot._build(_every_slot()[0])
+    for n in [1, 2, 7]:
+        runs = []
+        for tier in ["python", "native"]:
+            src, cell = _every_slot()
+            cell.value = 2**31 - 1
+            env = {"v0": -(2**31) + 3, "r1": ConcreteRef(BOOL, True)}
+            (src.run if tier == "python" else src.native(kernel))(env, n)
+            runs.append([
+                (k, v.value if k == "r1" else v, type(v.value if k == "r1" else v))
+                for k, v in sorted(env.items())
+            ] + [(cell.value, type(cell.value))])
+        assert runs[0] == runs[1]
+        assert runs[0][2] == ("v2", n - 1, int) and runs[0][3][2] is bool
+    assert native == [True]
+
+
+def _unused_local(kernel):
+    """A kernel text with one more local, which no statement reads."""
+    return lambda self: kernel(self).replace("{\n", "{\n    int32_t unused = 0;\n", 1)
+
+
+def _unloadable(path):
+    raise OSError(f"{path}: cannot load")
+
+
+REFUSALS = {
+    "cc-false": lambda monkeypatch: monkeypatch.setenv("CC", "false"),
+    "cc-empty": lambda monkeypatch: monkeypatch.setenv("CC", ""),
+    "cc-missing": lambda monkeypatch: monkeypatch.setenv("CC", "/nonexistent/cc -O2"),
+    "strict-compile-fails": lambda monkeypatch: monkeypatch.setattr(
+        hot.Source, "kernel", _unused_local(hot.Source.kernel)
+    ),
+    "oserror-loading": lambda monkeypatch: monkeypatch.setattr(ctypes, "CDLL", _unloadable),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_a_native_refusal_keeps_every_body_on_python_with_outputs_unchanged(
+    refusal, native, monkeypatch
+):
+    # every staged loop and Iter hot, and every hot text native, from its first
+    # run: powerInput direct and lowered, and for a missing compiler the
+    # default corpus direct and lowered too
+    REFUSALS[refusal](monkeypatch)
+    monkeypatch.setattr(hot, "HOT", 1)
+    monkeypatch.setattr(hot, "NATIVE", 1)
+    cases = [(power_input(), "-7\n9\n")]
+    if refusal.startswith("cc-"):
+        cases += [(gp.program, gp.input_text) for gp in corpus(seed=3, size=30)]
+    for prog, text in cases:
+        want = outcome(prog, support.REFERENCE, text)
+        assert outcome(prog, hi.LANG, text) == want
+        assert outcome(lower_program(prog), lo.LANG, text) == want
+    assert native and not any(native)  # each build tried was refused
+
+
+def test_a_sanitizer_cc_builds_native_kernels_with_its_plain_program(native, monkeypatch):
+    # $CC's flags never reach the build: a sanitizer's object could abort an
+    # uninstrumented Python instead of failing to load
+    program = shlex.split(c_compiler())[0]
+    monkeypatch.setenv("CC", f"{program} -O1 -fsanitize=undefined,address")
+    commands, run = [], subprocess.run
+
+    def recorded(command, **kw):
+        commands.append(command)
+        return run(command, **kw)
+
+    monkeypatch.setattr(subprocess, "run", recorded)
+    monkeypatch.setattr(hot, "NATIVE", 5)
+    prog = lower_program(power_input())
+    assert outcome(prog, lo.LANG, "3\n300\n") == outcome(prog, support.REFERENCE, "3\n300\n")
+    assert native == [True]
+    [command] = commands
+    assert command[0] == program and not [word for word in command if "sanitize" in word]
+
+
+def test_native_objects_live_in_one_directory_removed_at_exit(native):
+    # a process that builds two kernels, then exits
+    code = (
+        "from stagedsl import examples, highexpr, hot, lowexpr, runtime, translate\n"
+        "hot.NATIVE = 5\n"
+        "p = examples.power_input()\n"
+        "runtime.run_text(p, highexpr.LANG, '3\\n300\\n')\n"
+        "runtime.run_text(translate.lower_program(p), lowexpr.LANG, '3\\n300\\n')\n"
+        "print(hot._objects)\n"
+        "print(*sorted(path.name for path in hot._objects.iterdir()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hot.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    directory, names = proc.stdout.splitlines()
+    assert names == "body0.c body0.so body1.c body1.so"
+    assert not Path(directory).exists()

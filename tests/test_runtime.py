@@ -1169,22 +1169,45 @@ def test_a_hot_i32_iter_run_in_passes_matches_the_reference(kind, init, trips, s
     assert "    for _ in _repeat(None, n // 4):\n" in text
 
 
-@pytest.mark.parametrize("trips", [HOT - 1, HOT, HOT + 1])
-def test_a_hot_eq_of_two_operands_deeper_than_nest_matches_the_reference(trips, sources):
+def _deep_eq(last, i):
     # both sides are i + _NEST + 1, and each spills a temporary at _NEST:
     # i + _NEST on the left, i + 2 * _NEST on the right, so the Eq reads
     # two temporaries that hold different values
-    def body(last, i):
-        left = right = i
-        for _ in range(lo._NEST + 1):
-            left = left + 1
-        for _ in range(lo._NEST):
-            right = right + 2
-        return set_ref(last, lo.Eq(left, right + (1 - lo._NEST)))
+    left = right = i
+    for _ in range(lo._NEST + 1):
+        left = left + 1
+    for _ in range(lo._NEST):
+        right = right + 2
+    return set_ref(last, lo.Eq(left, right + (1 - lo._NEST)))
 
-    make = lambda last: for_loop(lo.LANG, lo.lit(trips), partial(body, last))
+
+@pytest.mark.parametrize("trips", [HOT - 1, HOT, HOT + 1])
+def test_a_hot_eq_of_two_operands_deeper_than_nest_matches_the_reference(trips, sources):
+    make = lambda last: for_loop(lo.LANG, lo.lit(trips), partial(_deep_eq, last))
     assert _held(make, [False]) == ((None, "", 0), [True])
     assert len(sources) == (trips >= HOT)
+
+
+def test_a_hot_eq_that_spills_past_nest_has_this_exact_text(sources):
+    # the left chain spills its first _NEST additions into _t0 and the right
+    # one into _t1, each named by its line's position; the Eq reads both
+    # through one more operator each, under the signed wrap
+    make = lambda last: for_loop(lo.LANG, lo.lit(HOT), partial(_deep_eq, last))
+    assert _held(make, [False]) == ((None, "", 0), [True])
+    chain = lambda k: "((" * lo._NEST + "v0" + f" + {k}) & 0xFFFFFFFF)" * lo._NEST
+    wrap = hot._WRAP.format
+    assert sources == [
+        "def loop(env, n):\n"
+        "    _r0 = _c3.value\n"
+        "    try:\n"
+        "        for v0 in range(n):\n"
+        f"            _t0 = {chain(1)}\n"
+        f"            _t1 = {chain(2)}\n"
+        f"            _r0 = ({wrap('_t0 + 1')} == {wrap(f'_t1 + {1 - lo._NEST}')})\n"
+        "    finally:\n"
+        "        _c3.value = _r0\n"
+        "    env['v0'] = n - 1"
+    ]
 
 
 @pytest.mark.parametrize("first", [HOT - 1, HOT])
@@ -1235,3 +1258,130 @@ def test_a_body_or_step_python_refuses_is_tried_once(monkeypatch, sources):
     # loop's, refused by the Iter in its body; the Iter's, refused by the Let
     assert len(built) == 3
     assert sources == []
+
+
+# --------------------------------------------------------------------------
+# The native tier: a hot body whose text has run NATIVE trips, summed over
+# every run of it in the process, runs as C if it is pure.  The native
+# fixture sets NATIVE to SMALL_NATIVE and lists the builds tried; each
+# differential runs its body just below, at and just above that count.
+
+SMALL_NATIVE = support.SMALL_NATIVE
+AROUND_NATIVE = [SMALL_NATIVE - 1, SMALL_NATIVE, SMALL_NATIVE + 1]
+
+
+def _built(trips):
+    """The builds a loop run once, for trips trips, tries: one, at NATIVE."""
+    return [True] * (trips >= SMALL_NATIVE)
+
+
+@pytest.mark.parametrize("trips", AROUND_NATIVE)
+def test_a_native_product_keeps_its_counter_and_names_as_the_last_trip_left_them(trips, native):
+    # the body reads its counter; after the loop the program writes the
+    # counter and the name the cell was read into, as the last trip left them
+    kept, m = [], -(2**31) + 1
+
+    def body(acc, i):
+        kept.append(i)
+        return get_ref(lo.LANG, acc).bind(lambda v: kept.append(v) or set_ref(acc, v * m + i))
+
+    def make(acc):
+        loop = for_loop(lo.LANG, lo.lit(trips), partial(body, acc))
+        return loop.bind(lambda _: write_output(kept[-2]).then(write_output(kept[-1])))
+
+    want, acc = "", 1
+    for i in range(trips):
+        want, acc = f"{i}{acc}", wrap_i32(acc * m + i)
+    assert _held(make, [1]) == ((None, want, 0), [acc])
+    assert native == _built(trips)
+
+
+@pytest.mark.parametrize("trips", AROUND_NATIVE)
+def test_a_native_boolean_cell_and_name_keep_their_tag(trips, native):
+    # the flag holds on the trip where i is 0 and toggles on every other;
+    # after the loop the name it was read into is stored in a second cell,
+    # and _held checks that both cells hold bools
+    kept = []
+
+    def body(flag, i):
+        return get_ref(lo.LANG, flag).bind(
+            lambda f: kept.append(f) or set_ref(flag, lo.Eq(f, lo.Eq(i * 1 + -1, lo.lit(-1))))
+        )
+
+    def make(flag, seen):
+        loop = for_loop(lo.LANG, lo.lit(trips), partial(body, flag))
+        return loop.bind(lambda _: set_ref(seen, kept[-1]))
+
+    want = trips % 2 == 1
+    assert _held(make, [True, True]) == ((None, "", 0), [want, not want])
+    assert native == _built(trips)
+
+
+@pytest.mark.parametrize("inner", [HOT - 1, HOT, HOT + 1])
+def test_a_native_leaf_loop_counts_the_trips_of_every_run_of_its_text(inner, native):
+    # each of two outer trips makes a cell r and reads a value v by name, and
+    # runs the leaf loop over both: its hot runs sum to SMALL_NATIVE on the
+    # second at HOT trips a run, and a first run below HOT is not hot
+    def leaf(r, v, j):
+        return get_ref(lo.LANG, r).bind(lambda x: set_ref(r, x * v + j))
+
+    def outer(c, i):
+        return get_ref(lo.LANG, c).bind(
+            lambda v: init_ref(i + 3).bind(
+                lambda r: for_loop(lo.LANG, lo.lit(inner), partial(leaf, r, v))
+                .then(get_ref(lo.LANG, r))
+                .bind(lambda x: set_ref(c, x + v))
+            )
+        )
+
+    make = lambda c: for_loop(lo.LANG, lo.lit(2), partial(outer, c))
+    _held(make, [5])
+    assert native == [True] * (inner >= HOT)
+
+
+@pytest.mark.parametrize("trips", [2, 3, 4])
+def test_a_native_eq_of_two_operands_deeper_than_nest_matches_the_reference(
+    trips, native, monkeypatch
+):
+    # C nests the whole Eq where Python spills it: built or refused, it
+    # agrees.  NATIVE is 3 and every loop hot, as the reference rebuilds the
+    # deep body on every trip
+    monkeypatch.setattr(hot, "HOT", 1)
+    monkeypatch.setattr(hot, "NATIVE", 3)
+    make = lambda last: for_loop(lo.LANG, lo.lit(trips), partial(_deep_eq, last))
+    assert _held(make, [False]) == ((None, "", 0), [True])
+    assert len(native) == (trips >= 3)
+
+
+@pytest.mark.parametrize("trips", AROUND_NATIVE)
+@pytest.mark.parametrize("lowered", [False, True])
+def test_native_power_matches_the_reference(lowered, trips, native):
+    prog, lang = (lower_program(power_input()), lo.LANG) if lowered else (power_input(), hi.LANG)
+    out = _both(prog, lang, f"-7\n{trips}\n")[1]
+    assert out.endswith(f"-7^{trips} = {wrap_i32(pow(-7, trips, 2**32))}.\n")
+    assert native == _built(trips)
+
+
+def test_a_native_run_leaves_no_reference_cycle(native):
+    # once the kernels are built, a run that wraps them makes no garbage
+    # that only the cyclic collector frees, such as a new ctypes array type
+    programs = [(lower_program(power_input()), lo.LANG), (power_input(), hi.LANG)]
+    text = f"3\n{SMALL_NATIVE}\n"
+    for prog, lang in programs:
+        run_text(prog, lang, text)
+    gc.collect()
+    gc.disable()
+    try:
+        for prog, lang in programs:
+            run_text(prog, lang, text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert native == [True, True]
+
+
+@pytest.mark.parametrize("trips", AROUND_NATIVE)
+def test_a_native_build_refuses_a_body_that_writes_output(trips, native):
+    prog = for_loop(lo.LANG, lo.lit(trips), lambda i: write_output(i * 3))
+    assert _both(prog, lo.LANG)[1] == "".join(str(3 * k) for k in range(trips))
+    assert native == [False] * (trips >= SMALL_NATIVE)

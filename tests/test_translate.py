@@ -63,6 +63,7 @@ def test_by_value_costs_exactly_one_init_get_pair_over_by_name():
 
 
 @pytest.mark.usefixtures("tier")
+@support.THREE_TIERS
 def test_by_name_duplicates_work_when_sharing_is_lost():
     shared = hi.Iter(hi.lit(3), hi.lit(2), lambda s: s * s)
     prog = write_output(hi.Let(shared, lambda x: x + x))
@@ -91,6 +92,7 @@ def test_let_strategies_agree_on_transcripts():
 
 
 @pytest.mark.usefixtures("tier")
+@support.THREE_TIERS
 def test_iteration_lowers_to_a_state_cell_and_loop():
     prog = write_output(hi.Iter(hi.lit(4), hi.lit(1), lambda x: x * 3))
     text = render_program(lower_program(prog))
@@ -107,6 +109,7 @@ def test_iteration_lowers_to_a_state_cell_and_loop():
 
 
 @pytest.mark.usefixtures("tier")
+@support.THREE_TIERS
 def test_lowered_iteration_agrees_with_the_reference_evaluator():
     cases = [
         hi.Iter(hi.lit(6), hi.lit(1), lambda x: x + x),
@@ -166,6 +169,7 @@ def _doubled_count_transcripts(k: int) -> list:
 
 
 @pytest.mark.usefixtures("tier")
+@support.THREE_TIERS
 def test_unrolling_leaves_a_wrapping_doubled_count_alone():
     k = -(2**31) + 1  # k * 2 wraps to 2
     assert _doubled_count_transcripts(k) == [(None, "2", 0)] * 5
