@@ -303,8 +303,26 @@ MUTANTS = [
     Mutant(
         "native-threshold-strict",
         "src/stagedsl/hot.py",
-        "if tally[0] >= NATIVE:",
-        "if tally[0] > NATIVE:",
+        "if record.trips >= NATIVE:",
+        "if record.trips > NATIVE:",
+    ),
+    Mutant(
+        "native-per-call-threshold-strict",
+        "src/stagedsl/hot.py",
+        "if native and n >= PER_CALL:",
+        "if native and n > PER_CALL:",
+    ),
+    Mutant(
+        "native-pass-remainder-dropped",
+        "src/stagedsl/hot.py",
+        'f"    for (int64_t k = 0; k < n % {_PASS}; k++) {{",',
+        '"    for (int64_t k = 0; k < 0; k++) {",',
+    ),
+    Mutant(
+        "record-key-drops-residues",
+        "src/stagedsl/hot.py",
+        "tuple(load), tuple(store), tuple(name for name in own if name in self.residues),",
+        "tuple(load), tuple(store), (),",
     ),
     Mutant(
         "native-load-oserror-escapes",

@@ -12,7 +12,7 @@ byte for byte unchanged.
                 size=3000) program, run directly under highexpr.LANG, then
                 lowered under each config and run under lowexpr.LANG
     hot         every Python text the hot tier compiles, in compile order from
-                an empty hot._code: the pseudo corpus programs run directly
+                an empty hot._record: the pseudo corpus programs run directly
                 and lowered under each config with hot.HOT = 1, so every
                 staged loop and Iter runs hot, then powerInput run directly
                 and lowered under DEFAULT_CONFIG at 3 * HOT trips, at the
@@ -57,7 +57,7 @@ def hot_texts() -> list[str]:
 
     default = hot.HOT
     hot.compile = recorded  # found before the builtin, as the sources fixture does
-    hot._code.cache_clear()
+    hot._record.cache_clear()
     try:
         hot.HOT = 1
         for gp in corpus(seed=3, size=200):

@@ -281,6 +281,10 @@ class Scope:
     def names(self) -> list[tuple[str, TypeTag]]:
         return list(self._names.values())
 
+    def tag(self, name: str) -> TypeTag:
+        """The tag of a name this scope generated."""
+        return self._names[id(name)][1]
+
     def __contains__(self, name: object) -> bool:
         return id(name) in self._names
 

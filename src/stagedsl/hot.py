@@ -5,14 +5,18 @@ and, once its text has run NATIVE trips in the process, as C.
 This module alone knows the generated source.  It holds loop, the one step
 that runs a staged loop or an Iter and decides its tier; the two printers,
 loop_body for a loop's staged statements and iter_step for an Iter's step;
-Source, which assembles their lines into one function, prints a pure body's
-trips as a C kernel and wraps the kernel _build compiles and loads; and
-PYTHON, the rule table that gives an expression's text.  Only an Iter's
-step or a loop body of GetRef and SetRef builds as C; any other body, no
-compiler, a failed compile, a warning included, and an OSError from ctypes
-are refusals, which leave the text on Python.  _build runs the plain
-program of cgen.c_compiler(), never $CC's flags, and keeps its files in
-one temporary directory per process, removed at exit.  The README's
+Source, which holds their lines, prints a pure body's trips as a C kernel,
+in passes of _PASS trips when no line reads the counter, and wraps the
+kernel _build compiles and loads; _record, which assembles the lines into
+one function's text once per process for what the text depends on, and
+keeps one Record per text: its code, its trips and its kernel; and PYTHON,
+the rule table that gives an expression's text.  A run of fewer than
+PER_CALL trips calls the Python function even once its text has a kernel.
+Only an Iter's step or a loop body of GetRef and SetRef builds as C; any
+other body, no compiler, a failed compile, a warning included, and an
+OSError from ctypes are refusals, which leave the text on Python.  _build
+runs the plain program of cgen.c_compiler(), never $CC's flags, and keeps
+its files in one temporary directory per process, removed at exit.  The README's
 account of the hot tier says how these functions compute, and why.
 """
 
@@ -24,7 +28,6 @@ from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import repeat
 from pathlib import Path
-from types import CodeType
 from typing import Any, Callable
 
 from . import cgen
@@ -39,7 +42,7 @@ Generated = Callable[[dict[str, Any], int], None]  # n trips of a hot body, see 
 # A staged loop's or an Iter's trips, summed over its runs, at which it
 # runs as generated source.  powerInput's loop body costs about 145 us more
 # to generate than to stage, most of it compile() of a text that holds the
-# trip five times (see _PASS), paid once per text per process (_code), and
+# trip five times (see _PASS), paid once per text per process (_record), and
 # about 12 us more once the text is compiled; each trip then saves about
 # 0.5 us (CPython 3.11.7, one pinned core).  So a text's first run pays from
 # about 285 trips and a later run from about 25.  HOT stays 256: a first
@@ -48,26 +51,37 @@ Generated = Callable[[dict[str, Any], int], None]  # n trips of a hot body, see 
 HOT = 256
 
 # A hot text's trips, summed over every run of it in the process, at which
-# it runs as C.  The power step's build took about 40 ms and then saved about
-# 43 ns a trip (one pinned core), so a build pays from about 2**20 trips.
+# it runs as C.  The power step's build took about 30 ms, and its kernel in
+# passes then saved about 40 ns a trip (CPython 3.11.7, gcc 12, one pinned
+# core), so a build pays from about 750,000 trips; NATIVE stays 2**20.
 NATIVE = 2**20
+
+# A run's trips from which a text that has its kernel runs it: a shorter run
+# calls the text's Python function.  A kernel call cost about 3 us whatever
+# its trips, the Python function about 0.6 us and 40-45 ns a trip, so the
+# two cost the same at about 60 trips for the power step and about 72 for
+# the lowered power body (same machine).
+PER_CALL = 64
 _SHARED = ["-O2", "-shared", "-fPIC"]  # the native tier's own flags
 _objects: Path | None = None  # this process's shared objects, once one is built
 _KIND = {TypeTag.I32: int, TypeTag.BOOL: bool}  # how a kernel's slot is stored back
+UNTRIED = object()  # a Record's kernel before its build is tried
 
 # wrap_i32 of any integer as Python text, in wrap_i32's own masked form
 _WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
 # The trips per pass of a generated function that stores one i32 carried
 # local, an Iter's state or a live cell, and reads no counter: all but the
 # last trip of a pass store that local's unmasked top operator (see
-# Source.function).  Every consumer of a residue, a masked operator or _WRAP
+# _record).  Every consumer of a residue, a masked operator or _WRAP
 # (an Eq's operands among them), reduces any integer exactly, so only the size
 # of the raw local needs a bound.  Every other value of a trip is masked or
 # canonical, or a copy of the local as the trip found it, so a local within 32
 # bits at most doubles its bits per trip, at s * s, and stays within
 # 32 * 2**3 = 256 bits in a pass.  A body that stores two carried locals
 # keeps every mask, since stores that feed each other's raw values could grow
-# by 2**k bits per trip.
+# by 2**k bits per trip.  A kernel that reads no counter runs its trips in
+# passes of _PASS as well, whatever it stores, since C wraps every operator;
+# the compiler then folds a pass's chain, four `s0 * 7` into one multiply.
 _PASS = 4
 
 
@@ -136,7 +150,7 @@ class Source:
     def store(self, target: str, e: Expr) -> str:
         """The line storing e in target, which the caller appends next: a
         residue target, a carried local, gets e's masked text and carried
-        keeps its position and unmasked line (see function); any other
+        keeps its position and unmasked line (see _record); any other
         target gets value(e)."""
         if target not in self.residues:
             return f"{target} = {self.value(e)}"
@@ -145,57 +159,21 @@ class Source:
         return f"{target} = {text}"
 
     def function(self, counter: str, load: list[str], store: list[str]) -> Generated:
-        """The lines as one function, loop(env, n): it loads the names in
-        load from env and each live cell into its local once, runs n trips
-        of the lines, stores each cell back in a finally, so that after a
-        return or a raise it holds what the steps would leave, and stores
-        the names in store back to env after the last trip, so n must be
-        positive.  Each stored i32 is canonical, and a stored counter is
-        n - 1, the value range leaves.  A counter that a line reads runs as
-        `for counter in range(n):`; else, as for an Iter's `_`, which no line
-        reads, the trips are `for _ in _repeat(None, n):`, which builds no
-        int per trip.
-        With no counter read and exactly one i32 carried local stored, the
-        function runs n // _PASS passes, each _PASS - 1 trips whose last
-        store to that local is unmasked and one trip of the lines, then
-        n % _PASS trips of the lines.  The function holds the namespace of
-        constants, which does not hold it; the text is compiled once per
-        process."""
-        trip = [f"    {line}" for line in self.lines or ["pass"]]
-        if counter in self.reads:
-            body = [f"for {counter} in range(n):", *trip]
-        elif len(self.carried) != 1:
-            body = ["for _ in _repeat(None, n):", *trip]
-        else:
-            [(at, unmasked)] = self.carried.values()
-            raw = [*trip[:at], f"    {unmasked}", *trip[at + 1:]]
-            body = [
-                f"for _ in _repeat(None, n // {_PASS}):",
-                *(raw * (_PASS - 1)),
-                *trip,
-                f"for _ in _repeat(None, n % {_PASS}):",
-                *trip,
-            ]
-        signed = {name: _canonical(name, 0, name) for name in self.residues}
-        if self.cells:
-            cells = self.cells.values()
-            body = [
-                *(f"{local} = {const}.value" for local, const in cells),
-                "try:",
-                *(f"    {line}" for line in body),
-                "finally:",
-                *(f"    {const}.value = {signed.get(local, local)}" for local, const in cells),
-            ]
-        text = "\n".join([
-            "def loop(env, n):",
-            *(f"    {name} = env[{name!r}]" for name in load),
-            *(f"    {line}" for line in body),
-            *(f"    env[{name!r}] = {'n - 1' if name == counter else signed.get(name, name)}"
-              for name in store),
-        ])
+        """The lines as one function, loop(env, n), which loads the names in
+        load from env, runs n trips of the lines and stores the names in
+        store back, so n must be positive; its text and code are the Record
+        _record keeps for what the text depends on, so a text is assembled
+        and compiled once per process.  The function holds the namespace of
+        constants, which does not hold it."""
+        cells = tuple(self.cells.values())
+        own = (*store, *(local for local, _ in cells))
+        self.record = _record(
+            tuple(self.lines), counter, counter in self.reads, tuple(self.carried.values()), cells,
+            tuple(load), tuple(store), tuple(name for name in own if name in self.residues),
+        )
+        self.counter, self.load, self.store = counter, load, store
         self.consts["_repeat"] = repeat
-        exec(_code(text), self.consts)
-        self.text, self.counter, self.load, self.store = text, counter, load, store
+        exec(self.record.code, self.consts)
         self.run: Generated = self.consts.pop("loop")
         return self.run
 
@@ -210,48 +188,131 @@ class Source:
     def kernel(self) -> str:
         """function's trips as the C function body(slot, n), each slot read
         into its local and written back; its statements are c(self)'s, which
-        raises DslError unless the body is pure."""
+        raises DslError unless the body is pure.  A counter that a line
+        reads takes each trip's number; else, as in function, n / _PASS
+        passes of _PASS trips run, then n % _PASS trips, and the wrapper
+        alone stores the counter."""
         slots = [name for group in self.slots() for name in group]
+        trip = [f"        {line}" for line in self.c(self)]
+        if self.counter in self.reads:
+            trips = [
+                "    for (int64_t k = 0; k < n; k++) {",
+                f"        {self.counter} = (int32_t)k;",
+                *trip,
+                "    }",
+            ]
+        else:
+            trips = [
+                f"    for (int64_t k = 0; k < n / {_PASS}; k++) {{",
+                *(trip * _PASS),
+                "    }",
+                f"    for (int64_t k = 0; k < n % {_PASS}; k++) {{",
+                *trip,
+                "    }",
+            ]
         return "\n".join([
             "#include <stdint.h>",
             "void body(int32_t *slot, int64_t n)",
             "{",
             *(f"    int32_t {name} = slot[{k}];" for k, name in enumerate(slots)),
-            "    for (int64_t k = 0; k < n; k++) {",
-            *([f"        {self.counter} = (int32_t)k;"] if self.counter in slots else []),
-            *(f"        {line}" for line in self.c(self)),
-            "    }",
+            *trips,
             *(f"    slot[{k}] = {name};" for k, name in enumerate(slots)),
             "}\n",
         ])
 
     def native(self, kernel: Callable) -> Generated:
         """The built kernel as function, loop(env, n): the same names and
-        cells loaded into its slots, and stored back as function stores
-        them, each by its tag, and the counter as n - 1."""
-        values, named, _, store = self.slots()
-        tags = dict(self.scope.names)
+        cells loaded into its slots, in slots() order, and stored back as
+        function stores them, and the counter as n - 1.  Each is stored by
+        its kind in this run, a cell's own tag and a stored name's tag in
+        the scope, never by its record: one text may serve bool cells in one
+        run and i32 cells in another."""
+        values, named, cells, store = self.slots()
+        array = _array(len(values) + len(named) + len(cells) + len(store))
         live = [self.consts[const] for _, const in self.cells.values()]
-        kinds = [_KIND[tags[name]] for name in named] + [_KIND[cell.tag] for cell in live]
-        stored = [(name, _KIND[tags[name]]) for name in store]
-        counter = self.counter if self.counter in store else None
-        array = _array(len(values) + len(kinds) + len(store))
+        counter, first = self.counter, len(values)
+        counted = counter in store
+        kinds = [_KIND[self.scope.tag(name)] for name in store]
 
         def loop(env, n):
-            reached = [*(env[name] for name in named), *live]
+            reached = [env[name] for name in named] + live
             # a name only stored is written before it is read, so its slot may hold anything
-            slot = array(*(env[name] for name in values), *(cell.value for cell in reached),
-                         *(env.get(name, 0) for name in store))
+            slot = array(*[env[name] for name in values], *[cell.value for cell in reached],
+                         *[env.get(name, 0) for name in store])
             kernel(slot, n)
-            out = slot[len(values):]
-            for cell, kind, value in zip(reached, kinds, out):
-                cell.value = kind(value)
-            for (name, kind), value in zip(stored, out[len(reached):]):
+            out = slot[first:]
+            for cell, value in zip(reached, out):
+                cell.value = _KIND[cell.tag](value)
+            for name, kind, value in zip(store, kinds, out[len(reached):]):
                 env[name] = kind(value)
-            if counter is not None:
+            if counted:
                 env[counter] = n - 1
 
         return loop
+
+
+class Record:
+    """A hot text's record in this process, one per input of _record: the
+    text's code; the trips run under it, which loop counts toward NATIVE;
+    and its kernel, UNTRIED until a build is tried, then the kernel or
+    None for a refusal."""
+
+    def __init__(self, text: str) -> None:
+        self.code = compile(text, "<staged loop>", "exec")
+        self.trips, self.kernel = 0, UNTRIED
+
+
+@lru_cache(maxsize=512)  # a fixed bound, as re bounds its pattern cache
+def _record(
+    lines: tuple[str, ...], counter: str, counted: bool, carried: tuple[tuple[int, str], ...],
+    cells: tuple[tuple[str, str], ...], load: tuple[str, ...], store: tuple[str, ...],
+    residues: tuple[str, ...],
+) -> Record:
+    """The Record of Source.function's text, which depends on these
+    arguments alone.  loop(env, n) loads the names in load from env and
+    each cell's local from its constant once, runs n trips of the lines,
+    stores each cell back in a finally, so that after a return or a raise
+    it holds what the steps would leave, and stores the names in store back
+    to env after the last trip.  Each stored name or cell among residues is
+    made canonical, and a stored counter is n - 1, the value range leaves.
+    A counter that a line reads, so counted, runs as `for counter in
+    range(n):`; else, as for an Iter's `_`, which no line reads, the trips
+    are `for _ in _repeat(None, n):`, which builds no int per trip.
+    With no counter read and exactly one i32 carried local stored, carried's
+    one position and unmasked line, the function runs n // _PASS passes,
+    each _PASS - 1 trips whose last store to that local is unmasked and one
+    trip of the lines, then n % _PASS trips of the lines."""
+    trip = [f"    {line}" for line in lines or ["pass"]]
+    if counted:
+        body = [f"for {counter} in range(n):", *trip]
+    elif len(carried) != 1:
+        body = ["for _ in _repeat(None, n):", *trip]
+    else:
+        [(at, unmasked)] = carried
+        raw = [*trip[:at], f"    {unmasked}", *trip[at + 1:]]
+        body = [
+            f"for _ in _repeat(None, n // {_PASS}):",
+            *(raw * (_PASS - 1)),
+            *trip,
+            f"for _ in _repeat(None, n % {_PASS}):",
+            *trip,
+        ]
+    signed = {name: _canonical(name, 0, name) for name in residues}
+    if cells:
+        body = [
+            *(f"{local} = {const}.value" for local, const in cells),
+            "try:",
+            *(f"    {line}" for line in body),
+            "finally:",
+            *(f"    {const}.value = {signed.get(local, local)}" for local, const in cells),
+        ]
+    return Record("\n".join([
+        "def loop(env, n):",
+        *(f"    {name} = env[{name!r}]" for name in load),
+        *(f"    {line}" for line in body),
+        *(f"    env[{name!r}] = {'n - 1' if name == counter else signed.get(name, name)}"
+          for name in store),
+    ]))
 
 
 @lru_cache(maxsize=None)  # a few sizes: a new ctypes type per run would be a cycle
@@ -259,19 +320,6 @@ def _array(size: int) -> type:
     from ctypes import c_int32
 
     return c_int32 * size
-
-
-@lru_cache(maxsize=512)  # a fixed bound, as re bounds its pattern cache
-def _code(text: str) -> CodeType:
-    """A Source's text compiled once per process: no constant is text."""
-    return compile(text, "<staged loop>", "exec")
-
-
-@lru_cache(maxsize=512)  # the bound of _code
-def _tally(text: str) -> list:
-    """A hot text's native record in this process: [trips run], then
-    [trips run, kernel] once a build was tried, None as kernel for a refusal."""
-    return [0]
 
 
 def _build(source: Source) -> Callable | None:
@@ -313,17 +361,18 @@ def loop(
     summed over its runs, reach HOT, it runs them as the function of
     generate(body), a Source, trying generate once, then dropping it; a
     DslError from it, a printer's, is a refusal, so this step sees every tier
-    decision.  Each hot run counts its trips against the Source's text in
-    _tally; at NATIVE it runs the text's kernel, built once per text, from
-    then on, or after a refusal stays on the Python function.
+    decision.  Each hot run counts its trips in the Source's record; at
+    NATIVE it tries the record's kernel, built once per record, and from
+    then on runs of PER_CALL trips or more run it, while shorter runs, and
+    every run after a refusal, stay on the Python function.
     Else the trips run stage(body)'s steps, built on the first run that needs
     them, with the trip's number bound to counter first, an Iter's `_` too.
     A nested loop's step, this closure, is one frame."""
-    body = steps = source = run = None
+    body = steps = source = run = native = None
     trips = 0
 
     def step(env):
-        nonlocal body, steps, trips, source, run, generate
+        nonlocal body, steps, trips, source, run, native, generate
         n = count(env)
         if n <= 0:
             return
@@ -336,14 +385,16 @@ def loop(
                 run = source.run
             generate = None
         if source:  # still counting toward NATIVE
-            tally = _tally(source.text)
-            tally[0] += n
-            if tally[0] >= NATIVE:
-                if len(tally) == 1:
-                    tally.append(_build(source))
-                if tally[1]:
-                    run = source.native(tally[1])
+            record = source.record
+            record.trips += n
+            if record.trips >= NATIVE:
+                if record.kernel is UNTRIED:
+                    record.kernel = _build(source)
+                if record.kernel:
+                    native = source.native(record.kernel)
                 source = None
+        if native and n >= PER_CALL:
+            return native(env, n)
         if run:
             return run(env, n)
         if steps is None:

@@ -23,8 +23,8 @@ class Sources(list):
 @pytest.fixture
 def sources(monkeypatch):
     """The texts compiled into the functions of hot loops and Iters, in
-    order: every text goes through hot.Source.function, which compiles a
-    text once per process, so the cache starts empty."""
+    order: every text goes through hot._record, which compiles a text once
+    per process for its inputs, so its cache starts empty."""
     texts = Sources()
 
     def counted(text, *args):
@@ -33,7 +33,7 @@ def sources(monkeypatch):
         return compile(text, *args)
 
     monkeypatch.setattr(hot, "compile", counted, raising=False)
-    hot._code.cache_clear()
+    hot._record.cache_clear()
     return texts
 
 
@@ -42,11 +42,13 @@ def tier(request, monkeypatch):
     """A differential test's run at the default HOT, and again with every
     staged loop and Iter hot on its first run that takes a trip: hot.loop
     reads HOT on every run.  A test that parametrizes it indirectly with
-    "native" too runs a third time with NATIVE at 1 as well, so every pure
-    hot body runs as C from its first run (see the native fixture)."""
+    "native" too runs a third time with NATIVE and PER_CALL at 1 as well,
+    so every pure hot body runs as C from its first run, however short (see
+    the native fixture)."""
     if request.param != "default":
         monkeypatch.setattr(hot, "HOT", 1)
     if request.param == "native":
+        monkeypatch.setattr(hot, "PER_CALL", 1)
         yield from _native(monkeypatch, 1)
     else:
         yield
@@ -61,7 +63,7 @@ def native(monkeypatch):
 
 def _native(monkeypatch, trips):
     """hot.NATIVE at trips, and no text counted, kernel built or refusal
-    made before the test or kept after it: the tally starts and ends empty."""
+    made before the test or kept after it: the records start and end empty."""
     if not have_c_compiler():
         pytest.skip("no C compiler")
     built, build = [], hot._build
@@ -73,6 +75,6 @@ def _native(monkeypatch, trips):
 
     monkeypatch.setattr(hot, "NATIVE", trips)
     monkeypatch.setattr(hot, "_build", recorded)
-    hot._tally.cache_clear()
+    hot._record.cache_clear()
     yield built
-    hot._tally.cache_clear()
+    hot._record.cache_clear()

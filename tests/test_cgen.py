@@ -254,7 +254,8 @@ def test_an_interpreter_error_is_reported_not_raised(tmp_path):
 
 def test_tiers_that_disagree_are_reported_before_any_compile(tmp_path, monkeypatch):
     # a hot body that runs no trip: the run with HOT at 1 prints nothing
-    idle = SimpleNamespace(run=lambda env, n: None, text="")  # the fields hot.loop reads
+    # the fields hot.loop reads, with a record far from NATIVE
+    idle = SimpleNamespace(run=lambda env, n: None, record=SimpleNamespace(trips=0))
     monkeypatch.setattr(hot, "loop_body", lambda *args: idle)
     default = hot.HOT
     report = disagreement(for_loop(lo.LANG, lo.lit(2), write_output), "", tmp_path, "tiers")

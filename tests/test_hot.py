@@ -1,5 +1,5 @@
 """The hot tier called directly: its loop step, expression text, reference
-text, code cache and Iter printer, apart from the programs that run through
+text, record cache and Iter printer, apart from the programs that run through
 them; and its native tier: the build decision, the kernel text, the wrapper
 and every refusal."""
 
@@ -20,7 +20,8 @@ from c_differential import outcome
 from stagedsl import highexpr as hi, hot, lowexpr as lo
 from stagedsl.cgen import c_compiler
 from stagedsl.core import (
-    ConcreteRef, DslError, GetRef, Scope, SetRef, StageError, SymbolicRef, TypeTag, wrap_i32,
+    ConcreteRef, DslError, GetRef, Scope, SetRef, StageError, SymbolicRef, TypeTag, for_loop,
+    get_ref, init_ref, set_ref, wrap_i32, write_output,
 )
 from stagedsl.examples import power_input
 from stagedsl.randprog import corpus
@@ -131,7 +132,8 @@ def test_loop_instantiates_once_and_tries_generate_once(kind, refuse):
         if refuse:
             raise DslError("refused")
         run = lambda env, n: trips.append(f"{n} generated")
-        return SimpleNamespace(run=run, text="generated")  # a Source's two fields loop reads
+        # a Source's two fields loop reads, with a record far from NATIVE
+        return SimpleNamespace(run=run, record=SimpleNamespace(trips=0))
 
     step = hot.loop("k", lambda env: env["n"], instantiate, stage, generate)
     for n in [0, -3]:
@@ -171,15 +173,24 @@ def test_an_iters_generated_function_matches_the_reference_evaluator(n, init, te
     assert env[name] == hi.eval_closed(hi.Iter(hi.lit(n), hi.lit(init), step))
 
 
-def test_the_code_cache_holds_at_most_its_bound(sources):
-    bound = hot._code.cache_info().maxsize
+def test_the_record_cache_holds_at_most_its_bound(sources):
+    bound = hot._record.cache_info().maxsize
     for k in range(bound + 3):
         src, env = hot.Source(Scope()), {}
         src.lines.append(f"v0 = {k}")
         src.function("_", [], ["v0"])(env, 1)
         assert env == {"v0": k}
     assert len(sources) == bound + 3
-    assert hot._code.cache_info().currsize == bound
+    assert hot._record.cache_info().currsize == bound
+
+
+def test_three_power_runs_past_native_compile_and_assemble_their_text_once(sources, native):
+    trips = support.SMALL_NATIVE
+    for _ in range(3):
+        out = outcome(power_input(), hi.LANG, f"3\n{trips}\n")[1]
+        assert out.endswith(f"3^{trips} = {wrap_i32(pow(3, trips, 2**32))}.\n")
+    assert len(sources) == hot._record.cache_info().misses == 1
+    assert native == [True]
 
 
 # --------------------------------------------------------------------------
@@ -191,29 +202,33 @@ I32, BOOL = TypeTag.I32, TypeTag.BOOL
 
 
 @pytest.fixture
-def tally():
-    """An empty native tally before the test and after it."""
-    hot._tally.cache_clear()
+def records():
+    """No hot text's record before the test or after it."""
+    hot._record.cache_clear()
     yield
-    hot._tally.cache_clear()
+    hot._record.cache_clear()
 
 
-@pytest.mark.usefixtures("tally")
+@pytest.mark.usefixtures("records")
 def test_loop_tries_a_native_build_once_per_text(monkeypatch):
     # two loops of one text and one of a text whose build is refused, each
     # hot from its first run; a run is recorded as its text, the kernel or
-    # "python" that ran it, and its trips
-    native = 2 * HOT
+    # "python" that ran it, and its trips, and a build as its text
+    native, per_call = 2 * HOT, hot.PER_CALL
     monkeypatch.setattr(hot, "NATIVE", native)
-    tried, ran = [], []
-    monkeypatch.setattr(
-        hot, "_build", lambda source: tried.append(source.text) or (source.text == "t" and "kernel")
-    )
+    ran, records = [], {}
+
+    def build(source):
+        ran.append((source.record.text, "build"))
+        return source.record.text == "t" and "kernel"
+
+    monkeypatch.setattr(hot, "_build", build)
 
     def looping(text):
         def generate(body):
+            record = SimpleNamespace(text=text, trips=0, kernel=hot.UNTRIED)
             return SimpleNamespace(
-                text=text,
+                record=records.setdefault(text, record),
                 run=lambda env, n: ran.append((text, "python", n)),
                 native=lambda kernel: lambda env, n: ran.append((text, kernel, n)),
             )
@@ -221,32 +236,43 @@ def test_loop_tries_a_native_build_once_per_text(monkeypatch):
         return hot.loop("k", lambda env: env["n"], lambda: "body", lambda body: [], generate)
 
     first, second, refused = looping("t"), looping("t"), looping("u")
-    for step, n in [(first, HOT), (first, native - HOT - 1), (first, 1), (first, 5)]:
-        step({"n": n})
-    # the text has reached NATIVE, so a later loop of it runs the kernel at once
-    second({"n": HOT})
+    for n in [HOT, native - HOT - 1, 1, per_call - 1, per_call]:
+        first({"n": n})
+    # the text has its kernel, so a later loop of it runs the kernel at once,
+    # on a run of PER_CALL trips or more
+    for n in [HOT, per_call - 1]:
+        second({"n": n})
     for n in [native, 3]:
         refused({"n": n})
-    assert tried == ["t", "u"]
     assert ran == [
-        ("t", "python", HOT), ("t", "python", native - HOT - 1), ("t", "kernel", 1),
-        ("t", "kernel", 5), ("t", "kernel", HOT), ("u", "python", native), ("u", "python", 3),
+        ("t", "python", HOT), ("t", "python", native - HOT - 1), ("t", "build"),
+        ("t", "python", 1), ("t", "python", per_call - 1), ("t", "kernel", per_call),
+        ("t", "kernel", HOT), ("t", "python", per_call - 1),
+        ("u", "build"), ("u", "python", native), ("u", "python", 3),
     ]
 
 
 def test_native_kernel_text_of_an_iter_step():
     # the power step's shape: every slot is read at the start and written
-    # at the end, and the arithmetic is cgen's, in unsigned casts
+    # at the end, the arithmetic is cgen's, in unsigned casts, and the trips
+    # run in passes of four, then the rest one at a time
     scope = Scope()
     name = scope.fresh("s", I32)
     src = hot.iter_step(scope, name, lo.Var(name, I32) * 7 + 1)
+    trip = "s0 = (int32_t)((uint32_t)(int32_t)((uint32_t)s0 * (uint32_t)7) + (uint32_t)1);"
     assert src.kernel() == (
         "#include <stdint.h>\n"
         "void body(int32_t *slot, int64_t n)\n"
         "{\n"
         "    int32_t s0 = slot[0];\n"
-        "    for (int64_t k = 0; k < n; k++) {\n"
-        "        s0 = (int32_t)((uint32_t)(int32_t)((uint32_t)s0 * (uint32_t)7) + (uint32_t)1);\n"
+        "    for (int64_t k = 0; k < n / 4; k++) {\n"
+        f"        {trip}\n"
+        f"        {trip}\n"
+        f"        {trip}\n"
+        f"        {trip}\n"
+        "    }\n"
+        "    for (int64_t k = 0; k < n % 4; k++) {\n"
+        f"        {trip}\n"
         "    }\n"
         "    slot[0] = s0;\n"
         "}\n"
@@ -313,6 +339,98 @@ def test_a_native_kernel_stores_back_what_the_python_function_does(native):
             ] + [(cell.value, type(cell.value))])
         assert runs[0] == runs[1]
         assert runs[0][2] == ("v2", n - 1, int) and runs[0][3][2] is bool
+    assert native == [True]
+
+
+def _copy(tag):
+    """A loop body that reads the cell r0 by name into v3 and stores v3 in the
+    cell r1, both of tag, with v2 its counter: its text is the same for
+    either tag.  Returns its Source."""
+    scope = Scope()
+    r, q = (SymbolicRef(tag, scope.fresh("r", tag)) for _ in range(2))
+    i, v = scope.fresh("v", I32), scope.fresh("v", tag)
+    staged = [(GetRef(r), v), (SetRef(q, lo.Var(v, tag)), None)]
+    return hot.loop_body(scope, print, input, i, staged)
+
+
+def test_one_native_text_stores_back_each_runs_own_kinds(native):
+    # the bool run and the i32 run share their text, record and kernel;
+    # the i32 run still stores ints, and a third bool run stores bools
+    bools, ints = _copy(BOOL), _copy(I32)
+    assert bools.record is ints.record
+    kernel = hot._build(bools)
+    runs = [(bools, BOOL, True, False), (ints, I32, -5, 9), (bools, BOOL, False, True)]
+    for src, tag, value, other in runs:
+        env = {"r0": ConcreteRef(tag, value), "r1": ConcreteRef(tag, other)}
+        src.native(kernel)(env, 3)
+        assert [(v, type(v)) for v in [env["r1"].value, env["v3"]]] == [(value, type(value))] * 2
+        assert env["v2"] == 2
+    assert native == [True]
+
+
+def _two_cells(trips):
+    """trips trips of a loop over two cells, each stored from the other, so
+    both are carried locals of its text, then both cells written."""
+
+    def body(a, b, _i):
+        return get_ref(lo.LANG, a).bind(
+            lambda x: get_ref(lo.LANG, b).bind(
+                lambda y: set_ref(a, y * -3 + 1).then(set_ref(b, x * y + (2**31 - 5)))
+            )
+        )
+
+    def written(a, b):
+        loop = for_loop(lo.LANG, lo.lit(trips), lambda i: body(a, b, i))
+        return loop.then(get_ref(lo.LANG, a)).bind(write_output).then(
+            get_ref(lo.LANG, b).bind(write_output)
+        )
+
+    return init_ref(lo.lit(7)).bind(lambda a: init_ref(lo.lit(-2)).bind(lambda b: written(a, b)))
+
+
+# a program of each shape a kernel runs in passes, its language and input
+# for a run of n trips: an Iter's step, a loop body that stores one cell,
+# and one that stores two
+PASSES = {
+    "iter-step": lambda n: (power_input(), hi.LANG, f"-7\n{n}\n"),
+    "one-cell": lambda n: (lower_program(power_input()), lo.LANG, f"-7\n{n}\n"),
+    "two-cells": lambda n: (_two_cells(n), lo.LANG, ""),
+}
+
+
+@pytest.mark.parametrize("shape", PASSES)
+def test_native_and_python_trips_match_the_reference_at_every_remainder(shape, native, monkeypatch):
+    # every loop and Iter hot from its first run: the Python runs first, with
+    # NATIVE out of reach, then every run on the kernel, built once
+    monkeypatch.setattr(hot, "HOT", 1)
+    runs = [PASSES[shape](n) for n in range(1, 2 * hot._PASS + 2)]
+    want = [outcome(prog, support.REFERENCE, text) for prog, _, text in runs]
+    monkeypatch.setattr(hot, "NATIVE", 2**62)
+    assert [outcome(prog, lang, text) for prog, lang, text in runs] == want
+    monkeypatch.setattr(hot, "NATIVE", 1)
+    monkeypatch.setattr(hot, "PER_CALL", 1)
+    assert [outcome(prog, lang, text) for prog, lang, text in runs] == want
+    assert native == [True]
+
+
+@pytest.mark.parametrize("lowered", [False, True])
+def test_native_power_around_per_call_matches_the_reference(lowered, native, monkeypatch):
+    # every loop and Iter hot from its first run, which builds the kernel;
+    # a later run takes the kernel from PER_CALL trips on
+    monkeypatch.setattr(hot, "HOT", 1)
+    calls, build = [], hot._build
+
+    def counted(source):
+        kernel = build(source)
+        return kernel and (lambda slot, n: calls.append(n) or kernel(slot, n))
+
+    monkeypatch.setattr(hot, "_build", counted)
+    prog, lang = (lower_program(power_input()), lo.LANG) if lowered else (power_input(), hi.LANG)
+    per_call, first = hot.PER_CALL, support.SMALL_NATIVE
+    for trips in [first, per_call - 1, per_call, per_call + 1]:
+        text = f"-7\n{trips}\n"
+        assert outcome(prog, lang, text) == outcome(prog, support.REFERENCE, text)
+    assert calls == [first, per_call, per_call + 1]
     assert native == [True]
 
 

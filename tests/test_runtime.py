@@ -1344,10 +1344,11 @@ def test_a_native_eq_of_two_operands_deeper_than_nest_matches_the_reference(
     trips, native, monkeypatch
 ):
     # C nests the whole Eq where Python spills it: built or refused, it
-    # agrees.  NATIVE is 3 and every loop hot, as the reference rebuilds the
-    # deep body on every trip
+    # agrees.  NATIVE is 3, every loop hot and every run past NATIVE on the
+    # kernel, as the reference rebuilds the deep body on every trip
     monkeypatch.setattr(hot, "HOT", 1)
     monkeypatch.setattr(hot, "NATIVE", 3)
+    monkeypatch.setattr(hot, "PER_CALL", 1)
     make = lambda last: for_loop(lo.LANG, lo.lit(trips), partial(_deep_eq, last))
     assert _held(make, [False]) == ((None, "", 0), [True])
     assert len(native) == (trips >= 3)
