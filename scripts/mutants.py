@@ -172,8 +172,8 @@ MUTANTS = [
     Mutant(
         "hot-print-str-as-value",
         "src/stagedsl/hot.py",
-        'line = f"{write}({src.const(cmd.text)})"',
-        'line = f"{write}({src.const(cmd.text.strip())})"',
+        'src.put(f"{write}({src.const(cmd.text)})")',
+        'src.put(f"{write}({src.const(cmd.text.strip())})")',
     ),
     # one case of each instruction match
     Mutant(
@@ -199,7 +199,7 @@ MUTANTS = [
     Mutant(
         "hot-get-ref-of-a-residue-canonical",
         "src/stagedsl/hot.py",
-        "if text in src.residues:  # an i32 cell's local",
+        "if local in src.residues:  # an i32 cell's local",
         "if False:",
     ),
     Mutant(
@@ -329,6 +329,19 @@ MUTANTS = [
         "src/stagedsl/hot.py",
         "except OSError:  # an object this process cannot load",
         "except ():  # an object this process cannot load",
+    ),
+    Mutant(
+        "native-impure-body-builds",
+        "src/stagedsl/hot.py",
+        '        if None in self.entries:\n'
+        '            raise DslError("cannot build C for an impure statement")\n',
+        "        self.entries = [entry for entry in self.entries if entry]\n",
+    ),
+    Mutant(
+        "native-cell-read-entry-dropped",
+        "src/stagedsl/hot.py",
+        'src.put(f"{name} = {src.named.get(local, local)}", (name, Var(local, cmd.ref.tag)))',
+        'src.lines.append(f"{name} = {src.named.get(local, local)}")',
     ),
     Mutant(
         "eval-add-wrap-dropped",

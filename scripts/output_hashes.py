@@ -17,17 +17,23 @@ byte for byte unchanged.
                 staged loop and Iter runs hot, then powerInput run directly
                 and lowered under DEFAULT_CONFIG at 3 * HOT trips, at the
                 default HOT
+    native      every C kernel text Source.kernel() prints for the Sources the
+                hot hash's runs generate, in generation order, each asked for
+                as loop_body or iter_step returns it; a refusal, a body that
+                cannot build as C, adds no text
 
 Each hash covers its texts concatenated in that order.
 """
 
 import hashlib
 import re
+from functools import partial
 
 from stagedsl import highexpr as hi
 from stagedsl import hot
 from stagedsl import lowexpr as lo
 from stagedsl.cgen import emit_c
+from stagedsl.core import DslError
 from stagedsl.examples import EXAMPLES
 from stagedsl.pseudo import render_program
 from stagedsl.randprog import corpus
@@ -47,16 +53,26 @@ def sha256(texts) -> str:
     return digest.hexdigest()
 
 
-def hot_texts() -> list[str]:
-    """The texts of the hot hash, recorded where hot compiles them."""
-    texts = []
+def hot_texts() -> tuple[list[str], list[str]]:
+    """The texts of the hot hash, recorded where hot compiles them, and of
+    the native hash, recorded where hot's printers return their Source."""
+    texts, kernels = [], []
 
     def recorded(text, *args):
         texts.append(text)
         return compile(text, *args)
 
-    default = hot.HOT
+    def printed(printer, *args):
+        src = printer(*args)
+        try:
+            kernels.append(src.kernel())
+        except DslError:  # a refusal
+            pass
+        return src
+
+    default, printers = hot.HOT, (hot.loop_body, hot.iter_step)
     hot.compile = recorded  # found before the builtin, as the sources fixture does
+    hot.loop_body, hot.iter_step = (partial(printed, printer) for printer in printers)
     hot._record.cache_clear()
     try:
         hot.HOT = 1
@@ -70,12 +86,13 @@ def hot_texts() -> list[str]:
             run_text(prog, lang, f"3\n{3 * hot.HOT}\n")
     finally:
         hot.HOT = default
+        hot.loop_body, hot.iter_step = printers
         del hot.compile
-    return texts
+    return texts, kernels
 
 
 def main() -> int:
-    texts = hot_texts()
+    texts, kernels = hot_texts()
     lowered = [
         lower_program(gp.program, cfg) for gp in corpus(seed=3, size=200) for cfg in CONFIGS
     ]
@@ -92,6 +109,7 @@ def main() -> int:
     print("c-no-void", sha256(VOID.sub("", text) for text in c))
     print("transcripts", sha256(transcripts))
     print("hot", sha256(texts))
+    print("native", sha256(kernels))
     return 0
 
 

@@ -4,19 +4,19 @@ and, once its text has run NATIVE trips in the process, as C.
 
 This module alone knows the generated source.  It holds loop, the one step
 that runs a staged loop or an Iter and decides its tier; the two printers,
-loop_body for a loop's staged statements and iter_step for an Iter's step;
-Source, which holds their lines, prints a pure body's trips as a C kernel,
-in passes of _PASS trips when no line reads the counter, and wraps the
-kernel _build compiles and loads; _record, which assembles the lines into
-one function's text once per process for what the text depends on, and
-keeps one Record per text: its code, its trips and its kernel; and PYTHON,
-the rule table that gives an expression's text.  A run of fewer than
-PER_CALL trips calls the Python function even once its text has a kernel.
-Only an Iter's step or a loop body of GetRef and SetRef builds as C; any
-other body, no compiler, a failed compile, a warning included, and an
-OSError from ctypes are refusals, which leave the text on Python.  _build
-runs the plain program of cgen.c_compiler(), never $CC's flags, and keeps
-its files in one temporary directory per process, removed at exit.  The README's
+loop_body for a loop's staged statements and iter_step for an Iter's step,
+which record a trip once in a Source, as Python lines and (target, value)
+entries that its kernel() prints as C only when _build tries a kernel;
+_record, which assembles the lines into one function's text once per
+process for what the text depends on, and keeps one Record per text: its
+code, its trips and its kernel; and PYTHON, the rule table that gives an
+expression's text, as cgen._TEXT gives its C.  A run of fewer than PER_CALL
+trips calls the Python function even once its text has a kernel.  Only an
+Iter's step or a loop body of GetRef and SetRef builds as C; any other
+body, no compiler, a failed compile, a warning included, and an OSError
+from ctypes are refusals, which leave the text on Python.  _build runs the
+plain program of cgen.c_compiler(), never $CC's flags, and keeps its files
+in one temporary directory per process, removed at exit.  The README's
 account of the hot tier says how these functions compute, and why.
 """
 
@@ -86,37 +86,38 @@ _PASS = 4
 
 
 class Source:
-    """Python source over a scope's names, for the hot loop bodies and
-    Iter steps: its lines in order, among them the temporaries that the
-    text folded so far reads, the namespace constants they name, the
-    generated names they read and the live cells they reach.  Only the
-    repr() of an int or bool literal becomes text.  An expression that only
-    compile handles, a binder or a variable the scope did not generate, is
-    a DslError.
+    """A hot loop body's or Iter step's trip over a scope's names, each
+    statement put() once: its Python lines in order, among them the
+    temporaries that the text folded so far reads, and its entry, (target,
+    value) if pure, else None, which kernel() prints as C; the constants the
+    lines name, the generated names they read and the live cells they reach.
+    Only the repr() of an int or bool literal becomes text.  An expression
+    that only compile handles, a binder or a variable the scope did not
+    generate, is a DslError.
 
-    An i32 is a residue in the text: any integer congruent to its value
-    mod 2**32.  An operator's result is only masked into [0, 2**32), and a
-    carried local between the trips of a pass of function is not even that,
-    but stays within 256 bits (see _PASS); literals, names loaded from env,
-    read()'s results, the counter and the values of cells reached through
-    env are canonical, that is signed.  A value is made canonical only
-    where it is observed, always by _canonical: by value(), for output, a
-    new cell and a write through env; by an Eq, for each operand, so it
-    compares signed values; and at the stores of function.  ref() gives a
-    reference's text: a live cell, a ConcreteRef, is a local of the function,
-    which residues holds if an i32, as it holds each generated name that may
-    hold a residue.  A carried local, a live cell's or an Iter's state, passes
-    its value from one trip to the next; carried holds each i32 one, by
-    store(): its last store's position among the lines, and that line with
-    the top operator unmasked."""
+    An i32 is a residue in the text: any integer congruent to its value mod
+    2**32.  An operator's result is only masked into [0, 2**32), and a carried
+    local between the trips of a pass of function is not even that, but stays
+    within 256 bits (see _PASS); literals, names loaded from env, read()'s
+    results, the counter and the values of cells reached through env are
+    canonical, that is signed.  A value is made canonical only where it is
+    observed, always by _canonical: by value(), for output, a new cell and a
+    write through env; by an Eq, for each operand, so it compares signed
+    values; and at the stores of function.  ref() gives a reference's local;
+    named, the Python text of a cell reached by name: a live cell, a
+    ConcreteRef, is a local of the function, which residues holds if an i32,
+    as it holds each generated name that may hold a residue.  A carried local,
+    a live cell's or an Iter's state, passes its value from one trip to the
+    next; carried holds each i32 one, by store(): its last store's position
+    among the lines, and that line with the top operator unmasked."""
 
     def __init__(self, scope: Scope) -> None:
         self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
         self.residues: set[str] = set()
         self.cells: dict[int, tuple[str, str]] = {}  # by id: its local and its constant
-        self.named: set[str] = set()  # the names of cells reached by name
+        self.named: dict[str, str] = {}  # a cell reached by name: its Python text
         self.carried: dict[str, tuple[int, str]] = {}
-        self.c: Callable[[Source], list[str]] | None = None  # c(self): the trip as C, if pure
+        self.entries: list[tuple[str, Expr] | None] = []
 
     def const(self, value: Any) -> str:
         name = f"_c{len(self.consts)}"
@@ -133,13 +134,14 @@ class Source:
             self.residues.add(name)
 
     def ref(self, ref: Any) -> str:
-        """The text a reference is read and written through: a live cell's
-        local, or name.value for a name core.generated finds the scope
-        generated; else a StageError, which the steps raise when run."""
+        """A reference's local in C: a live cell's local, or a name
+        core.generated finds the scope generated, read and written as
+        name.value in Python; else a StageError, which the steps raise when
+        run."""
         if not isinstance(ref, ConcreteRef):
             self.reads.add(generated(ref, self.scope))
-            self.named.add(ref.name)
-            return f"{ref.name}.value"
+            self.named[ref.name] = f"{ref.name}.value"
+            return ref.name
         # one local per cell: the walk gives each use a reference of its own
         if id(ref) not in self.cells:
             local = f"_r{len(self.cells)}"
@@ -147,16 +149,22 @@ class Source:
             self.cells[id(ref)] = local, self.const(ref)
         return self.cells[id(ref)][0]
 
-    def store(self, target: str, e: Expr) -> str:
-        """The line storing e in target, which the caller appends next: a
+    def put(self, line: str, entry: tuple[str, Expr] | None = None) -> None:
+        """Append line, after any temporaries its text reads, and entry."""
+        self.lines.append(line)
+        self.entries.append(entry)
+
+    def store(self, target: str, e: Expr) -> None:
+        """Put the line storing e in target, a local of ref() or a name: a
         residue target, a carried local, gets e's masked text and carried
         keeps its position and unmasked line (see _record); any other
         target gets value(e)."""
         if target not in self.residues:
-            return f"{target} = {self.value(e)}"
-        text, _, raw = fold(PYTHON, e, self)
-        self.carried[target] = len(self.lines), f"{target} = {text if raw is None else raw}"
-        return f"{target} = {text}"
+            text = self.value(e)
+        else:
+            text, _, raw = fold(PYTHON, e, self)
+            self.carried[target] = len(self.lines), f"{target} = {text if raw is None else raw}"
+        self.put(f"{self.named.get(target, target)} = {text}", (target, e))
 
     def function(self, counter: str, load: list[str], store: list[str]) -> Generated:
         """The lines as one function, loop(env, n), which loads the names in
@@ -171,7 +179,7 @@ class Source:
             tuple(self.lines), counter, counter in self.reads, tuple(self.carried.values()), cells,
             tuple(load), tuple(store), tuple(name for name in own if name in self.residues),
         )
-        self.counter, self.load, self.store = counter, load, store
+        self.counter, self.load, self.stored = counter, load, store
         self.consts["_repeat"] = repeat
         exec(self.record.code, self.consts)
         self.run: Generated = self.consts.pop("loop")
@@ -181,19 +189,21 @@ class Source:
         """The C locals of kernel()'s int32 slots, in order: the names only
         loaded, the cells reached by name, the live cells and the names
         stored."""
-        values = [name for name in self.load if name not in self.named and name not in self.store]
+        values = [name for name in self.load if name not in self.named and name not in self.stored]
         named = [name for name in self.load if name in self.named]
-        return values, named, [local for local, _ in self.cells.values()], self.store
+        return values, named, [local for local, _ in self.cells.values()], self.stored
 
     def kernel(self) -> str:
         """function's trips as the C function body(slot, n), each slot read
-        into its local and written back; its statements are c(self)'s, which
-        raises DslError unless the body is pure.  A counter that a line
-        reads takes each trip's number; else, as in function, n / _PASS
-        passes of _PASS trips run, then n % _PASS trips, and the wrapper
-        alone stores the counter."""
+        into its local and written back, and each entry `target = value;` in
+        cgen's text, its names checked by PYTHON; DslError for a None entry.
+        A counter that a line reads takes each trip's number; else, as in
+        function, n / _PASS passes of _PASS trips run, then n % _PASS trips,
+        and the wrapper alone stores the counter."""
+        if None in self.entries:
+            raise DslError("cannot build C for an impure statement")
         slots = [name for group in self.slots() for name in group]
-        trip = [f"        {line}" for line in self.c(self)]
+        trip = [f"        {target} = {fold(cgen._TEXT, e)};" for target, e in self.entries]
         if self.counter in self.reads:
             trips = [
                 "    for (int64_t k = 0; k < n; k++) {",
@@ -473,38 +483,25 @@ def loop_body(
     for cmd, name in staged:
         match cmd:  # patterns without captures, as in core.symbolic
             case GetRef():
-                line = f"{name} = {(text := src.ref(cmd.ref))}"
-                if text in src.residues:  # an i32 cell's local
+                local = src.ref(cmd.ref)
+                if local in src.residues:  # an i32 cell's local
                     src.residues.add(name)
+                src.put(f"{name} = {src.named.get(local, local)}", (name, Var(local, cmd.ref.tag)))
             case SetRef():
-                line = src.store(src.ref(cmd.ref), cmd.value)
+                src.store(src.ref(cmd.ref), cmd.value)
             case InitRef():
-                line = f"{name} = {cell}({src.const(cmd.init.tag)}, {src.value(cmd.init)})"
+                src.put(f"{name} = {cell}({src.const(cmd.init.tag)}, {src.value(cmd.init)})")
             case WriteOutput():
-                line = f"{write}(str({src.value(cmd.value)}))"
+                src.put(f"{write}(str({src.value(cmd.value)}))")
             case ReadInput():
-                line = f"{name} = {read}()"
+                src.put(f"{name} = {read}()")
             case PrintStr():
-                line = f"{write}({src.const(cmd.text)})"
+                src.put(f"{write}({src.const(cmd.text)})")
             case _:
                 raise DslError("cannot generate Python for a nested loop")
-        src.lines.append(line)  # after any temporaries its text reads
     own = [counter, *(name for _, name in staged if name is not None)]
     src.function(counter, sorted(src.reads.difference(own)), own)
-    src.c = lambda src: [_c_statement(src, cmd, name) for cmd, name in staged]
     return src
-
-
-def _c_statement(src: Source, cmd: Instr, name: str | None) -> str:
-    """A pure statement as C, where each cell's value is a local named as
-    its Python text less `.value`; DslError for any other statement."""
-    match cmd:
-        case GetRef():
-            return f"{name} = {src.ref(cmd.ref).removesuffix('.value')};"
-        case SetRef():
-            value = fold(cgen._TEXT, cmd.value, src.scope)
-            return f"{src.ref(cmd.ref).removesuffix('.value')} = {value};"
-    raise DslError(f"cannot build C for {type(cmd).__name__}")
 
 
 def iter_step(scope: Scope, name: str, stepped: Expr) -> Source:
@@ -513,7 +510,6 @@ def iter_step(scope: Scope, name: str, stepped: Expr) -> Source:
     counter is `_`, which no line reads, as in highexpr's cold trips."""
     src = Source(scope)
     src.residue(name, stepped.tag)
-    src.lines.append(src.store(name, stepped))
+    src.store(name, stepped)
     src.function("_", sorted(src.reads), [name])
-    src.c = lambda src: [f"{name} = {fold(cgen._TEXT, stepped, src.scope)};"]
     return src

@@ -20,8 +20,9 @@ from c_differential import outcome
 from stagedsl import highexpr as hi, hot, lowexpr as lo
 from stagedsl.cgen import c_compiler
 from stagedsl.core import (
-    ConcreteRef, DslError, GetRef, Scope, SetRef, StageError, SymbolicRef, TypeTag, for_loop,
-    get_ref, init_ref, set_ref, wrap_i32, write_output,
+    ConcreteRef, DslError, GetRef, InitRef, PrintStr, ReadInput, Scope, SetRef, StageError,
+    SymbolicRef, TypeTag, WriteOutput, for_loop, get_ref, init_ref, set_ref, wrap_i32,
+    write_output,
 )
 from stagedsl.examples import power_input
 from stagedsl.randprog import corpus
@@ -84,16 +85,22 @@ def test_every_reference_is_read_and_written_through_ref():
     cell = ConcreteRef(TypeTag.I32, 0)
     named = SymbolicRef(TypeTag.I32, scope.fresh("r", TypeTag.I32))
     assert src.ref(cell) == src.ref(cell) == "_r0"  # one local per cell
-    assert src.ref(named) == "r0.value" and src.reads == {"r0"}
+    assert src.ref(named) == "r0" and src.reads == {"r0"}
+    # in Python a cell reached by name is read and written through .value
+    assert src.named == {"r0": "r0.value"}
     with pytest.raises(StageError, match="not generated"):  # the same text, not the name
         src.ref(SymbolicRef(TypeTag.I32, "r0"))
     e = lo.lit(2**31 - 1) + lo.lit(1)
     # a cell's local is a carried residue: its store is masked, its line kept
-    assert src.store("_r0", e) == "_r0 = ((2147483647 + 1) & 0xFFFFFFFF)"
+    src.store("_r0", e)
+    assert src.lines == ["_r0 = ((2147483647 + 1) & 0xFFFFFFFF)"]
     assert src.carried == {"_r0": (0, "_r0 = 2147483647 + 1")}
     # a write by name is observed, so it stores the canonical value
-    line = src.store("r0.value", e)
+    src.store("r0", e)
+    line = src.lines[-1]
     assert line == f"r0.value = {src.value(e)}" and list(src.carried) == ["_r0"]
+    # each store is recorded once, as the entry kernel() prints as C
+    assert src.entries == [("_r0", e), ("r0", e)]
     env["r0"] = ConcreteRef(TypeTag.I32, 0)
     exec(line, env)
     assert env["r0"].value == lo.eval_closed(e) == I32_MIN
@@ -320,6 +327,32 @@ def test_native_kernel_text_of_a_loop_body_over_every_kind_of_slot():
         "    slot[4] = v3;\n"
         "}\n"
     )
+
+
+# each impure kind of statement, over the counter i, and the name y it binds
+IMPURE = {
+    "init-ref": lambda i, y: (InitRef(lo.Var(i, I32)), y),
+    "write-output": lambda i, y: (WriteOutput(lo.Var(i, I32)), None),
+    "read-input": lambda i, y: (ReadInput(), y),
+    "print-str": lambda i, y: (PrintStr("x"), None),
+}
+
+
+@pytest.mark.parametrize("kind", IMPURE)
+def test_native_kernel_refuses_a_loop_body_with_an_impure_statement(kind):
+    # a pure read and store around one impure statement: the Python function
+    # holds every line, and kernel() alone refuses, with no compiler
+    scope = Scope()
+    i, r, x, y = (scope.fresh(*name) for name in [("v", I32), ("r", I32), ("v", I32), ("v", I32)])
+    staged = [
+        (GetRef(SymbolicRef(I32, r)), x),
+        IMPURE[kind](i, y),
+        (SetRef(SymbolicRef(I32, r), lo.Var(x, I32) + lo.Var(i, I32)), None),
+    ]
+    src = hot.loop_body(scope, print, input, i, staged)
+    assert len(src.lines) == 3 and src.entries[1] is None
+    with pytest.raises(DslError, match="impure"):
+        src.kernel()
 
 
 def test_a_native_kernel_stores_back_what_the_python_function_does(native):
