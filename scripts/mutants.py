@@ -52,8 +52,8 @@ MUTANTS = [
         "zero-trips-instantiate",
         "src/stagedsl/hot.py",
         "        if n <= 0:\n            return\n"
-        "        if body is None:\n            body = instantiate()\n",
-        "        if body is None:\n            body = instantiate()\n"
+        "        if self.body is None:\n            self.body = self.instantiate()\n",
+        "        if self.body is None:\n            self.body = self.instantiate()\n"
         "        if n <= 0:\n            return\n",
     ),
     Mutant(
@@ -84,8 +84,8 @@ MUTANTS = [
     Mutant(
         "ref-skips-generated",
         "src/stagedsl/hot.py",
-        "self.reads.add(generated(ref, self.scope))",
-        "self.reads.add(ref.name)",
+        "elif (key := generated(ref, self.scope)) in self.own:",
+        "elif (key := ref.name) in self.own:",
     ),
     Mutant(
         "store-canonical-branch-dropped",
@@ -96,7 +96,7 @@ MUTANTS = [
     Mutant(
         "generate-kept-after-try",
         "src/stagedsl/hot.py",
-        "            generate = None\n",
+        "                self.generate = None\n",
         "",
     ),
     # one trip loop, one compile path, one nesting bound, hot's own temporaries
@@ -135,8 +135,8 @@ MUTANTS = [
     Mutant(
         "hot-threshold-strict",
         "src/stagedsl/hot.py",
-        "if generate and trips >= HOT:",
-        "if generate and trips > HOT:",
+        "if trips >= HOT:",
+        "if trips > HOT:",
     ),
     Mutant(
         "arithmetic-mask-dropped",
@@ -177,10 +177,10 @@ MUTANTS = [
     ),
     # one case of each instruction match
     Mutant(
-        "perform-reaches-only-a-live-cell",
+        "perform-reaches-any-reference",
         "src/stagedsl/runtime.py",
-        "cell = self.reference(cmd.ref)(self.env)",
-        "cell = cmd.ref if isinstance(cmd.ref, ConcreteRef) else _unreached(self.env)",
+        "return ref if isinstance(ref, ConcreteRef) else _unreached()",
+        "return ref",
     ),
     Mutant(
         "perform-init-ref-tagged-i32",
@@ -191,9 +191,11 @@ MUTANTS = [
     Mutant(
         "step-init-ref-shares-one-cell",
         "src/stagedsl/runtime.py",
-        "                def step(env):\n                    env[name] = ConcreteRef(tag, value(env))\n",
+        "                def step(env, name=name, tag=tag, value=value):\n"
+        "                    env[name] = ConcreteRef(tag, value(env))\n",
         "                shared = ConcreteRef(tag, None)\n\n"
-        "                def step(env):\n                    shared.value = value(env)\n"
+        "                def step(env, name=name, value=value):\n"
+        "                    shared.value = value(env)\n"
         "                    env[name] = shared\n",
     ),
     Mutant(
@@ -224,8 +226,8 @@ MUTANTS = [
     Mutant(
         "flat-mul-wrap-dropped",
         "src/stagedsl/lowexpr.py",
-        "lambda fa, fb: lambda env: wrap_i32(fa(env) * fb(env))",
-        "lambda fa, fb: lambda env: fa(env) * fb(env)",
+        "lambda env, fa=fa, fb=fb: wrap_i32(\n        fa(env) * fb(env))),",
+        "lambda env, fa=fa, fb=fb: (\n        fa(env) * fb(env))),",
     ),
     Mutant(
         "c-add-casts-dropped",
@@ -309,8 +311,8 @@ MUTANTS = [
     Mutant(
         "native-per-call-threshold-strict",
         "src/stagedsl/hot.py",
-        "if native and n >= PER_CALL:",
-        "if native and n > PER_CALL:",
+        "if self.native and n >= PER_CALL:",
+        "if self.native and n > PER_CALL:",
     ),
     Mutant(
         "native-pass-remainder-dropped",
@@ -342,6 +344,38 @@ MUTANTS = [
         "src/stagedsl/hot.py",
         'src.put(f"{name} = {src.named.get(local, local)}", (name, Var(local, cmd.ref.tag)))',
         'src.lines.append(f"{name} = {src.named.get(local, local)}")',
+    ),
+    # the plan a program value keeps: what each run brings, and what it gives back
+    Mutant(
+        "plan-io-bound-at-staging",
+        "src/stagedsl/runtime.py",
+        'env = {"write": stdout.write, "read": source.read}',
+        'env = {"write": prog.plans.setdefault("sink", stdout.write)'
+        ' if isinstance(prog, Bind) else stdout.write, "read": source.read}',
+    ),
+    Mutant(
+        "plan-trips-carried-across-runs",
+        "src/stagedsl/hot.py",
+        "trips = env[self] = env.get(self, 0) + n",
+        'trips = env[self] = vars(self.count)["trips"] = vars(self.count).get("trips", 0) + n',
+    ),
+    Mutant(
+        "plan-result-not-read-back",
+        "src/stagedsl/runtime.py",
+        "return self.runner.read_back(self.walk.result, env)",
+        "return self.walk.result",
+    ),
+    Mutant(
+        "plan-unbuilt-statement-dropped",
+        "src/stagedsl/runtime.py",
+        "                self.unbuilt = ((cmd, name),)\n",
+        "                pass\n",
+    ),
+    Mutant(
+        "walk-pops-before-continuation",
+        "src/stagedsl/core.py",
+        "                current = pending[-1](result)\n                pending.pop()\n",
+        "                current = pending.pop()(result)\n",
     ),
     Mutant(
         "eval-add-wrap-dropped",

@@ -15,9 +15,11 @@ builds a Bind, whose continuation runs only when an interpretation reaches it.
 
 Loop and continuation bodies are ordinary host functions.  They are
 instantiated with symbolic names when generating code, and also when the
-runtime stages a loop body to run it many times; only straight-line code and
-closed expressions are instantiated with concrete values.  Every body must
-therefore build the same program whatever value it is passed.
+runtime stages a program, once per program value, to run it many times:
+its top level, walked by statements, and each loop body.  Only the
+reference interpreter instantiates them with concrete values.  Every body
+must therefore build the same program whatever value it is passed, which
+is what lets a staged program run on any input.
 """
 
 from __future__ import annotations
@@ -126,6 +128,13 @@ class Ret(Program):
 class Bind(Program):
     first: Program
     rest: Callable[[Any], Program]
+
+    @property
+    def plans(self) -> dict[Any, Any]:
+        """The runtime's staged top levels of this program, by the compile of
+        the language each runs under, made on first use: a plain attribute,
+        not a cached_property, whose lock a run of a new program would pay."""
+        return self.__dict__.setdefault("_plans", {})
 
     @functools.cached_property
     def listed(self) -> tuple[list[tuple[int, Instr | None, str | None]], Scope]:
@@ -324,29 +333,60 @@ def symbolic(cmd: Instr, scope: Scope) -> tuple[str | None, Any]:
     raise DslError(f"not an instruction: {cmd!r}")
 
 
-def statements(prog: Program, scope: Scope) -> Iterator[tuple[Instr, str | None]]:
+class statements:
     """The statements of one body in order, as (instruction, name), each
-    name given by symbolic: interpret's fold with symbolic and a yield for the
-    handler.  It never enters a loop's body, and it pauses after each
-    statement, so a caller can walk that body, or leave it unbuilt, before
-    anything after the loop gets a name."""
-    pending: list[Callable[[Any], Program]] = []
-    current = prog
-    while True:
-        if isinstance(current, Bind):
-            pending.append(current.rest)
-            current = current.first
-            continue
-        if isinstance(current, Instr):
-            name, result = symbolic(current, scope)
-            yield current, name
-        elif isinstance(current, Ret):
-            result = current.value
-        else:
-            raise DslError(f"not a program node: {current!r}")
-        if not pending:
-            return
-        current = pending.pop()(result)
+    name given by symbolic: interpret's fold with symbolic, paused after each
+    statement.  It never enters a loop's body, so a caller can walk that
+    body, or leave it unbuilt, before anything after the loop gets a name.
+    Iterating it gives its walk, a generator, which goes on from where the
+    last one stopped: a continuation or symbolic that raises ends that
+    generator but leaves the state where it was, so the next one tries
+    again.  Once the walk is exhausted, result is the body's result."""
+
+    __slots__ = ("_state", "_walk")
+
+    def __init__(self, prog: Program, scope: Scope) -> None:
+        self._state = [scope, [], prog, None]  # the generator's: scope, pending, current, result
+        self._walk: Iterator[tuple[Instr, str | None]] | None = None
+
+    @property
+    def result(self) -> Any:
+        return self._state[3]
+
+    def __iter__(self) -> Iterator[tuple[Instr, str | None]]:
+        if self._walk is None or self._walk.gi_frame is None:  # none yet, or it stopped
+            self._walk = _walk(self._state)
+        return self._walk
+
+    def __next__(self) -> tuple[Instr, str | None]:
+        return next(iter(self))
+
+
+def _walk(state: list) -> Iterator[tuple[Instr, str | None]]:
+    """statements' generator, over the state it writes back when it stops:
+    a generator is the cheapest pause, and holding the state, not the
+    statements, it makes no cycle."""
+    scope, pending, current, result = state
+    try:
+        while True:
+            if current is None:  # the last statement's continuation takes its result
+                if not pending:
+                    return
+                current = pending[-1](result)
+                pending.pop()
+            if isinstance(current, Bind):
+                pending.append(current.rest)
+                current = current.first
+            elif isinstance(current, Instr):
+                name, result = symbolic(current, scope)
+                cmd, current = current, None
+                yield cmd, name
+            elif isinstance(current, Ret):
+                result, current = current.value, None
+            else:
+                raise DslError(f"not a program node: {current!r}")
+    finally:
+        state[2:] = current, result
 
 
 def listing(prog: Program, scope: Scope) -> list[tuple[int, Instr | None, str | None]]:
@@ -436,6 +476,8 @@ def reexpress(translate_expr: Callable[[Any], Program], prog: Program) -> Progra
     preserved: instructions stay in order, loop bodies are translated
     recursively when instantiated.
     """
+    if isinstance(prog, Instr):  # no spine, the commonest continuation result
+        return reexpress_cmd(translate_expr, prog)
     # Iterative down the left spine of Binds, which seq builds as deep as
     # the statement list is long; continuations are translated lazily.
     rests: list[Callable[[Any], Program]] = []

@@ -4,9 +4,9 @@ iterated application.
 Var, Lit, Add, Mul, Not, Eq, lit, eval_closed and compile_open are
 lowexpr's own objects, re-exported, so a low-language expression is already
 a rich one and both languages evaluate and compile through lowexpr's fold.
-This module adds only Let and Iter and their entries in the evaluation and
-compilation rule tables; LANG is lowexpr's LANG itself, whose text table
-has no rule for Let or Iter, so a program prints only once its
+This module adds only Let and Iter and their entries in the evaluation,
+compilation and read-back rule tables; LANG is lowexpr's LANG itself, whose
+text table has no rule for Let or Iter, so a program prints only once its
 expressions are low.
 
 Both classes are binders.  Evaluation of closed expressions is the
@@ -98,14 +98,24 @@ def _flat_iter(e: Iter, flat: tuple) -> Iterator[Expr]:
     scope, steps = flat
     name = scope.fresh("s", e.tag)
     (count, _), (init, _) = (yield e.count), (yield e.init)
-    step = lambda: e.step(Var(name, e.tag))
-    stage = lambda stepped: [lo._store(name, compile_open(stepped, scope))]
+    step = lambda e=e, name=name: e.step(Var(name, e.tag))
+    stage = lambda stepped, name=name, scope=scope: [lo._store(name, compile_open(stepped, scope))]
     iterate = hot.loop("_", count, step, stage, partial(hot.iter_step, scope, name))
     steps += [lo._store(name, init), iterate]  # count reads no name this store sets
-    return (lambda env: env[name]), 1
+    return (lambda env, name=name: env[name]), 1
+
+
+def _read_let(e: Let, _context: Any) -> Iterator[Expr]:
+    # the body stays the program's own function, as every binder's does
+    return Let((yield e.shared), e.body)
+
+
+def _read_iter(e: Iter, _context: Any) -> Iterator[Expr]:
+    return Iter((yield e.count), (yield e.init), e.step)
 
 
 lo.EVAL.update({Let: _eval_let, Iter: _eval_iter})
 lo.FLAT.update({Let: _flat_let, Iter: _flat_iter})
+lo.READ_BACK.update({Let: _read_let, Iter: _read_iter})
 
 LANG = lo.LANG

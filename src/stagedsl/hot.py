@@ -3,14 +3,21 @@ generated Python function, in the style of Lightweight Modular Staging,
 and, once its text has run NATIVE trips in the process, as C.
 
 This module alone knows the generated source.  It holds loop, the one step
-that runs a staged loop or an Iter and decides its tier; the two printers,
+that runs a staged loop or an Iter and decides its tier, a _Loop that a
+staged program keeps for all its runs, with the body, steps, function and
+kernel's wrapper it made, while each program run's trips, which the tier
+decisions compare with HOT, are that run's own; the two printers,
 loop_body for a loop's staged statements and iter_step for an Iter's step,
 which record a trip once in a Source, as Python lines and (target, value)
 entries that its kernel() prints as C only when _build tries a kernel;
 _record, which assembles the lines into one function's text once per
 process for what the text depends on, and keeps one Record per text: its
-code, its trips and its kernel; and PYTHON, the rule table that gives an
-expression's text, as cgen._TEXT gives its C.  A run of fewer than PER_CALL
+code, its trips, its kernel and its kernel's wrappers; forget, which
+starts the tier afresh; and PYTHON, the rule table that gives an
+expression's text, as cgen._TEXT gives its C.  A value a program read is a
+name loaded from env in a text, never a literal, so every input shares one
+text, and a cell reached by name is a local of the function, as a live
+cell is.  A run of fewer than PER_CALL
 trips calls the Python function even once its text has a kernel.  Only an
 Iter's step or a loop body of GetRef and SetRef builds as C; any other
 body, no compiler, a failed compile, a warning included, and an OSError
@@ -39,15 +46,16 @@ from .lowexpr import Add, Compiled, Eq, Expr, Lit, Mul, Not, Rules, Var, _NEST, 
 
 Generated = Callable[[dict[str, Any], int], None]  # n trips of a hot body, see Source
 
-# A staged loop's or an Iter's trips, summed over its runs, at which it
-# runs as generated source.  powerInput's loop body costs about 145 us more
-# to generate than to stage, most of it compile() of a text that holds the
-# trip five times (see _PASS), paid once per text per process (_record), and
-# about 12 us more once the text is compiled; each trip then saves about
-# 0.5 us (CPython 3.11.7, one pinned core).  So a text's first run pays from
-# about 285 trips and a later run from about 25.  HOT stays 256: a first
-# run of HOT trips loses about 15 us once per text, and the default randprog
-# corpus has not been seen to reach it, as its loops sum to at most 144.
+# A staged loop's or an Iter's trips, summed over its runs in one program
+# run, at which it runs as generated source.  powerInput's loop body costs
+# about 145 us more to generate than to stage, most of it compile() of a text
+# that holds the trip five times (see _PASS), paid once per text per process
+# (_record), and about 12 us more once the text is compiled; each trip then
+# saves about 0.5 us (CPython 3.11.7, one pinned core).  So a text's first
+# run pays from about 285 trips and a later run from about 25.  HOT stays
+# 256: a first run of HOT trips loses about 15 us once per text, and the
+# default randprog corpus has not been seen to reach it, as its loops sum to
+# at most 144.
 HOT = 256
 
 # A hot text's trips, summed over every run of it in the process, at which
@@ -70,7 +78,7 @@ UNTRIED = object()  # a Record's kernel before its build is tried
 # wrap_i32 of any integer as Python text, in wrap_i32's own masked form
 _WRAP = "((({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
 # The trips per pass of a generated function that stores one i32 carried
-# local, an Iter's state or a live cell, and reads no counter: all but the
+# local, an Iter's state or a cell, and reads no counter: all but the
 # last trip of a pass store that local's unmasked top operator (see
 # _record).  Every consumer of a residue, a masked operator or _WRAP
 # (an Eq's operands among them), reduces any integer exactly, so only the size
@@ -90,10 +98,10 @@ class Source:
     statement put() once: its Python lines in order, among them the
     temporaries that the text folded so far reads, and its entry, (target,
     value) if pure, else None, which kernel() prints as C; the constants the
-    lines name, the generated names they read and the live cells they reach.
-    Only the repr() of an int or bool literal becomes text.  An expression
-    that only compile handles, a binder or a variable the scope did not
-    generate, is a DslError.
+    lines name, the generated names they read, own, the names the trip
+    itself binds, and the cells they reach.  Only the repr() of an int or
+    bool literal becomes text.  An expression that only compile handles, a
+    binder or a variable the scope did not generate, is a DslError.
 
     An i32 is a residue in the text: any integer congruent to its value mod
     2**32.  An operator's result is only masked into [0, 2**32), and a carried
@@ -103,19 +111,20 @@ class Source:
     canonical, that is signed.  A value is made canonical only where it is
     observed, always by _canonical: by value(), for output, a new cell and a
     write through env; by an Eq, for each operand, so it compares signed
-    values; and at the stores of function.  ref() gives a reference's local;
-    named, the Python text of a cell reached by name: a live cell, a
-    ConcreteRef, is a local of the function, which residues holds if an i32,
-    as it holds each generated name that may hold a residue.  A carried local,
-    a live cell's or an Iter's state, passes its value from one trip to the
+    values; and at the stores of function.  ref() gives a reference's local,
+    by one rule for a live cell, a ConcreteRef, and a cell reached by a name
+    from outside the trip: a local of the function, which residues holds if
+    an i32, as it holds each generated name that may hold a residue; named
+    holds the Python text, name.value, of a cell the trip makes.  A carried
+    local, a cell's or an Iter's state, passes its value from one trip to the
     next; carried holds each i32 one, by store(): its last store's position
     among the lines, and that line with the top operator unmasked."""
 
-    def __init__(self, scope: Scope) -> None:
-        self.scope, self.lines, self.consts, self.reads = scope, [], {}, set()
+    def __init__(self, scope: Scope, own: frozenset[str] = frozenset()) -> None:
+        self.scope, self.own, self.lines, self.consts, self.reads = scope, own, [], {}, set()
         self.residues: set[str] = set()
-        self.cells: dict[int, tuple[str, str]] = {}  # by id: its local and its constant
-        self.named: dict[str, str] = {}  # a cell reached by name: its Python text
+        self.cells: dict[Any, tuple[str, str]] = {}  # by id or name: its local and its holder
+        self.named: dict[str, str] = {}  # a cell made on each trip: its Python text
         self.carried: dict[str, tuple[int, str]] = {}
         self.entries: list[tuple[str, Expr] | None] = []
 
@@ -134,20 +143,27 @@ class Source:
             self.residues.add(name)
 
     def ref(self, ref: Any) -> str:
-        """A reference's local in C: a live cell's local, or a name
-        core.generated finds the scope generated, read and written as
-        name.value in Python; else a StageError, which the steps raise when
-        run."""
-        if not isinstance(ref, ConcreteRef):
-            self.reads.add(generated(ref, self.scope))
-            self.named[ref.name] = f"{ref.name}.value"
-            return ref.name
-        # one local per cell: the walk gives each use a reference of its own
-        if id(ref) not in self.cells:
-            local = f"_r{len(self.cells)}"
+        """A reference's local, one per cell, which function loads from its
+        holder before the trips and stores back in a finally: a live cell's
+        holder is a constant, and a cell reached by a name core.generated
+        finds the scope generated outside the trip has that name, loaded
+        from env.  A name the trip itself binds, a cell made on each trip,
+        is read and written as name.value instead.  Any other reference is
+        a StageError, which the steps raise when run."""
+        if isinstance(ref, ConcreteRef):
+            key = id(ref)  # the walk gives each use a reference of its own
+        elif (key := generated(ref, self.scope)) in self.own:
+            self.named[key] = f"{key}.value"
+            return key
+        if key not in self.cells:
+            local, holder = f"_r{len(self.cells)}", key
+            if isinstance(ref, ConcreteRef):
+                holder = self.const(ref)
+            else:
+                self.reads.add(holder)
             self.residue(local, ref.tag)
-            self.cells[id(ref)] = local, self.const(ref)
-        return self.cells[id(ref)][0]
+            self.cells[key] = local, holder
+        return self.cells[key][0]
 
     def put(self, line: str, entry: tuple[str, Expr] | None = None) -> None:
         """Append line, after any temporaries its text reads, and entry."""
@@ -187,11 +203,10 @@ class Source:
 
     def slots(self) -> tuple[list[str], ...]:
         """The C locals of kernel()'s int32 slots, in order: the names only
-        loaded, the cells reached by name, the live cells and the names
-        stored."""
-        values = [name for name in self.load if name not in self.named and name not in self.stored]
-        named = [name for name in self.load if name in self.named]
-        return values, named, [local for local, _ in self.cells.values()], self.stored
+        loaded that hold no cell, the cells' locals and the names stored."""
+        holders = {holder for _, holder in self.cells.values()}
+        values = [name for name in self.load if name not in holders and name not in self.stored]
+        return values, [local for local, _ in self.cells.values()], self.stored
 
     def kernel(self) -> str:
         """function's trips as the C function body(slot, n), each slot read
@@ -234,21 +249,31 @@ class Source:
         """The built kernel as function, loop(env, n): the same names and
         cells loaded into its slots, in slots() order, and stored back as
         function stores them, and the counter as n - 1.  Each is stored by
-        its kind in this run, a cell's own tag and a stored name's tag in
-        the scope, never by its record: one text may serve bool cells in one
-        run and i32 cells in another."""
-        values, named, cells, store = self.slots()
-        array = _array(len(values) + len(named) + len(cells) + len(store))
-        live = [self.consts[const] for _, const in self.cells.values()]
+        its kind, a cell's own tag and a stored name's tag in the scope.
+        The record keeps one per kernel and kinds, which are all it depends
+        on besides the text, so a new loop of a known text, such as a fresh
+        program's, makes none; one over a live cell is made for its loop
+        alone, so that no record keeps the cell."""
+        kinds = tuple(_KIND[self.scope.tag(name)] for name in self.stored)
+        held = tuple((self.consts.get(holder), holder) for _, holder in self.cells.values())
+        if any(cell for cell, _ in held):  # kept, a wrapper would keep its live cells
+            return self._wrap(kernel, kinds, held)
+        key = id(kernel), kinds  # the wrapper keeps its kernel, and so its id
+        if key not in self.record.wrappers:
+            self.record.wrappers[key] = self._wrap(kernel, kinds, held)
+        return self.record.wrappers[key]
+
+    def _wrap(self, kernel: Callable, kinds: tuple, held: tuple) -> Generated:
+        values, cells, store = self.slots()
+        array = _array(len(values) + len(cells) + len(store))
         counter, first = self.counter, len(values)
-        counted = counter in store
-        kinds = [_KIND[self.scope.tag(name)] for name in store]
+        counted, zeros = counter in store, (0,) * len(store)
 
         def loop(env, n):
-            reached = [env[name] for name in named] + live
+            reached = [cell or env[holder] for cell, holder in held]
             # a name only stored is written before it is read, so its slot may hold anything
-            slot = array(*[env[name] for name in values], *[cell.value for cell in reached],
-                         *[env.get(name, 0) for name in store])
+            slot = array(*map(env.__getitem__, values), *[cell.value for cell in reached],
+                         *map(env.get, store, zeros))
             kernel(slot, n)
             out = slot[first:]
             for cell, value in zip(reached, out):
@@ -264,12 +289,13 @@ class Source:
 class Record:
     """A hot text's record in this process, one per input of _record: the
     text's code; the trips run under it, which loop counts toward NATIVE;
-    and its kernel, UNTRIED until a build is tried, then the kernel or
-    None for a refusal."""
+    its kernel, UNTRIED until a build is tried, then the kernel or None for
+    a refusal; and the wrappers Source.native made of a kernel."""
 
     def __init__(self, text: str) -> None:
         self.code = compile(text, "<staged loop>", "exec")
         self.trips, self.kernel = 0, UNTRIED
+        self.wrappers: dict[tuple, Generated] = {}
 
 
 @lru_cache(maxsize=512)  # a fixed bound, as re bounds its pattern cache
@@ -280,7 +306,7 @@ def _record(
 ) -> Record:
     """The Record of Source.function's text, which depends on these
     arguments alone.  loop(env, n) loads the names in load from env and
-    each cell's local from its constant once, runs n trips of the lines,
+    each cell's local from its holder once, runs n trips of the lines,
     stores each cell back in a finally, so that after a return or a raise
     it holds what the steps would leave, and stores the names in store back
     to env after the last trip.  Each stored name or cell among residues is
@@ -310,11 +336,11 @@ def _record(
     signed = {name: _canonical(name, 0, name) for name in residues}
     if cells:
         body = [
-            *(f"{local} = {const}.value" for local, const in cells),
+            *(f"{local} = {holder}.value" for local, holder in cells),
             "try:",
             *(f"    {line}" for line in body),
             "finally:",
-            *(f"    {const}.value = {signed.get(local, local)}" for local, const in cells),
+            *(f"    {holder}.value = {signed.get(local, local)}" for local, holder in cells),
         ]
     return Record("\n".join([
         "def loop(env, n):",
@@ -323,6 +349,19 @@ def _record(
         *(f"    env[{name!r}] = {'n - 1' if name == counter else signed.get(name, name)}"
           for name in store),
     ]))
+
+
+def forget() -> None:
+    """Start this process's hot tier afresh: no text keeps its record, so
+    none its code, its trips or its kernel, and epoch is new, so runtime
+    stages again every program it kept a plan for, and no loop keeps a
+    function or a kernel's wrapper made before."""
+    global epoch
+    _record.cache_clear()
+    epoch = object()
+
+
+epoch = object()  # see forget: a plan made in another epoch is made again
 
 
 @lru_cache(maxsize=None)  # a few sizes: a new ctypes type per run would be a cycle
@@ -366,55 +405,70 @@ def _build(source: Source) -> Callable | None:
 def loop(
     counter: str, count: Compiled, instantiate: Callable, stage: Callable, generate: Callable,
 ) -> Compiled:
-    """The step that runs a staged loop body or an Iter's step.  Its first run
-    that takes a trip calls instantiate() and keeps the body.  Once the trips,
-    summed over its runs, reach HOT, it runs them as the function of
-    generate(body), a Source, trying generate once, then dropping it; a
-    DslError from it, a printer's, is a refusal, so this step sees every tier
-    decision.  Each hot run counts its trips in the Source's record; at
-    NATIVE it tries the record's kernel, built once per record, and from
-    then on runs of PER_CALL trips or more run it, while shorter runs, and
-    every run after a refusal, stay on the Python function.
-    Else the trips run stage(body)'s steps, built on the first run that needs
-    them, with the trip's number bound to counter first, an Iter's `_` too.
-    A nested loop's step, this closure, is one frame."""
-    body = steps = source = run = native = None
-    trips = 0
+    """The step that runs a staged loop body or an Iter's step: a _Loop's
+    step, bound, so a kept step is two objects the collector scans."""
+    return _Loop(counter, count, instantiate, stage, generate).step
 
-    def step(env):
-        nonlocal body, steps, trips, source, run, native, generate
-        n = count(env)
+
+class _Loop:
+    """A staged loop body or an Iter's step, and what it keeps for every
+    later program run that runs it: the body, the steps, the function and
+    the kernel's wrapper.  A program run's trips are its own, kept in that
+    run's env, keyed by this object."""
+
+    __slots__ = ("counter", "count", "instantiate", "stage", "generate", "body", "steps",
+                 "source", "run", "native")
+
+    def __init__(self, counter, count, instantiate, stage, generate) -> None:
+        self.counter, self.count, self.instantiate = counter, count, instantiate
+        self.stage, self.generate = stage, generate
+        self.body = self.steps = self.source = self.run = self.native = None
+
+    def step(self, env: dict[str, Any]) -> None:
+        """Run the loop's trips in env.  Its first run that takes a trip calls
+        instantiate() and keeps the body.  Once its trips, summed over its
+        runs within one program run, reach HOT, it runs them as the function
+        of generate(body), a Source, trying generate once, then dropping it;
+        a DslError from it, a printer's, is a refusal, so this step sees every
+        tier decision.  Each hot run counts its trips in the Source's record;
+        at NATIVE it tries the record's kernel, built once per record, and
+        from then on hot runs of PER_CALL trips or more run it, while shorter
+        runs, and every run after a refusal, stay on the Python function.
+        Else the trips run stage(body)'s steps, built on the first run that
+        needs them, with the trip's number bound to counter first, an Iter's
+        `_` too.  A nested loop's step, this bound method, is one frame."""
+        n = self.count(env)
         if n <= 0:
             return
-        if body is None:
-            body = instantiate()
-        trips += n
-        if generate and trips >= HOT:
-            with suppress(DslError):  # a refusal: the steps run
-                source = generate(body)
-                run = source.run
-            generate = None
-        if source:  # still counting toward NATIVE
-            record = source.record
-            record.trips += n
-            if record.trips >= NATIVE:
-                if record.kernel is UNTRIED:
-                    record.kernel = _build(source)
-                if record.kernel:
-                    native = source.native(record.kernel)
-                source = None
-        if native and n >= PER_CALL:
-            return native(env, n)
-        if run:
-            return run(env, n)
-        if steps is None:
-            steps = stage(body)
+        if self.body is None:
+            self.body = self.instantiate()
+        trips = env[self] = env.get(self, 0) + n
+        if trips >= HOT:
+            if self.generate:
+                with suppress(DslError):  # a refusal: the steps run
+                    self.source = self.generate(self.body)
+                    self.run = self.source.run
+                self.generate = None
+            if self.source:  # still counting toward NATIVE
+                record = self.source.record
+                record.trips += n
+                if record.trips >= NATIVE:
+                    if record.kernel is UNTRIED:
+                        record.kernel = _build(self.source)
+                    if record.kernel:
+                        self.native = self.source.native(record.kernel)
+                    self.source = None
+            if self.native and n >= PER_CALL:
+                return self.native(env, n)
+            if self.run:
+                return self.run(env, n)
+        if self.steps is None:
+            self.steps = self.stage(self.body)
+        counter, steps = self.counter, self.steps
         for k in range(n):
             env[counter] = k
             for s in steps:
                 s(env)
-
-    return step
 
 
 # PYTHON's context is a Source.  A rule gives Python text, how deep
@@ -476,10 +530,13 @@ def loop_body(
     """A staged loop body's n trips as one function: a line per statement,
     outer names loaded from env once and the body's own names, the counter's
     among them, stored back after the last trip, as the steps leave them.
+    write and read are the names in env of the run's sink and reader, loaded
+    as the outer names are, so the function binds no run's input or output.
     DslError for a nested loop, a binder or a name the scope did not
     generate."""
-    src = Source(scope)
-    write, read, cell = src.const(write), src.const(read), src.const(ConcreteRef)
+    own = [counter, *(name for _, name in staged if name is not None)]
+    src = Source(scope, frozenset(own))
+    cell = src.const(ConcreteRef)
     for cmd, name in staged:
         match cmd:  # patterns without captures, as in core.symbolic
             case GetRef():
@@ -492,14 +549,16 @@ def loop_body(
             case InitRef():
                 src.put(f"{name} = {cell}({src.const(cmd.init.tag)}, {src.value(cmd.init)})")
             case WriteOutput():
+                src.reads.add(write)
                 src.put(f"{write}(str({src.value(cmd.value)}))")
             case ReadInput():
+                src.reads.add(read)
                 src.put(f"{name} = {read}()")
             case PrintStr():
+                src.reads.add(write)
                 src.put(f"{write}({src.const(cmd.text)})")
             case _:
                 raise DslError("cannot generate Python for a nested loop")
-    own = [counter, *(name for _, name in staged if name is not None)]
     src.function(counter, sorted(src.reads.difference(own)), own)
     return src
 

@@ -6,9 +6,10 @@ understand, and also the core that the rich language (highexpr) extends
 with two more classes.  Each class names the fields holding its operands,
 and fold walks a tree bottom-up on an explicit stack, so neither operand
 depth nor binder nesting grows the Python stack.  A consumer is a table of
-rules, one per node class; this module holds closed evaluation and flat
-compilation, to which highexpr adds its two classes, and rendering, which
-knows only the six core classes.  The hot tier's table is in hot.
+rules, one per node class; this module holds closed evaluation, flat
+compilation and reading back, to which highexpr adds its two classes, and
+rendering, which knows only the six core classes.  The hot tier's table is
+in hot.
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ def fold(rules: Rules, e: Expr, context: Any = None) -> Any:
     operands' results; a binder's takes the node and the context and is a
     generator that yields each expression it instantiates, is sent its
     result, and returns its own."""
+    rule, names = rules[type(e)], type(e).operands
+    if names == ():  # a leaf, the commonest tree, needs no stack
+        return rule(e, context)
     # per open node: a binder's generator, or an operator's (rule, node,
     # operand names, results so far)
     stack: list[Any] = []
@@ -202,14 +206,16 @@ EVAL = Rules("cannot evaluate", {
 
 # FLAT's context is the scope and the list of steps that run, in order,
 # before the closures folded so far are read.  A rule gives a closure and how
-# deep closures nest in it; at _NEST a step stores the value instead.  _NEST
+# deep closures nest in it; at _NEST a step stores the value instead.  Each
+# closure takes what it holds as defaults, not cells: a staged program keeps
+# its closures, and each default tuple is one object for the collector.  _NEST
 # bounds hot's generated text too: closures call each other that deep, and
 # CPython refuses text nested 200 parentheses deep.
 _NEST = 40
 
 
 def _store(name: str, value: Compiled) -> Compiled:
-    def step(env):
+    def step(env, name=name, value=value):
         env[name] = value(env)
 
     return step
@@ -229,16 +235,18 @@ def _op(tag: TypeTag, make: Callable[..., Compiled], flat, a, b=(None, 0)):
         return value, depth
     name = flat[0].fresh("t", tag)
     flat[1].append(_store(name, value))
-    return (lambda env: env[name]), 1
+    return (lambda env, name=name: env[name]), 1
 
 
 FLAT = Rules("cannot compile", {
     Var: _flat_var,
     Lit: lambda e, _: ((lambda env, value=e.value: value), 1),
-    Add: partial(_op, TypeTag.I32, lambda fa, fb: lambda env: wrap_i32(fa(env) + fb(env))),
-    Mul: partial(_op, TypeTag.I32, lambda fa, fb: lambda env: wrap_i32(fa(env) * fb(env))),
-    Not: partial(_op, TypeTag.BOOL, lambda fa, _: lambda env: not fa(env)),
-    Eq: partial(_op, TypeTag.BOOL, lambda fa, fb: lambda env: fa(env) == fb(env)),
+    Add: partial(_op, TypeTag.I32, lambda fa, fb: lambda env, fa=fa, fb=fb: wrap_i32(
+        fa(env) + fb(env))),
+    Mul: partial(_op, TypeTag.I32, lambda fa, fb: lambda env, fa=fa, fb=fb: wrap_i32(
+        fa(env) * fb(env))),
+    Not: partial(_op, TypeTag.BOOL, lambda fa, _: lambda env, fa=fa: not fa(env)),
+    Eq: partial(_op, TypeTag.BOOL, lambda fa, fb: lambda env, fa=fa, fb=fb: fa(env) == fb(env)),
 })
 
 
@@ -255,12 +263,35 @@ def compile_open(e: Expr, scope: Scope) -> Compiled:
     if not steps:
         return result
 
-    def run(env):
+    def run(env, steps=steps, result=result):
         for step in steps:
             step(env)
         return result(env)
 
     return run
+
+
+# READ_BACK's context is a scope and an environment of its names' values.
+def _read_var(e: Var, named: tuple[Scope, dict[str, Any]]) -> Expr:
+    scope, env = named
+    return Lit(env[e.name], e.tag) if e.name in scope and e.name in env else e
+
+
+READ_BACK = Rules("cannot read back", {
+    Var: _read_var,
+    Lit: lambda e, _: e,
+    Add: lambda _, a, b: Add(a, b),
+    Mul: lambda _, a, b: Mul(a, b),
+    Not: lambda _, a: Not(a),
+    Eq: lambda _, a, b: Eq(a, b),
+})
+
+
+def read_back(e: Expr, scope: Scope, env: dict[str, Any]) -> Expr:
+    """e with each variable that scope generated and env binds replaced by
+    the literal of its value there: the expression a run over concrete
+    values builds where a staged run built e."""
+    return fold(READ_BACK, e, (scope, env))
 
 
 _TEXT = Rules("not a low expression", {

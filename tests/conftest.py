@@ -24,7 +24,8 @@ class Sources(list):
 def sources(monkeypatch):
     """The texts compiled into the functions of hot loops and Iters, in
     order: every text goes through hot._record, which compiles a text once
-    per process for its inputs, so its cache starts empty."""
+    per process for its inputs, so the hot tier starts forgotten, its cache
+    empty and no plan kept before reused."""
     texts = Sources()
 
     def counted(text, *args):
@@ -33,7 +34,7 @@ def sources(monkeypatch):
         return compile(text, *args)
 
     monkeypatch.setattr(hot, "compile", counted, raising=False)
-    hot._record.cache_clear()
+    hot.forget()
     return texts
 
 
@@ -44,14 +45,18 @@ def tier(request, monkeypatch):
     reads HOT on every run.  A test that parametrizes it indirectly with
     "native" too runs a third time with NATIVE and PER_CALL at 1 as well,
     so every pure hot body runs as C from its first run, however short (see
-    the native fixture)."""
+    the native fixture).  Every leg starts and ends with the hot tier
+    forgotten, so no plan a shared program value keeps, such as an example's,
+    carries a generated function or a kernel from one test into another."""
     if request.param != "default":
         monkeypatch.setattr(hot, "HOT", 1)
     if request.param == "native":
         monkeypatch.setattr(hot, "PER_CALL", 1)
         yield from _native(monkeypatch, 1)
     else:
+        hot.forget()
         yield
+        hot.forget()
 
 
 @pytest.fixture
@@ -63,7 +68,8 @@ def native(monkeypatch):
 
 def _native(monkeypatch, trips):
     """hot.NATIVE at trips, and no text counted, kernel built or refusal
-    made before the test or kept after it: the records start and end empty."""
+    made before the test or kept after it: the hot tier starts and ends
+    forgotten."""
     if not have_c_compiler():
         pytest.skip("no C compiler")
     built, build = [], hot._build
@@ -75,6 +81,6 @@ def _native(monkeypatch, trips):
 
     monkeypatch.setattr(hot, "NATIVE", trips)
     monkeypatch.setattr(hot, "_build", recorded)
-    hot._record.cache_clear()
+    hot.forget()
     yield built
-    hot._record.cache_clear()
+    hot.forget()

@@ -211,10 +211,9 @@ def test_run_wraps_an_overlong_input_line_without_a_traceback():
 def test_output_hashes_script_prints_the_pinned_hashes():
     # pseudo-code, C, C without its (void) lines, and run transcripts, as
     # they stood before expressions were folded on an explicit stack; then
-    # the 460 texts the hot tier compiles, as they stood before an Iter
-    # staged as a counted loop; then the 652 C kernels printed for those
-    # runs' Sources, as they stood before a trip was recorded once for both
-    # printers
+    # the 552 texts the hot tier compiles and the 652 C kernels printed for
+    # those runs' Sources, since a run stages its top level, so a loop body
+    # reaches a top-level value or cell by its generated name
     proc = _script("output_hashes.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
@@ -222,6 +221,6 @@ def test_output_hashes_script_prints_the_pinned_hashes():
         "c c64166901958c3b5035282fb7563ca4b05586f94bd2eb2f95fb14e35ef906892",
         "c-no-void 55d4d76415c1b99b5c4531e9cf46db3b0245d30366c9abbe77a748fdd9e46b66",
         "transcripts 9fbc56279792e4c7c43d8e9337ad56240498085747002e21cd622ba69f5e8d37",
-        "hot bf015346720d4d703bd42fff3f2dd4a07f829c0ce03482b4960de6b0465fd055",
-        "native 677c5746bd5000c886174830e7317cd4f994ad3849a554f27504fd221173a99d",
+        "hot 82660dd639157a77872f202529901271e91b17ccbe85aaced6808504109faa76",
+        "native 0d319979fe859b912b5c200d61178315d401d5f196f0ae1d83aa57896d2cc68f",
     ]

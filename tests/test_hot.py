@@ -81,13 +81,17 @@ def test_hot_source_texts_from_either_form_are_wrap_i32(node, a, b):
 
 def test_every_reference_is_read_and_written_through_ref():
     scope, env = Scope(), {}
-    src = hot.Source(scope)
+    outer, own = (scope.fresh("r", TypeTag.I32) for _ in range(2))
+    src = hot.Source(scope, frozenset([own]))
     cell = ConcreteRef(TypeTag.I32, 0)
-    named = SymbolicRef(TypeTag.I32, scope.fresh("r", TypeTag.I32))
     assert src.ref(cell) == src.ref(cell) == "_r0"  # one local per cell
-    assert src.ref(named) == "r0" and src.reads == {"r0"}
-    # in Python a cell reached by name is read and written through .value
-    assert src.named == {"r0": "r0.value"}
+    # so is a cell reached by a name from outside the trip, which is loaded
+    named = [SymbolicRef(TypeTag.I32, outer) for _ in range(2)]
+    assert src.ref(named[0]) == src.ref(named[1]) == "_r1" and src.reads == {"r0"}
+    # each local's holder: the live cell's constant, the other cell's name
+    assert src.cells == {id(cell): ("_r0", "_c0"), "r0": ("_r1", "r0")}
+    # a cell the trip makes is read and written through .value
+    assert src.ref(SymbolicRef(TypeTag.I32, own)) == "r1" and src.named == {"r1": "r1.value"}
     with pytest.raises(StageError, match="not generated"):  # the same text, not the name
         src.ref(SymbolicRef(TypeTag.I32, "r0"))
     e = lo.lit(2**31 - 1) + lo.lit(1)
@@ -96,23 +100,25 @@ def test_every_reference_is_read_and_written_through_ref():
     assert src.lines == ["_r0 = ((2147483647 + 1) & 0xFFFFFFFF)"]
     assert src.carried == {"_r0": (0, "_r0 = 2147483647 + 1")}
     # a write by name is observed, so it stores the canonical value
-    src.store("r0", e)
+    src.store("r1", e)
     line = src.lines[-1]
-    assert line == f"r0.value = {src.value(e)}" and list(src.carried) == ["_r0"]
+    assert line == f"r1.value = {src.value(e)}" and list(src.carried) == ["_r0"]
     # each store is recorded once, as the entry kernel() prints as C
-    assert src.entries == [("_r0", e), ("r0", e)]
-    env["r0"] = ConcreteRef(TypeTag.I32, 0)
+    assert src.entries == [("_r0", e), ("r1", e)]
+    env["r1"] = ConcreteRef(TypeTag.I32, 0)
     exec(line, env)
-    assert env["r0"].value == lo.eval_closed(e) == I32_MIN
+    assert env["r1"].value == lo.eval_closed(e) == I32_MIN
 
 
 HOT = hot.HOT
-# a loop's runs, then what it calls, in order, when generate accepts and
-# when it refuses: the first run at HOT goes hot at once, and HOT one-trip
-# runs sum to HOT on the last of them
+# a loop's runs within one program run, then what it calls, in order, when
+# generate accepts and when it refuses: the first run at HOT goes hot at
+# once, and HOT one-trip runs sum to HOT on the last of them; a one-trip run
+# in a later program run then takes the steps, built if they were not
 COLD_FIRST = ["instantiate", "stage", "generate"]
+HOT_FIRST = ["instantiate", "generate", "stage"]
 RUNS = {
-    "hot-first": ([HOT, 2], ["instantiate", "generate"], ["instantiate", "generate", "stage"]),
+    "hot-first": ([HOT, 2], HOT_FIRST, HOT_FIRST),
     "hot-later": ([HOT - 1, 0, 1, 2], COLD_FIRST, COLD_FIRST),
     "summed": ([1] * HOT + [3], COLD_FIRST, COLD_FIRST),
 }
@@ -143,17 +149,22 @@ def test_loop_instantiates_once_and_tries_generate_once(kind, refuse):
         return SimpleNamespace(run=run, record=SimpleNamespace(trips=0))
 
     step = hot.loop("k", lambda env: env["n"], instantiate, stage, generate)
+    env = {}  # one program run's
     for n in [0, -3]:
-        step({"n": n})
+        step(env | {"n": n})
     assert calls == trips == []  # a run of no trips instantiates nothing
     summed = 0
     for n in runs:
-        step({"n": n})
+        env["n"] = n
+        step(env)
         summed += n
         if summed >= HOT and not refuse:
             assert trips[-1] == f"{n} generated"
         elif n > 0:
             assert trips[-n:] == list(range(n))
+    # a program run's trips are its own: the next one's first run is cold
+    step({"n": 1})
+    assert trips[-1] == 0
     # a refused body falls back to the steps, built once
     assert calls == wants[refuse]
 
@@ -211,9 +222,9 @@ I32, BOOL = TypeTag.I32, TypeTag.BOOL
 @pytest.fixture
 def records():
     """No hot text's record before the test or after it."""
-    hot._record.cache_clear()
+    hot.forget()
     yield
-    hot._record.cache_clear()
+    hot.forget()
 
 
 @pytest.mark.usefixtures("records")
@@ -240,17 +251,24 @@ def test_loop_tries_a_native_build_once_per_text(monkeypatch):
                 native=lambda kernel: lambda env, n: ran.append((text, kernel, n)),
             )
 
-        return hot.loop("k", lambda env: env["n"], lambda: "body", lambda body: [], generate)
+        step = hot.loop("k", lambda env: env["n"], lambda: "body", lambda body: [], generate)
+        env = {}  # all its runs are in one program run
+
+        def run(n):
+            env["n"] = n
+            step(env)
+
+        return run
 
     first, second, refused = looping("t"), looping("t"), looping("u")
     for n in [HOT, native - HOT - 1, 1, per_call - 1, per_call]:
-        first({"n": n})
+        first(n)
     # the text has its kernel, so a later loop of it runs the kernel at once,
     # on a run of PER_CALL trips or more
     for n in [HOT, per_call - 1]:
-        second({"n": n})
+        second(n)
     for n in [native, 3]:
-        refused({"n": n})
+        refused(n)
     assert ran == [
         ("t", "python", HOT), ("t", "python", native - HOT - 1), ("t", "build"),
         ("t", "python", 1), ("t", "python", per_call - 1), ("t", "kernel", per_call),
@@ -287,9 +305,10 @@ def test_native_kernel_text_of_an_iter_step():
 
 
 def _every_slot():
-    """A loop body over every kind of slot: v0, a value it reads; r1, a bool
-    cell it reaches by name; the live i32 cell _r0; the counter v2 it reads;
-    and v3, its own bool name.  Returns its Source and the live cell."""
+    """A loop body over every kind of slot: v0, a value it reads; _r0, the
+    local of r1, a bool cell it reaches by name; _r1, the local of a live i32
+    cell; the counter v2 it reads; and v3, its own bool name.  Returns its
+    Source and the live cell."""
     scope = Scope()
     v, r, i, x = (scope.fresh(*kind) for kind in [("v", I32), ("r", BOOL), ("v", I32), ("v", BOOL)])
     cell = ConcreteRef(I32, 5)
@@ -298,31 +317,31 @@ def _every_slot():
         (SetRef(SymbolicRef(BOOL, r), lo.Not(lo.Var(x, BOOL))), None),
         (SetRef(cell, lo.Var(v, I32) * lo.Var(i, I32) + -3), None),
     ]
-    return hot.loop_body(scope, print, input, i, staged), cell
+    return hot.loop_body(scope, "write", "read", i, staged), cell
 
 
 def test_native_kernel_text_of_a_loop_body_over_every_kind_of_slot():
     src, _ = _every_slot()
-    assert src.slots() == (["v0"], ["r1"], ["_r0"], ["v2", "v3"])
+    assert src.slots() == (["v0"], ["_r0", "_r1"], ["v2", "v3"])
     assert src.kernel() == (
         "#include <stdint.h>\n"
         "void body(int32_t *slot, int64_t n)\n"
         "{\n"
         "    int32_t v0 = slot[0];\n"
-        "    int32_t r1 = slot[1];\n"
-        "    int32_t _r0 = slot[2];\n"
+        "    int32_t _r0 = slot[1];\n"
+        "    int32_t _r1 = slot[2];\n"
         "    int32_t v2 = slot[3];\n"
         "    int32_t v3 = slot[4];\n"
         "    for (int64_t k = 0; k < n; k++) {\n"
         "        v2 = (int32_t)k;\n"
-        "        v3 = r1;\n"
-        "        r1 = (!v3);\n"
-        "        _r0 = "
+        "        v3 = _r0;\n"
+        "        _r0 = (!v3);\n"
+        "        _r1 = "
         "(int32_t)((uint32_t)(int32_t)((uint32_t)v0 * (uint32_t)v2) + (uint32_t)-3);\n"
         "    }\n"
         "    slot[0] = v0;\n"
-        "    slot[1] = r1;\n"
-        "    slot[2] = _r0;\n"
+        "    slot[1] = _r0;\n"
+        "    slot[2] = _r1;\n"
         "    slot[3] = v2;\n"
         "    slot[4] = v3;\n"
         "}\n"
@@ -349,7 +368,7 @@ def test_native_kernel_refuses_a_loop_body_with_an_impure_statement(kind):
         IMPURE[kind](i, y),
         (SetRef(SymbolicRef(I32, r), lo.Var(x, I32) + lo.Var(i, I32)), None),
     ]
-    src = hot.loop_body(scope, print, input, i, staged)
+    src = hot.loop_body(scope, "write", "read", i, staged)
     assert len(src.lines) == 3 and src.entries[1] is None
     with pytest.raises(DslError, match="impure"):
         src.kernel()
@@ -372,33 +391,35 @@ def test_a_native_kernel_stores_back_what_the_python_function_does(native):
             ] + [(cell.value, type(cell.value))])
         assert runs[0] == runs[1]
         assert runs[0][2] == ("v2", n - 1, int) and runs[0][3][2] is bool
+    # a wrapper over a live cell is its loop's own: no record keeps the cell
+    assert src.record.wrappers == {}
     assert native == [True]
 
 
 def _copy(tag):
     """A loop body that reads the cell r0 by name into v3 and stores v3 in the
-    cell r1, both of tag, with v2 its counter: its text is the same for
-    either tag.  Returns its Source."""
+    cell r1, both of tag, with v2 its counter.  Returns its Source."""
     scope = Scope()
     r, q = (SymbolicRef(tag, scope.fresh("r", tag)) for _ in range(2))
     i, v = scope.fresh("v", I32), scope.fresh("v", tag)
     staged = [(GetRef(r), v), (SetRef(q, lo.Var(v, tag)), None)]
-    return hot.loop_body(scope, print, input, i, staged)
+    return hot.loop_body(scope, "write", "read", i, staged)
 
 
-def test_one_native_text_stores_back_each_runs_own_kinds(native):
-    # the bool run and the i32 run share their text, record and kernel;
-    # the i32 run still stores ints, and a third bool run stores bools
+def test_each_native_text_of_cells_by_name_stores_back_its_own_kinds(native):
+    # a cell reached by name is a local, which an i32 cell's text makes
+    # canonical where it is stored back and a bool cell's does not, so the
+    # two copies differ in text; each run stores back its own kinds
     bools, ints = _copy(BOOL), _copy(I32)
-    assert bools.record is ints.record
-    kernel = hot._build(bools)
+    assert bools.record is not ints.record
+    kernels = {id(src): hot._build(src) for src in [bools, ints]}
     runs = [(bools, BOOL, True, False), (ints, I32, -5, 9), (bools, BOOL, False, True)]
     for src, tag, value, other in runs:
         env = {"r0": ConcreteRef(tag, value), "r1": ConcreteRef(tag, other)}
-        src.native(kernel)(env, 3)
+        src.native(kernels[id(src)])(env, 3)
         assert [(v, type(v)) for v in [env["r1"].value, env["v3"]]] == [(value, type(value))] * 2
         assert env["v2"] == 2
-    assert native == [True]
+    assert native == [True, True]
 
 
 def _two_cells(trips):

@@ -30,15 +30,25 @@ def _scripts(gp):
     return [gp.input_text] + prefixes
 
 
+def _outcome(prog, lang, text):
+    """prog's outcome on text; a staged one's twice on the same program
+    value, which must agree: the value's first run stages its top level and
+    every later run, the second here, runs that plan."""
+    first = outcome(prog, lang, text)
+    if lang.compile is not None:
+        assert outcome(prog, lang, text) == first, text
+    return first
+
+
 def _agree(gp, runs, want_prog, want_lang):
     # each run's outcome is want_prog's under want_lang, on every script;
     # on the full script no run raises
     for i, text in enumerate(_scripts(gp)):
-        want = outcome(want_prog, want_lang, text)
+        want = _outcome(want_prog, want_lang, text)
         if i == 0:
             assert want == run_text(want_prog, want_lang, text)
         for prog, lang in runs:
-            assert outcome(prog, lang, text) == want, text
+            assert _outcome(prog, lang, text) == want, text
 
 
 # The three tests below are one differential of ten interpretations: the
